@@ -11,14 +11,10 @@ from .estimators import (
     Asymptotic,
     EstimatorState,
     FiniteTime,
-    Measurement,
-    MeasurementError,
     PoseEstimate,
     ReconstructionMode,
     WellPosednessReport,
-    asymptotic_rhs,
     check_well_posedness,
-    finite_time_rhs,
     init_aux,
     reconstruct,
 )
@@ -66,7 +62,6 @@ from .simulation import (
     propagate_truth,
     run,
     settling_time,
-    synthesize_measurements,
 )
 
 __version__ = "0.1.0"

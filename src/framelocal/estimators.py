@@ -8,43 +8,38 @@ and the auxiliary matrices communicated by neighbors:
   finite-time law  dP_i = -hat6(twist_i) P_i
                           + sum_j (T_ij P_j - P_i) / ||T_ij P_j - P_i||_F^alpha
 
+With T_ij = T_i^-1 T_j and the aligned states S_i = T_i P_i, every neighbor
+term is T_i^-1 (S_j - S_i). That difference has a zero bottom row, on which
+T_i^-1 acts as the pure rotation R_i^T, so ||T_ij P_j - P_i||_F =
+||S_j - S_i||_F and both laws read
+
+  dP_i = -hat6(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i)
+
+with w_ij = 1 (asymptotic) or ||S_j - S_i||_F^-alpha (finite-time). This
+module holds the law parameters, initialization, reconstruction and the
+well-posedness diagnostic; ``framelocal.simulation`` evaluates the law in
+that aligned form, once for all agents, as the only implementation.
+
 The pose estimate is reconstructed from P_i by orthonormalizing the 3x3
 block (the result is the transposed rotation estimate) and mapping the
 translation column through it. Both laws leave the bottom row of every
 derivative exactly zero, so integration preserves the (0,0,0,1) row
 bit-exactly under any linear one-step method.
-
-RHS evaluation is a pure function per agent given a snapshot of neighbor
-states; agents can be evaluated concurrently and results do not depend on
-evaluation order (no accumulation is shared across agents).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .graphs import Topology
-from .se3 import (
-    AuxMatrix,
-    DegenerateInputError,
-    Pose,
-    Rotation,
-    Twist,
-    gsop,
-    gsop_two_column,
-    hat6,
-)
+from .se3 import AuxMatrix, DegenerateInputError, Pose, Rotation, gsop, gsop_two_column
 
 INIT_DET_FLOOR = 1e-6      # redraw threshold on |det Q_i(0)|
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 DEFAULT_EPSILON = 1e-9     # guard radius replacing the exact consensus case
-
-
-class MeasurementError(ValueError):
-    """Measurements passed to an RHS do not cover the agent's neighbor set."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class FiniteTime:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 Law = Asymptotic | FiniteTime
@@ -92,15 +87,6 @@ class EstimatorState:
         object.__setattr__(self, "aux", tuple(self.aux))
         if not self.aux:
             raise ValueError("need at least one agent state")
-
-
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """One agent's local data: its body twist and the relative transform
-    to each neighbor, keyed by neighbor index."""
-
-    twist: Twist
-    rel: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,60 +128,6 @@ def init_aux(n: int, rng_seed: int, law: Law = Asymptotic()) -> EstimatorState:
             q = rng.uniform(-1.0, 1.0, (3, 3))
         aux.append(AuxMatrix(q, rng.uniform(-1.0, 1.0, 3)))
     return EstimatorState(tuple(aux), law)
-
-
-def _check_coverage(meas, topo: Topology):
-    if len(meas) != topo.n:
-        raise MeasurementError(f"got {len(meas)} measurements for {topo.n} agents")
-    for i in range(1, topo.n + 1):
-        want = set(topo.neighbors(i))
-        got = set(meas[i - 1].rel)
-        if got != want:
-            raise MeasurementError(
-                f"agent {i}: measured neighbors {sorted(got)} != topology {sorted(want)}"
-            )
-
-
-def asymptotic_rhs(state: EstimatorState, meas, topo: Topology) -> list:
-    """Time derivative of every auxiliary matrix under the exponential law."""
-    if not isinstance(state.law, Asymptotic):
-        raise ValueError("state is not configured for the asymptotic law")
-    _check_coverage(meas, topo)
-    out = []
-    for i in range(1, topo.n + 1):
-        p_i = state.aux[i - 1].matrix
-        d = -(hat6(meas[i - 1].twist) @ p_i)
-        for j in topo.neighbors(i):
-            d += meas[i - 1].rel[j].matrix @ state.aux[j - 1].matrix - p_i
-        out.append(d)
-    return out
-
-
-def finite_time_rhs(state: EstimatorState, meas, topo: Topology) -> list:
-    """Time derivative under the normalized law with the epsilon guard.
-
-    Neighbor terms whose difference norm falls below epsilon contribute
-    zero, matching the consensus case of the state-dependent weighting.
-    """
-    law = state.law
-    if not isinstance(law, FiniteTime):
-        raise ValueError("state is not configured for the finite-time law")
-    if not 0.0 < law.alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {law.alpha}")
-    if topo.directed:
-        raise ValueError("finite-time law requires an undirected topology")
-    _check_coverage(meas, topo)
-    out = []
-    for i in range(1, topo.n + 1):
-        p_i = state.aux[i - 1].matrix
-        d = -(hat6(meas[i - 1].twist) @ p_i)
-        for j in topo.neighbors(i):
-            diff = meas[i - 1].rel[j].matrix @ state.aux[j - 1].matrix - p_i
-            norm = float(np.linalg.norm(diff))
-            if norm >= law.epsilon:
-                d += diff / norm**law.alpha
-        out.append(d)
-    return out
 
 
 def reconstruct(

@@ -240,3 +240,40 @@ def test_cli_mode_and_alpha_overrides(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["alpha"] == 0.6
+
+
+def run_edited_demo(tmp_path, capsys, edit, *flags) -> tuple:
+    """Run the finite demo through main() after edit(doc); return (code, stderr lines)."""
+    doc = json.loads(bundled_scenario_path("demo_finite_time").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_nan_epsilon_rejected(tmp_path, capsys):
+    # a NaN guard radius would fail every norm >= epsilon test and silently
+    # switch the finite-time law off
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["law"].update(epsilon=float("nan")))
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: law:")
+
+
+@pytest.mark.parametrize("key, value", [("dt", float("nan")), ("t_end", float("inf"))])
+def test_non_finite_integration_field_rejected(tmp_path, capsys, key, value):
+    code, err = run_edited_demo(
+        tmp_path, capsys, lambda d: d["integration"].update({key: value})
+    )
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: integration:")
+    assert key in err[0]
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-end", "inf")])
+def test_non_finite_integration_override_rejected(tmp_path, capsys, flag, value):
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None, flag, value)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: override:")
+    assert flag[2:].replace("-", "_") in err[0]

@@ -6,28 +6,30 @@ import pytest
 from framelocal import (
     AuxMatrix,
     EstimatorState,
-    Measurement,
-    MeasurementError,
     Pose,
     PoseEstimate,
     Rotation,
     Topology,
     Twist,
-    asymptotic_rhs,
     check_well_posedness,
     compose,
     exp_se3,
-    finite_time_rhs,
     gsop,
     hat6,
     init_aux,
     inverse,
     reconstruct,
     relative_transform,
-    synthesize_measurements,
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
 from conftest import make_pose, make_twist, random_rotation
+from rhs_oracle import (
+    Measurement,
+    MeasurementError,
+    asymptotic_rhs,
+    finite_time_rhs,
+    synthesize_measurements,
+)
 
 
 def aux_from(m: np.ndarray) -> AuxMatrix:

@@ -1,5 +1,7 @@
 """Truth propagation, the integrator, oracles, and error metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,9 @@ from framelocal import (
     Rotation,
     Topology,
     Twist,
-    asymptotic_rhs,
     closed_form_aligned,
     compose,
     error_metrics,
-    finite_time_rhs,
     hat6,
     init_aux,
     inverse,
@@ -25,12 +25,12 @@ from framelocal import (
     propagate_truth,
     run,
     settling_time,
-    synthesize_measurements,
 )
 from framelocal.estimators import Asymptotic, FiniteTime
 from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _initial_stacks, _make_rhs, error_link_pairs
 from conftest import make_pose, make_scenario, make_twist
+from rhs_oracle import law_rhs, synthesize_measurements
 
 
 def test_propagate_zero_twist():
@@ -123,15 +123,83 @@ def test_stacked_rhs_matches_public_operations():
         state = init_aux(3, s.seed, law)
         truth = list(s.initial_poses)
         meas = synthesize_measurements(truth, list(s.twists), topo)
-        public = (
-            asymptotic_rhs(state, meas, topo)
-            if isinstance(law, Asymptotic)
-            else finite_time_rhs(state, meas, topo)
-        )
+        public = law_rhs(state, meas, topo)
         t0, p0 = _initial_stacks(s, state)
         fast = _make_rhs(s)(t0, p0)
         for i in range(3):
             assert np.abs(fast[i] - public[i]).max() < 1e-12
+
+
+def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> tuple:
+    """Stacked kernel and per-agent oracle at the initial data of s.
+
+    Asserts the kernel's bottom rows are exactly zero and that it matches
+    the oracle to 1e-12 relative; returns (t0, p0, kernel derivative).
+    """
+    if state is None:
+        state = init_aux(s.topo.n, s.seed, s.law)
+    t0, p0 = _initial_stacks(s, state)
+    fast = _make_rhs(s)(t0, p0)
+    meas = synthesize_measurements(list(s.initial_poses), list(s.twists), s.topo)
+    oracle = np.stack(law_rhs(state, meas, s.topo))
+    assert np.all(fast[:, 3, :] == 0.0)
+    assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    return t0, p0, fast
+
+
+def drift_only(s: Scenario, p0: np.ndarray) -> np.ndarray:
+    """The -hat6(twist_i) P_i part of every derivative."""
+    return -(np.stack([hat6(tw) for tw in s.twists]) @ p0)
+
+
+def assert_average_invariant(s: Scenario, t0, p0, fast):
+    # sum_i T_i (dP_i + hat6(twist_i) P_i) = sum of all neighbor terms in
+    # aligned coordinates, which cancel pairwise on an undirected graph
+    total = np.sum(t0 @ (fast - drift_only(s, p0)), axis=0)
+    assert np.abs(total).max() < 1e-12
+
+
+def test_kernel_rooted_digraph_root_sum_is_zero():
+    # agent 5 is the root and receives from nobody, so its bins are the
+    # trailing ones that only minlength allocates
+    topo = Topology(5, ((1, 5), (2, 5), (3, 1), (4, 2), (4, 3)))
+    s = make_scenario(topo, seed=41, t_end=0.1)
+    _, p0, fast = kernel_against_oracle(s)
+    drift = drift_only(s, p0)
+    assert np.array_equal(fast[4], drift[4])
+    assert np.abs(fast[:4] - drift[:4]).max() > 1e-3
+
+
+def test_kernel_ring_with_chords_both_laws():
+    n = 64
+    rng = np.random.default_rng(42)
+    pairs = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    while len(pairs) < 96:
+        i, j = sorted(int(x) for x in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        pairs.add((i, j))
+    topo = Topology.undirected(n, sorted(pairs))
+    for law in (Asymptotic(), FiniteTime(alpha=0.5)):
+        s = make_scenario(topo, seed=43, law=law, t_end=0.1)
+        assert_average_invariant(s, *kernel_against_oracle(s))
+
+
+def test_kernel_finite_pair_at_consensus():
+    # identical poses and estimator matrices: the aligned difference is
+    # exactly zero and the epsilon guard removes the neighbor term
+    topo = Topology.undirected(2, [(1, 2)])
+    s = make_scenario(topo, seed=44, law=FiniteTime(), t_end=0.1)
+    s = dataclasses.replace(s, initial_poses=(s.initial_poses[0],) * 2)
+    a = init_aux(1, s.seed).aux[0]
+    t0, p0, fast = kernel_against_oracle(s, EstimatorState((a, a), s.law))
+    assert np.array_equal(fast, drift_only(s, p0))
+    assert_average_invariant(s, t0, p0, fast)
+
+
+def test_kernel_single_agent_without_edges():
+    for topo, law in ((Topology(1), Asymptotic()), (Topology.undirected(1, []), FiniteTime())):
+        s = make_scenario(topo, seed=45, law=law, t_end=0.1)
+        _, p0, fast = kernel_against_oracle(s)
+        assert np.array_equal(fast, drift_only(s, p0))
 
 
 def test_trace_shape_and_time_column():
