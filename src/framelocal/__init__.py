@@ -11,7 +11,6 @@ from .estimators import (
     Asymptotic,
     EstimatorState,
     FiniteTime,
-    PoseEstimate,
     ReconstructionMode,
     WellPosednessReport,
     check_well_posedness,
@@ -51,7 +50,6 @@ from .se3 import (
 from .simulation import (
     ConfigurationError,
     LyapunovCheck,
-    MetricRecord,
     OracleReport,
     Scenario,
     Trace,

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import Asymptotic, FiniteTime, ReconstructionMode
+from .estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
 from .graphs import Topology
 from .se3 import Pose, Rotation, Twist
 from .simulation import (
@@ -90,11 +90,13 @@ def _require_keys(section, allowed: set, required: set, where: str):
         raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _vec3(value, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ScenarioError(f"{where}: expected 3 numbers, got {value!r}")
-    return arr
+def _integer(value, name: str) -> int:
+    """A JSON number with an integral value as an int; anything else raises."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -121,10 +123,9 @@ def load_scenario(path) -> Scenario:
     g = doc["graph"]
     _require_keys(g, {"n", "directed", "edges"}, {"n", "directed", "edges"}, "graph")
     try:
-        if g["directed"]:
-            topo = Topology(int(g["n"]), tuple((int(i), int(j)) for i, j in g["edges"]))
-        else:
-            topo = Topology.undirected(int(g["n"]), g["edges"])
+        n = _integer(g["n"], "n")
+        edges = tuple((_integer(i, "edge end"), _integer(j, "edge end")) for i, j in g["edges"])
+        topo = Topology(n, edges) if g["directed"] else Topology.undirected(n, edges)
     except (ValueError, TypeError) as e:
         raise ScenarioError(f"graph: {e}") from e
 
@@ -140,19 +141,11 @@ def load_scenario(path) -> Scenario:
             {"rotation", "translation", "linear_velocity", "angular_velocity"},
             where,
         )
-        rot = np.asarray(a["rotation"], dtype=np.float64)
-        if rot.shape != (3, 3):
-            raise ScenarioError(f"{where}.rotation: expected a 3x3 matrix")
         try:
-            poses.append(Pose(Rotation(rot), _vec3(a["translation"], f"{where}.translation")))
-        except ValueError as e:
+            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
+            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
+        except (ValueError, TypeError) as e:
             raise ScenarioError(f"{where}: {e}") from e
-        twists.append(
-            Twist(
-                _vec3(a["linear_velocity"], f"{where}.linear_velocity"),
-                _vec3(a["angular_velocity"], f"{where}.angular_velocity"),
-            )
-        )
 
     law_doc = doc["law"]
     _require_keys(law_doc, {"name", "alpha", "epsilon"}, {"name"}, "law")
@@ -182,8 +175,8 @@ def load_scenario(path) -> Scenario:
             law=law,
             dt=float(integ["dt"]),
             t_end=float(integ["t_end"]),
-            seed=int(integ["seed"]),
-            stride=int(integ["stride"]),
+            seed=_integer(integ["seed"], "seed"),
+            stride=_integer(integ["stride"], "stride"),
             reconstruction=mode,
         )
     except (ValueError, TypeError) as e:
@@ -298,20 +291,24 @@ def _write_trace_csv(trace: Trace, path: Path):
 
 
 def _write_state_csv(trace: Trace, path: Path):
+    # S and That are derived one sample at a time, as Trace.aligned and
+    # Trace.estimates derive them, so no whole-trace copy is ever held
     n = trace.truth.shape[1]
-    blocks = [("T", "truth"), ("P", "aux"), ("S", "aligned"), ("That", "estimates")]
     cols = ["t", "agent"]
-    for tag, _ in blocks:
+    for tag in ("T", "P", "S", "That"):
         cols += [f"{tag}_{r}{c}" for r in range(4) for c in range(4)]
     cols += ["valid"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for k in range(len(trace.times)):
+            tt, pp = trace.truth[k], trace.aux[k]
+            estimates, valid = reconstruct(pp, trace.reconstruction)
+            blocks = (tt, pp, tt @ pp, estimates)
             for i in range(n):
                 row = [_f17(trace.times[k]), str(i + 1)]
-                for _, attr in blocks:
-                    row += [_f17(x) for x in getattr(trace, attr)[k, i].ravel()]
-                row.append("1" if trace.estimate_valid[k, i] else "0")
+                for block in blocks:
+                    row += [_f17(x) for x in block[i].ravel()]
+                row.append("1" if valid[i] else "0")
                 fh.write(",".join(row) + "\n")
 
 
@@ -387,22 +384,41 @@ def run_and_emit(cfg: RunConfig) -> int:
     return 0
 
 
+def _fmt(x, digits=4) -> str:
+    return "-" if x is None else f"{x:.{digits}g}"
+
+
+def _report_row(path: Path, doc: dict) -> str:
+    if doc["lambda2"] is not None:
+        spectral = _fmt(doc["lambda2"])
+    else:
+        spectral = "w1:" + ",".join(f"{w:.2g}" for w in doc["w1"])
+    return (
+        f"{path.parent.name or str(path):<28} {doc['law']:<10} "
+        f"{_fmt(doc['alpha']):>6} {spectral:>10} {_fmt(doc['v0']):>10} "
+        f"{_fmt(doc['settling_bound']):>10} {_fmt(doc['settling_time']):>10} "
+        f"{_fmt(doc['final_max_orientation_error']):>13} "
+        f"{_fmt(doc['final_max_position_error']):>10}"
+    )
+
+
 def report(paths) -> int:
     """Print a comparison table for one or more summary.json files."""
     rows = []
     for p in paths:
         path = Path(p)
-        if not path.exists():
-            print(f"error: {path}: no such summary file", file=sys.stderr)
+        try:
+            rows.append(_report_row(path, json.loads(path.read_text(encoding="utf-8"))))
+        except OSError as e:
+            print(f"error: {path}: {e.strerror or e}", file=sys.stderr)
             return 1
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows.append((str(path), doc))
-
-    def fmt(x, digits=4):
-        if x is None:
-            return "-"
-        return f"{x:.{digits}g}"
+        except KeyError as e:
+            print(f"error: {path}: missing key {e}", file=sys.stderr)
+            return 1
+        except (TypeError, ValueError) as e:
+            # malformed JSON, or a field the table cannot format
+            print(f"error: {path}: not a summary file ({e})", file=sys.stderr)
+            return 1
 
     header = (
         f"{'run':<28} {'law':<10} {'alpha':>6} {'spectral':>10} {'V0':>10} "
@@ -410,18 +426,8 @@ def report(paths) -> int:
     )
     print(header)
     print("-" * len(header))
-    for name, doc in rows:
-        if doc.get("lambda2") is not None:
-            spectral = fmt(doc["lambda2"])
-        else:
-            spectral = "w1:" + ",".join(f"{w:.2g}" for w in doc.get("w1", []))
-        print(
-            f"{Path(name).parent.name or name:<28} {doc['law']:<10} "
-            f"{fmt(doc['alpha']):>6} {spectral:>10} {fmt(doc['v0']):>10} "
-            f"{fmt(doc['settling_bound']):>10} {fmt(doc['settling_time']):>10} "
-            f"{fmt(doc['final_max_orientation_error']):>13} "
-            f"{fmt(doc['final_max_position_error']):>10}"
-        )
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -22,9 +22,10 @@ that aligned form, once for all agents, as the only implementation.
 
 The pose estimate is reconstructed from P_i by orthonormalizing the 3x3
 block (the result is the transposed rotation estimate) and mapping the
-translation column through it. Both laws leave the bottom row of every
-derivative exactly zero, so integration preserves the (0,0,0,1) row
-bit-exactly under any linear one-step method.
+translation column through it, for a whole stack of matrices at once.
+Both laws leave the bottom row of every derivative exactly zero, so
+integration preserves the (0,0,0,1) row bit-exactly under any linear
+one-step method.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .se3 import AuxMatrix, DegenerateInputError, Pose, Rotation, gsop, gsop_two_column
+from .se3 import AuxMatrix, gram_schmidt
 
 INIT_DET_FLOOR = 1e-6      # redraw threshold on |det Q_i(0)|
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
@@ -90,20 +91,6 @@ class EstimatorState:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseEstimate:
-    """Reconstructed pose for one agent.
-
-    ``body_position`` is the agent's own position expressed in its body
-    frame (the negated translation column). When orthonormalization
-    degenerates, ``valid`` is False and ``pose`` is an identity placeholder.
-    """
-
-    pose: Pose
-    body_position: np.ndarray
-    valid: bool = True
-
-
-@dataclass(frozen=True, eq=False)
 class WellPosednessReport:
     """Invertibility diagnostic for the weighted initial mix of rotation blocks."""
 
@@ -112,8 +99,8 @@ class WellPosednessReport:
     well_posed: bool
 
 
-def init_aux(n: int, rng_seed: int, law: Law = Asymptotic()) -> EstimatorState:
-    """Random initial auxiliary matrices, deterministic under the seed.
+def init_aux_stack(n: int, rng_seed: int) -> np.ndarray:
+    """(n, 4, 4) random initial auxiliary matrices, deterministic under the seed.
 
     Each 3x3 block has independent uniform(-1, 1) entries, redrawn until its
     determinant magnitude clears 1e-6; translation columns are uniform(-1, 1).
@@ -121,37 +108,47 @@ def init_aux(n: int, rng_seed: int, law: Law = Asymptotic()) -> EstimatorState:
     if n < 1:
         raise ValueError("need at least one agent")
     rng = np.random.default_rng(rng_seed)
-    aux = []
-    for _ in range(n):
-        q = rng.uniform(-1.0, 1.0, (3, 3))
-        while abs(np.linalg.det(q)) < INIT_DET_FLOOR:
-            q = rng.uniform(-1.0, 1.0, (3, 3))
-        aux.append(AuxMatrix(q, rng.uniform(-1.0, 1.0, 3)))
-    return EstimatorState(tuple(aux), law)
+    aux = np.zeros((n, 4, 4))
+    aux[:, 3, 3] = 1.0
+    for m in aux:
+        m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+        while abs(np.linalg.det(m[:3, :3])) < INIT_DET_FLOOR:
+            m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+        m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
+    return aux
+
+
+def init_aux(n: int, rng_seed: int, law: Law = Asymptotic()) -> EstimatorState:
+    """``init_aux_stack`` as validated per-agent matrices under a law."""
+    aux = init_aux_stack(n, rng_seed)
+    return EstimatorState(tuple(AuxMatrix(m[:3, :3], m[:3, 3]) for m in aux), law)
 
 
 def reconstruct(
-    state: EstimatorState,
+    aux,
     mode: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS,
-) -> list:
-    """Pose estimates from the auxiliary matrices.
+) -> tuple:
+    """Pose estimates from a (..., 4, 4) stack of auxiliary matrices.
 
-    Orthonormalization yields the transposed rotation estimate; the position
-    estimate is minus the rotated translation column. Degenerate blocks
-    produce an identity-pose placeholder with ``valid`` False rather than an
-    exception, since transient degeneracy is expected mid-run.
+    Returns ``(poses, valid)`` of shapes (..., 4, 4) and (...). The rotation
+    estimate is the transposed orthonormalized 3x3 block and the position
+    estimate is minus the translation column rotated by it. A degenerate
+    block yields an identity pose with ``valid`` False rather than an
+    exception, since transient degeneracy is expected mid-run. Each item is
+    bit-identical to its reconstruction alone (see ``se3.gram_schmidt``).
     """
-    orth = gsop if mode is ReconstructionMode.FULL_GSOP else gsop_two_column
-    out = []
-    for a in state.aux:
-        try:
-            r_hat_t = orth(a.q_block)
-        except DegenerateInputError:
-            out.append(PoseEstimate(Pose.identity(), -a.q_vec, valid=False))
-            continue
-        r_hat = Rotation(r_hat_t.r.T)
-        out.append(PoseEstimate(Pose(r_hat, -(r_hat.r @ a.q_vec)), -a.q_vec, valid=True))
-    return out
+    aux = np.asarray(aux, dtype=np.float64)
+    if aux.shape[-2:] != (4, 4):
+        raise ValueError(f"expected (..., 4, 4) matrices, got {aux.shape}")
+    r_hat_t, valid, _ = gram_schmidt(
+        aux[..., :3, :3], two_column=mode is ReconstructionMode.TWO_COLUMN_CROSS
+    )
+    r_hat = np.swapaxes(r_hat_t, -1, -2)
+    poses = np.zeros(aux.shape)
+    poses[..., :3, :3] = r_hat
+    poses[..., :3, 3:] = -(r_hat @ aux[..., :3, 3:])
+    poses[..., 3, 3] = 1.0
+    return np.where(valid[..., None, None], poses, np.eye(4)), valid
 
 
 def check_well_posedness(initial_truth, state: EstimatorState, w1) -> WellPosednessReport:

@@ -3,7 +3,8 @@
 Rotations, poses (4x4 homogeneous transforms), body-frame twists, the
 hat/vee maps, the closed-form SE(3) exponential, and Gram-Schmidt
 orthonormalization with a determinant-sign fix so the result is always a
-proper rotation.
+proper rotation. Gram-Schmidt has one implementation over stacks of 3x3
+blocks; ``gsop`` and ``gsop_two_column`` apply it to a single matrix.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -50,6 +51,8 @@ class Rotation:
         r = _freeze(self.r)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError(f"rotation has non-finite entries: {r.tolist()}")
         ortho = np.linalg.norm(r.T @ r - np.eye(3))
         if ortho > ROTATION_TOL:
             raise ValueError(f"not orthonormal: ||R^T R - I||_F = {ortho:.3e}")
@@ -74,6 +77,8 @@ class Pose:
         t = _freeze(self.translation)
         if t.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {t.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation has non-finite entries: {t.tolist()}")
         object.__setattr__(self, "translation", t)
 
     @property
@@ -110,6 +115,8 @@ class Twist:
         w = _freeze(self.angular)
         if v.shape != (3,) or w.shape != (3,):
             raise ValueError("twist parts must be 3-vectors")
+        if not (np.isfinite(v).all() and np.isfinite(w).all()):
+            raise ValueError(f"twist has non-finite entries: {v.tolist()}, {w.tolist()}")
         object.__setattr__(self, "linear", v)
         object.__setattr__(self, "angular", w)
 
@@ -146,15 +153,6 @@ class AuxMatrix:
         m[:3, :3] = self.q_block
         m[:3, 3] = self.q_vec
         return m
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "AuxMatrix":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > SKEW_TOL:
-            raise ValueError(f"bottom row must be (0,0,0,1), got {m[3]}")
-        return cls(m[:3, :3], m[:3, 3])
 
 
 def hat3(w) -> np.ndarray:
@@ -249,6 +247,56 @@ def relative_transform(t_i: Pose, t_j: Pose) -> Pose:
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis by the dot kernel of ``u @ v``, which
+    a stacked vector-vector matmul runs item by item, stack-independently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def gram_schmidt(m, two_column: bool = False) -> tuple:
+    """Gram-Schmidt orthonormalization of the columns of a (..., 3, 3) stack.
+
+    The first two columns are orthonormalized in order; the third is their
+    cross product with ``two_column`` (whatever the third input column),
+    else the orthonormalized third column, negated where that makes the
+    determinant +1. Returns ``(q, valid, pivots)``: the blocks (identity
+    where invalid), the mask of items whose residual norms ``pivots``
+    (..., 2 or 3) all exceed GS_RANK_TOL, and those norms. An item's result
+    is bit-identical whether it is alone or in any stack.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (..., 3, 3) matrices, got {m.shape}")
+    z = np.swapaxes(m, -1, -2)          # z[..., k, :] is column k
+    q, pivots = [], []
+    # a degenerate item divides by a vanishing pivot; it is masked out below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(2 if two_column else 3):
+            v = z[..., k, :]
+            for prev in q:
+                v = v - _dot(z[..., k, :], prev)[..., None] * prev
+            pivots.append(np.sqrt(_dot(v, v)))
+            q.append(v / pivots[-1][..., None])
+        if two_column:
+            q.append(np.cross(q[0], q[1]))
+        q = np.stack(q, axis=-1)
+        if not two_column:
+            q[..., 2] *= np.where(np.linalg.det(q) < 0.0, -1.0, 1.0)[..., None]
+    pivots = np.stack(pivots, axis=-1)
+    valid = (pivots > GS_RANK_TOL).all(axis=-1)
+    return np.where(valid[..., None, None], q, np.eye(3)), valid, pivots
+
+
+def _single_gram_schmidt(m, two_column: bool) -> Rotation:
+    if np.shape(m) != (3, 3):
+        raise ValueError(f"expected 3x3 matrix, got {np.shape(m)}")
+    q, valid, pivots = gram_schmidt(m, two_column)
+    if not valid:
+        k = int(np.argmin(pivots > GS_RANK_TOL))
+        raise DegenerateInputError(k + 1, float(pivots[k]))
+    return Rotation(q)
+
+
 def gsop(m: np.ndarray) -> Rotation:
     """Gram-Schmidt orthonormalization of the columns with a sign fix.
 
@@ -259,21 +307,7 @@ def gsop(m: np.ndarray) -> Rotation:
     Raises DegenerateInputError (with the 1-based column index) when an
     orthogonalized residual falls below the rank threshold.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-    q = np.zeros((3, 3))
-    for k in range(3):
-        v = m[:, k].copy()
-        for prev in range(k):
-            v -= (m[:, k] @ q[:, prev]) * q[:, prev]
-        norm = float(np.linalg.norm(v))
-        if norm <= GS_RANK_TOL:
-            raise DegenerateInputError(k + 1, norm)
-        q[:, k] = v / norm
-    if np.linalg.det(q) < 0.0:
-        q[:, 2] = -q[:, 2]
-    return Rotation(q)
+    return _single_gram_schmidt(m, two_column=False)
 
 
 def gsop_two_column(m: np.ndarray) -> Rotation:
@@ -282,20 +316,7 @@ def gsop_two_column(m: np.ndarray) -> Rotation:
     Well-defined whenever the first two columns are independent, regardless
     of the third column, and always yields determinant +1 by construction.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-    v1 = m[:, 0].copy()
-    n1 = float(np.linalg.norm(v1))
-    if n1 <= GS_RANK_TOL:
-        raise DegenerateInputError(1, n1)
-    q1 = v1 / n1
-    v2 = m[:, 1] - (m[:, 1] @ q1) * q1
-    n2 = float(np.linalg.norm(v2))
-    if n2 <= GS_RANK_TOL:
-        raise DegenerateInputError(2, n2)
-    q2 = v2 / n2
-    return Rotation(np.column_stack([q1, q2, np.cross(q1, q2)]))
+    return _single_gram_schmidt(m, two_column=True)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

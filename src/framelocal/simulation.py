@@ -34,11 +34,11 @@ from .estimators import (
     FiniteTime,
     Law,
     ReconstructionMode,
-    init_aux,
+    init_aux_stack,
     reconstruct,
 )
 from .graphs import Topology, analyze, build_laplacian, has_spanning_tree, is_connected_undirected
-from .se3 import AuxMatrix, Pose, Rotation, Twist, compose, exp_se3, gsop, hat6
+from .se3 import Pose, Twist, compose, exp_se3, gsop, hat6
 
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
@@ -76,8 +76,8 @@ class Scenario:
             )
         if int(self.stride) != self.stride or self.stride < 1:
             raise ValueError(f"stride must be a positive integer, got {self.stride}")
-        if int(self.seed) != self.seed:
-            raise ValueError(f"seed must be an integer, got {self.seed}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def n_steps(self) -> int:
@@ -87,21 +87,19 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Sampled run history: truth, estimator state, estimates, and errors.
+    """Sampled run history: truth, estimator state, errors, and V.
 
-    ``aligned`` holds the world-frame products T_i P_i whose consensus the
-    laws drive; ``orientation_errors`` and ``position_errors`` are the
-    per-agent / per-link deviations from the predicted transform bias, NaN
-    where reconstruction was invalid or the bias is undefined.
+    Stored per sample: the true poses T_i, the estimator matrices P_i, the
+    per-agent / per-link deviations from the predicted transform bias (NaN
+    where reconstruction was invalid or the bias is undefined) and V.
+    Derived on each access, over the whole trace: ``aligned`` = T_i P_i,
+    whose consensus the laws drive, and ``estimates`` / ``estimate_valid``,
+    the reconstruction of every P_i in the run's mode.
     """
 
     times: np.ndarray            # (k,)
     truth: np.ndarray            # (k, n, 4, 4)
     aux: np.ndarray              # (k, n, 4, 4)
-    aligned: np.ndarray          # (k, n, 4, 4)
-    estimates: np.ndarray        # (k, n, 4, 4) pose matrices
-    estimate_valid: np.ndarray   # (k, n) bool
-    body_positions: np.ndarray   # (k, n, 3)
     orientation_errors: np.ndarray  # (k, n)
     position_errors: np.ndarray     # (k, e)
     error_edges: tuple           # e pairs (i, j), i < j, 1-based
@@ -109,6 +107,22 @@ class Trace:
     law: Law
     dt: float
     stride: int
+    reconstruction: ReconstructionMode
+
+    @property
+    def aligned(self) -> np.ndarray:
+        """(k, n, 4, 4) aligned states T_i P_i."""
+        return self.truth @ self.aux
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """(k, n, 4, 4) reconstructed pose matrices (identity where invalid)."""
+        return reconstruct(self.aux, self.reconstruction)[0]
+
+    @property
+    def estimate_valid(self) -> np.ndarray:
+        """(k, n) mask of valid reconstructions."""
+        return reconstruct(self.aux, self.reconstruction)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +147,6 @@ class OracleReport:
 
 
 @dataclass(frozen=True, eq=False)
-class MetricRecord:
-    """Per-agent orientation errors and per-link position errors.
-
-    Agents whose reconstruction is invalid are absent from the dicts (never
-    reported as zero); the maxima are NaN when nothing was measurable.
-    """
-
-    orientation: dict
-    position: dict
-    max_orientation: float
-    max_position: float
-
-
-@dataclass(frozen=True, eq=False)
 class LyapunovCheck:
     """Sample-wise verdicts for the decay inequality dV/dt <= -kappa V^((2-a)/2)."""
 
@@ -168,35 +168,32 @@ def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
     return compose(pose, exp_se3(twist, dt))
 
 
-def error_metrics(truth, estimates, r_c: Rotation, topo: Topology) -> MetricRecord:
-    """Deviation of the estimates from truth up to the common bias.
+def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
+    """Deviation of the estimates from truth up to the common bias R_c.
 
-    Orientation: ||R_i Rhat_i^T - R_c||_F per agent. Position: for each
-    measured link, the true displacement minus the bias-rotated estimated
-    displacement. Links are deduplicated to unordered pairs.
+    Over (..., n, 4, 4) pose stacks, the (..., n) validity mask and e links
+    (i, j), 1-based: returns ``(orientation (..., n), position (..., e))``,
+    ||R_i Rhat_i^T - R_c||_F per agent and, per link, the norm of the true
+    displacement minus the R_c-rotated estimated one. NaN wherever an
+    invalid estimate is involved, never 0.
     """
-    if len(truth) != len(estimates) or len(truth) != topo.n:
-        raise ValueError("length mismatch between truth, estimates, and topology")
-    orient = {}
-    for i, (pose, est) in enumerate(zip(truth, estimates), start=1):
-        if not est.valid:
-            continue
-        orient[i] = float(
-            np.linalg.norm(pose.rotation.r @ est.pose.rotation.r.T - r_c.r)
-        )
-    pos = {}
-    for i, j in error_link_pairs(topo):
-        ei, ej = estimates[i - 1], estimates[j - 1]
-        if not (ei.valid and ej.valid):
-            continue
-        true_disp = truth[j - 1].translation - truth[i - 1].translation
-        est_disp = ej.pose.translation - ei.pose.translation
-        pos[(i, j)] = float(np.linalg.norm(true_disp - r_c.r @ est_disp))
-    return MetricRecord(
-        orientation=orient,
-        position=pos,
-        max_orientation=max(orient.values(), default=float("nan")),
-        max_position=max(pos.values(), default=float("nan")),
+    truth = np.asarray(truth, dtype=np.float64)
+    estimates = np.asarray(estimates, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    if truth.shape != estimates.shape or truth.shape[:-2] != valid.shape:
+        raise ValueError("shape mismatch between truth, estimates, and validity")
+    i, j = (np.asarray(links, dtype=np.intp).reshape(-1, 2) - 1).T
+    # norms as stacked row-times-column matmuls: the dot kernel of
+    # np.linalg.norm, so each value is that of its agent or link alone
+    dev = truth[..., :3, :3] @ np.swapaxes(estimates[..., :3, :3], -1, -2) - r_c
+    dev = dev.reshape(*dev.shape[:-2], 1, 9)
+    orient = np.sqrt(dev @ np.swapaxes(dev, -1, -2))[..., 0, 0]
+    p, p_hat = truth[..., :3, 3:], estimates[..., :3, 3:]
+    miss = (p[..., j, :, :] - p[..., i, :, :]) - r_c @ (p_hat[..., j, :, :] - p_hat[..., i, :, :])
+    pos = np.sqrt(np.swapaxes(miss, -1, -2) @ miss)[..., 0, 0]
+    return (
+        np.where(valid, orient, np.nan),
+        np.where(valid[..., i] & valid[..., j], pos, np.nan),
     )
 
 
@@ -209,11 +206,10 @@ def _initial_stacks(s: Scenario, initial_state: EstimatorState | None = None):
     """Initial truth and estimator stacks shared by run() and the oracles."""
     t0 = np.stack([p.matrix for p in s.initial_poses])
     if initial_state is None:
-        initial_state = init_aux(s.topo.n, s.seed, s.law)
-    elif len(initial_state.aux) != s.topo.n:
+        return t0, init_aux_stack(s.topo.n, s.seed)
+    if len(initial_state.aux) != s.topo.n:
         raise ValueError(f"initial state has {len(initial_state.aux)} agents, expected {s.topo.n}")
-    p0 = np.stack([a.matrix for a in initial_state.aux])
-    return t0, p0
+    return t0, np.stack([a.matrix for a in initial_state.aux])
 
 
 def _check_preconditions(s: Scenario):
@@ -297,23 +293,22 @@ def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
     ``initial_state`` replaces the seeded random estimator initialization
     when given (a harness-level knob; the laws themselves stay local).
     """
-    report = oracle_report(s, initial_state)
-    n = s.topo.n
-    links = error_link_pairs(s.topo)
-    t_stack, p_stack = _initial_stacks(s, initial_state)
-    rhs = _make_rhs(s)
+    # the only validated objects a run builds: the truth exponentials here
+    # and the bias in oracle_report; all that follows works on arrays
     e_half = np.stack([exp_se3(tw, s.dt / 2.0).matrix for tw in s.twists])
     e_full = np.stack([exp_se3(tw, s.dt).matrix for tw in s.twists])
+    report = oracle_report(s, initial_state)
+    t_stack, p_stack = _initial_stacks(s, initial_state)
+    r_c = None if report.transform_bias is None else report.transform_bias.rotation.r
+    n = s.topo.n
+    links = error_link_pairs(s.topo)
+    rhs = _make_rhs(s)
 
     n_steps = s.n_steps
     k_samples = n_steps // s.stride + 1
     times = np.zeros(k_samples)
     truth = np.zeros((k_samples, n, 4, 4))
     aux = np.zeros((k_samples, n, 4, 4))
-    aligned = np.zeros((k_samples, n, 4, 4))
-    estimates = np.zeros((k_samples, n, 4, 4))
-    est_valid = np.zeros((k_samples, n), dtype=bool)
-    body_pos = np.zeros((k_samples, n, 3))
     orient_err = np.full((k_samples, n), np.nan)
     pos_err = np.full((k_samples, len(links)), np.nan)
     lyap = np.zeros(k_samples)
@@ -322,26 +317,10 @@ def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
         times[k] = step * s.dt
         truth[k] = tt
         aux[k] = pp
-        ali = tt @ pp
-        aligned[k] = ali
-        lyap[k] = 0.5 * float(np.sum((ali - report.consensus_state) ** 2))
-        state = EstimatorState(
-            tuple(AuxMatrix(pp[i, :3, :3], pp[i, :3, 3]) for i in range(n)), s.law
-        )
-        ests = reconstruct(state, s.reconstruction)
-        for i, est in enumerate(ests):
-            estimates[k, i] = est.pose.matrix
-            est_valid[k, i] = est.valid
-            body_pos[k, i] = est.body_position
-        if report.transform_bias is not None:
-            poses = [Pose.from_matrix(tt[i]) for i in range(n)]
-            rec = error_metrics(poses, ests, report.transform_bias.rotation, s.topo)
-            for i in range(1, n + 1):
-                if i in rec.orientation:
-                    orient_err[k, i - 1] = rec.orientation[i]
-            for e, pair in enumerate(links):
-                if pair in rec.position:
-                    pos_err[k, e] = rec.position[pair]
+        lyap[k] = 0.5 * float(np.sum((tt @ pp - report.consensus_state) ** 2))
+        if r_c is not None:
+            estimates, valid = reconstruct(pp, s.reconstruction)
+            orient_err[k], pos_err[k] = error_metrics(tt, estimates, valid, r_c, links)
 
     record(0, 0, t_stack, p_stack)
     half = s.dt / 2.0
@@ -362,10 +341,6 @@ def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
         times=times,
         truth=truth,
         aux=aux,
-        aligned=aligned,
-        estimates=estimates,
-        estimate_valid=est_valid,
-        body_positions=body_pos,
         orientation_errors=orient_err,
         position_errors=pos_err,
         error_edges=links,
@@ -373,6 +348,7 @@ def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
         law=s.law,
         dt=s.dt,
         stride=s.stride,
+        reconstruction=s.reconstruction,
     )
     return trace, report
 

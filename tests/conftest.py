@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelocal import (
     MultiplicityError,
@@ -18,6 +21,27 @@ from framelocal import (
 from framelocal.estimators import Asymptotic
 from framelocal.scenarios import seeded_rotations
 from framelocal.simulation import Scenario
+
+# One profile for every property test: the same examples on every run, no
+# wall-clock deadline (timings vary on a shared machine), a bounded count.
+settings.register_profile("framelocal", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("framelocal")
+
+# Matrix entries: a few exact values make equal, opposite and zero columns,
+# and so rank loss, common; the rest are arbitrary floats in [-1, 1].
+ENTRY = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+
+
+def blocks(shape) -> st.SearchStrategy:
+    """Arrays of the given shape with ENTRY elements."""
+    return arrays(np.float64, shape, elements=ENTRY)
+
+
+def stacks(rows: int, cols: int) -> st.SearchStrategy:
+    """(k, n, rows, cols) arrays with 1 <= k <= 3 samples of 1 <= n <= 4 items."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda kn: blocks((*kn, rows, cols))
+    )
 
 
 def random_rotation(rng) -> np.ndarray:

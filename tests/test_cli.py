@@ -277,3 +277,85 @@ def test_non_finite_integration_override_rejected(tmp_path, capsys, flag, value)
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: override:")
     assert flag[2:].replace("-", "_") in err[0]
+
+
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("graph", lambda d: d["graph"].update(n=4.7)),
+        ("graph", lambda d: d["graph"].update(edges=[[1, 2.5], [2, 3], [3, 4], [4, 1]])),
+        ("integration", lambda d: d["integration"].update(stride=2.5)),
+        ("integration", lambda d: d["integration"].update(seed=7.9)),
+        ("integration", lambda d: d["integration"].update(seed=-1)),
+    ],
+    ids=["n", "edge", "stride", "seed", "negative-seed"],
+)
+def test_non_integral_or_negative_integer_field_rejected(tmp_path, capsys, section, edit):
+    # int() used to truncate these silently (stride 2.5 ran at stride 2), and a
+    # negative seed ended in a traceback from the random generator
+    code, err = run_edited_demo(tmp_path, capsys, edit)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {section}:")
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None, "--seed", "-1")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: override:") and "seed" in err[0]
+
+
+def test_integral_float_fields_accepted(tmp_path):
+    doc = json.loads(bundled_scenario_path("demo_finite_time").read_text())
+    doc["graph"]["n"] = 4.0
+    doc["integration"].update(stride=10.0, seed=7.0)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    s = load_scenario(path)
+    assert (s.topo.n, s.stride, s.seed) == (4, 10, 7)
+    assert isinstance(s.stride, int) and isinstance(s.seed, int)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rotation", [[float("nan")] * 3] * 3),
+        ("translation", [0.0, float("nan"), 0.0]),
+        ("angular_velocity", [float("nan"), 0.0, 0.0]),
+        ("linear_velocity", [0.0, 0.0, float("inf")]),
+        ("linear_velocity", [0.0, 1.0]),
+    ],
+)
+def test_non_finite_agent_field_rejected(tmp_path, capsys, key, value):
+    # each used to run to a NaN summary with exit code 0 (the last one, a
+    # short twist vector, ended in a traceback)
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["agents"][1].update({key: value}))
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: agents[2]:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "{}", "[1, 2]", '{"law": "finite"}'],
+    ids=["malformed", "empty-object", "list", "missing-keys"],
+)
+def test_report_rejects_bad_summary(tmp_path, capsys, text):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    assert report([str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:")
+    assert captured.out == ""
+
+
+def test_report_rejects_field_of_wrong_type(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(bundled_scenario_path("demo_finite_time")),
+                 "--t-end", "0.1", "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    doc["v0"] = "large"
+    (out / "summary.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert report([str(out / "summary.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

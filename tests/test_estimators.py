@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from framelocal import (
     AuxMatrix,
     EstimatorState,
     Pose,
-    PoseEstimate,
     Rotation,
     Topology,
     Twist,
@@ -22,7 +23,7 @@ from framelocal import (
     relative_transform,
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
-from conftest import make_pose, make_twist, random_rotation
+from conftest import make_pose, make_twist, random_rotation, stacks
 from rhs_oracle import (
     Measurement,
     MeasurementError,
@@ -34,6 +35,13 @@ from rhs_oracle import (
 
 def aux_from(m: np.ndarray) -> AuxMatrix:
     return AuxMatrix(np.asarray(m)[:3, :3], np.asarray(m)[:3, 3])
+
+
+def aux_matrix(q_block, q_vec=(0.0, 0.0, 0.0)) -> np.ndarray:
+    m = np.eye(4)
+    m[:3, :3] = q_block
+    m[:3, 3] = q_vec
+    return m
 
 
 def test_init_aux_is_deterministic():
@@ -240,12 +248,11 @@ def test_denominator_equivalence():
 def test_reconstruct_fixed_point():
     rng = np.random.default_rng(26)
     r = random_rotation(rng)
-    state = EstimatorState((AuxMatrix(r.T, np.zeros(3)),), Asymptotic())
-    (est,) = reconstruct(state, ReconstructionMode.FULL_GSOP)
-    assert est.valid
-    assert np.abs(est.pose.rotation.r - r).max() < 1e-12
-    assert np.allclose(est.pose.translation, 0.0)
-    assert np.allclose(est.body_position, 0.0)
+    poses, valid = reconstruct(aux_matrix(r.T)[None], ReconstructionMode.FULL_GSOP)
+    assert valid.tolist() == [True]
+    assert np.abs(poses[0, :3, :3] - r).max() < 1e-12
+    assert np.allclose(poses[0, :3, 3], 0.0)
+    assert np.array_equal(poses[0, 3], [0.0, 0.0, 0.0, 1.0])
 
 
 def test_reconstruct_limit_equals_biased_truth():
@@ -258,32 +265,35 @@ def test_reconstruct_limit_equals_biased_truth():
     q_vec = rng.uniform(-1.0, 1.0, 3)
     t_c = Pose(gsop(q_c), q_vec)
     for mode in ReconstructionMode:
-        for _ in range(5):
-            truth = make_pose(rng)
-            aux = AuxMatrix(
-                truth.rotation.r.T @ q_c,
-                truth.rotation.r.T @ (q_vec - truth.translation),
-            )
-            (est,) = reconstruct(EstimatorState((aux,), Asymptotic()), mode)
+        truths = [make_pose(rng) for _ in range(5)]
+        aux = np.stack([
+            aux_matrix(t.rotation.r.T @ q_c, t.rotation.r.T @ (q_vec - t.translation))
+            for t in truths
+        ])
+        poses, valid = reconstruct(aux, mode)
+        assert valid.all()
+        for truth, pose in zip(truths, poses):
             expected = compose(inverse(t_c), truth)
-            assert est.valid
-            assert np.abs(est.pose.matrix - expected.matrix).max() < 1e-9
+            assert np.abs(pose - expected.matrix).max() < 1e-9
 
 
 def test_reconstruct_degenerate_full_gsop():
+    # a degenerate item next to a valid one: only the degenerate one is
+    # replaced by the identity placeholder
     q = np.column_stack([np.ones(3), np.ones(3), np.array([1.0, 0.0, 0.0])])
-    aux = AuxMatrix(q, np.array([1.0, 2.0, 3.0]))
-    (est,) = reconstruct(EstimatorState((aux,), Asymptotic()), ReconstructionMode.FULL_GSOP)
-    assert not est.valid
-    assert np.array_equal(est.pose.matrix, np.eye(4))
-    assert np.array_equal(est.body_position, [-1.0, -2.0, -3.0])
+    aux = np.stack([aux_matrix(q, (1.0, 2.0, 3.0)), aux_matrix(np.eye(3), (1.0, 2.0, 3.0))])
+    poses, valid = reconstruct(aux, ReconstructionMode.FULL_GSOP)
+    assert valid.tolist() == [False, True]
+    assert np.array_equal(poses[0], np.eye(4))
+    assert np.array_equal(poses[1, :3, 3], [-1.0, -2.0, -3.0])
 
 
 def test_reconstruct_two_column_survives_bad_third_column():
     q = np.column_stack([np.array([2.0, 0, 0]), np.array([1.0, 1, 0]), np.zeros(3)])
-    aux = AuxMatrix(q, np.zeros(3))
-    (est,) = reconstruct(EstimatorState((aux,), Asymptotic()), ReconstructionMode.TWO_COLUMN_CROSS)
-    assert est.valid
+    _, valid = reconstruct(aux_matrix(q)[None], ReconstructionMode.TWO_COLUMN_CROSS)
+    assert valid.tolist() == [True]
+    _, valid = reconstruct(aux_matrix(q)[None], ReconstructionMode.FULL_GSOP)
+    assert valid.tolist() == [False]
 
 
 def test_well_posedness_single_agent():
@@ -319,6 +329,28 @@ def test_well_posedness_random_starts():
 
 def test_reconstruct_default_mode_is_two_column():
     q = np.column_stack([np.array([2.0, 0, 0]), np.array([1.0, 1, 0]), np.zeros(3)])
-    aux = AuxMatrix(q, np.zeros(3))
-    (est,) = reconstruct(EstimatorState((aux,), Asymptotic()))
-    assert est.valid
+    _, valid = reconstruct(aux_matrix(q)[None])
+    assert valid.tolist() == [True]
+
+
+def with_bottom_row(top: np.ndarray) -> np.ndarray:
+    """(..., 3, 4) top rows completed to (..., 4, 4) with the row (0, 0, 0, 1)."""
+    bottom = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (*top.shape[:-2], 1, 4))
+    return np.concatenate([top, bottom], axis=-2)
+
+
+@given(stacks(3, 4).map(with_bottom_row), st.sampled_from(ReconstructionMode))
+def test_reconstruct_stack_equals_its_slices(aux, mode):
+    poses, valid = reconstruct(aux, mode)
+    assert poses.shape == aux.shape and valid.shape == aux.shape[:-2]
+    for k in range(aux.shape[0]):
+        p_k, v_k = reconstruct(aux[k], mode)
+        assert np.array_equal(poses[k], p_k) and np.array_equal(valid[k], v_k)
+        for i in range(aux.shape[1]):
+            p_ki, v_ki = reconstruct(aux[k, i].copy(), mode)
+            assert np.array_equal(poses[k, i], p_ki) and v_ki == valid[k, i]
+    assert np.array_equal(poses[~valid], np.broadcast_to(np.eye(4), poses[~valid].shape))
+    r_hat = poses[valid][:, :3, :3]
+    q_vec = aux[valid][:, :3, 3]
+    assert np.abs(poses[valid][:, :3, 3] + np.einsum("nij,nj->ni", r_hat, q_vec)).max(initial=0) < 1e-12
+    assert np.all(poses[..., 3, :] == [0.0, 0.0, 0.0, 1.0])

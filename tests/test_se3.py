@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from framelocal import (
     AuxMatrix,
@@ -21,7 +23,16 @@ from framelocal import (
     vee3,
     vee6,
 )
-from conftest import gram_schmidt_oracle, make_pose, make_twist, random_rotation, series_exp
+from framelocal.se3 import GS_RANK_TOL, gram_schmidt
+from conftest import (
+    blocks,
+    gram_schmidt_oracle,
+    make_pose,
+    make_twist,
+    random_rotation,
+    series_exp,
+    stacks,
+)
 
 
 def test_hat3_zero():
@@ -301,3 +312,90 @@ def test_values_are_immutable():
     a = AuxMatrix(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         a.q_block[0, 0] = 5.0
+
+
+def residual_norms(m: np.ndarray, columns: int) -> np.ndarray:
+    """Norms of the orthogonalized columns, one column at a time."""
+    q, norms = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(columns):
+            v = m[:, k].copy()
+            for prev in q:
+                v -= (m[:, k] @ prev) * prev
+            norms.append(np.linalg.norm(v))
+            q.append(v / norms[-1])
+    return np.array(norms)
+
+
+@given(stacks(3, 3), st.booleans())
+def test_gram_schmidt_stack_equals_its_slices(m, two_column):
+    # bit-exact, invalid items included: state.csv re-derives samples one at
+    # a time and must match what a run recorded from whole stacks
+    whole = gram_schmidt(m, two_column)
+    for k in range(m.shape[0]):
+        per_sample = gram_schmidt(m[k], two_column)
+        for i in range(m.shape[1]):
+            alone = gram_schmidt(m[k, i].copy(), two_column)
+            for w, s, a in zip(whole, per_sample, alone):
+                assert np.array_equal(w[k], s, equal_nan=True)
+                assert np.array_equal(w[k, i], a, equal_nan=True)
+
+
+@given(blocks((3, 3)), st.booleans())
+def test_gram_schmidt_valid_iff_pivots_clear_tolerance(m, two_column):
+    q, valid, pivots = gram_schmidt(m, two_column)
+    norms = residual_norms(m, 2 if two_column else 3)
+    assert np.array_equal(pivots, norms, equal_nan=True)
+    assert valid == bool(np.all(norms > GS_RANK_TOL))
+    single = gsop_two_column if two_column else gsop
+    if valid:
+        assert np.abs(q.T @ q - np.eye(3)).max() < 1e-9
+        assert abs(np.linalg.det(q) - 1.0) < 1e-9
+        assert np.array_equal(single(m).r, q)
+    else:
+        k = int(np.argmin(norms > GS_RANK_TOL))
+        with pytest.raises(DegenerateInputError) as exc:
+            single(m)
+        assert exc.value.index == k + 1
+        assert np.array_equal(exc.value.norm, norms[k], equal_nan=True)
+
+
+@given(blocks((3, 3)), st.integers(0, 2**32 - 1), st.booleans())
+def test_gram_schmidt_left_invariance_property(m, seed, two_column):
+    assume(abs(np.linalg.det(m)) > 1e-3)
+    r = random_rotation(np.random.default_rng(seed))
+    q_rm, valid_rm, _ = gram_schmidt(r @ m, two_column)
+    q_m, valid_m, _ = gram_schmidt(m, two_column)
+    assert valid_rm and valid_m
+    assert np.abs(q_rm - r @ q_m).max() < 1e-9
+
+
+@given(blocks((3, 3)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_two_column_survives_rank_loss_in_third_column(m, a, b):
+    assume(np.linalg.norm(np.cross(m[:, 0], m[:, 1])) > 1e-3)
+    dependent = m.copy()
+    dependent[:, 2] = a * m[:, 0] + b * m[:, 1]
+    q, valid, _ = gram_schmidt(np.stack([m, dependent]), two_column=True)
+    assert valid.all()
+    assert np.array_equal(q[0], q[1])
+    assert abs(np.linalg.det(q[1]) - 1.0) < 1e-12
+    assert not gram_schmidt(dependent)[1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructors_reject_non_finite_entries(bad):
+    r = np.eye(3)
+    r[0, 0] = bad
+    vec = np.array([0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        Rotation(r)
+    with pytest.raises(ValueError, match="non-finite"):
+        Rotation(np.full((3, 3), bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        Pose(Rotation.identity(), vec)
+    with pytest.raises(ValueError, match="non-finite"):
+        Twist(vec, np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        Twist(np.zeros(3), vec)
+    with pytest.raises(DegenerateInputError):
+        gsop(np.full((3, 3), bad))

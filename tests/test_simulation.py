@@ -1,5 +1,6 @@
 """Truth propagation, the integrator, oracles, and error metrics."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,6 @@ from framelocal import (
     ConfigurationError,
     EstimatorState,
     Pose,
-    PoseEstimate,
     Rotation,
     Topology,
     Twist,
@@ -23,6 +23,7 @@ from framelocal import (
     lyapunov_chain_check,
     oracle_report,
     propagate_truth,
+    reconstruct,
     run,
     settling_time,
 )
@@ -202,6 +203,36 @@ def test_kernel_single_agent_without_edges():
         assert np.array_equal(fast, drift_only(s, p0))
 
 
+def test_trace_stores_only_what_cannot_be_derived():
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=2, dt=1e-2, t_end=0.2, stride=5)
+    trace, _ = run(s)
+    stored = {name for name, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    assert stored == {"times", "truth", "aux", "orientation_errors", "position_errors", "lyapunov"}
+    assert np.array_equal(trace.aligned, trace.truth @ trace.aux)
+    estimates, valid = reconstruct(trace.aux, s.reconstruction)
+    assert np.array_equal(trace.estimates, estimates)
+    assert np.array_equal(trace.estimate_valid, valid) and valid.shape == (5, 2)
+
+
+def test_run_builds_no_objects_per_step_or_sample(monkeypatch):
+    # validated objects belong to setup; the step loop and the recording of
+    # samples work on arrays, so the count does not grow with the run length
+    built = collections.Counter()
+    for cls in (Pose, Rotation, AuxMatrix, EstimatorState):
+        def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    s = make_scenario(Topology(3, ((1, 2), (2, 3), (3, 1))), seed=3, dt=1e-2, t_end=0.02, stride=1)
+    counts = []
+    for t_end in (0.02, 0.5):
+        built.clear()
+        run(dataclasses.replace(s, t_end=t_end))
+        counts.append(dict(built))
+    assert counts[0] == counts[1]
+
+
 def test_trace_shape_and_time_column():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=2, dt=1e-2, t_end=0.5, stride=5)
     trace, _ = run(s)
@@ -298,54 +329,70 @@ def test_lyapunov_chain_passes_on_finite_run():
     assert check.fraction_passed == 1.0
 
 
+SQUARE_LINKS = error_link_pairs(square_demo_topology())   # (1,2), (1,4), (2,3), (3,4)
+
+
+def metrics_of(truth, estimates, r_c, valid=(True,) * 4) -> tuple:
+    """error_metrics on the square's links for lists of Pose objects."""
+    return error_metrics(
+        np.stack([p.matrix for p in truth]),
+        np.stack([p.matrix for p in estimates]),
+        np.array(valid),
+        r_c,
+        SQUARE_LINKS,
+    )
+
+
 def test_error_metrics_exact_bias_limit():
     rng = np.random.default_rng(36)
-    topo = square_demo_topology()
     truth = [make_pose(rng) for _ in range(4)]
     t_c = make_pose(rng)
-    ests = [
-        PoseEstimate(compose(inverse(t_c), p), np.zeros(3)) for p in truth
-    ]
-    rec = error_metrics(truth, ests, t_c.rotation, topo)
-    assert rec.max_orientation < 1e-12
-    assert rec.max_position < 1e-12
+    orient, pos = metrics_of(truth, [compose(inverse(t_c), p) for p in truth], t_c.rotation.r)
+    assert orient.shape == (4,) and pos.shape == (4,)
+    assert orient.max() < 1e-12
+    assert pos.max() < 1e-12
 
 
 def test_error_metrics_identity_bias():
     rng = np.random.default_rng(37)
-    topo = square_demo_topology()
     truth = [make_pose(rng) for _ in range(4)]
-    ests = [PoseEstimate(p, np.zeros(3)) for p in truth]
-    rec = error_metrics(truth, ests, Rotation.identity(), topo)
-    assert rec.max_orientation < 1e-12
-    assert rec.max_position < 1e-12
+    orient, pos = metrics_of(truth, truth, np.eye(3))
+    assert orient.max() < 1e-12
+    assert pos.max() < 1e-12
 
 
 def test_error_metrics_position_perturbation():
     rng = np.random.default_rng(38)
-    topo = square_demo_topology()
     truth = [make_pose(rng) for _ in range(4)]
     delta = 0.125
     ests = []
     for idx, p in enumerate(truth):
         shift = np.array([delta, 0.0, 0.0]) if idx == 0 else np.zeros(3)
-        ests.append(PoseEstimate(Pose(p.rotation, p.translation + shift), np.zeros(3)))
-    rec = error_metrics(truth, ests, Rotation.identity(), topo)
-    assert rec.position[(1, 2)] == pytest.approx(delta, abs=1e-12)
-    assert rec.position[(1, 4)] == pytest.approx(delta, abs=1e-12)
-    assert rec.position[(2, 3)] == pytest.approx(0.0, abs=1e-12)
+        ests.append(Pose(p.rotation, p.translation + shift))
+    orient, pos = metrics_of(truth, ests, np.eye(3))
+    by_link = dict(zip(SQUARE_LINKS, pos))
+    assert by_link[(1, 2)] == pytest.approx(delta, abs=1e-12)
+    assert by_link[(1, 4)] == pytest.approx(delta, abs=1e-12)
+    assert by_link[(2, 3)] == pytest.approx(0.0, abs=1e-12)
+    # a leading sample axis gives every sample's values exactly
+    t = np.stack([p.matrix for p in truth])
+    e = np.stack([p.matrix for p in ests])
+    both = error_metrics(np.stack([t, e]), np.stack([e, t]), np.ones((2, 4), bool), np.eye(3), SQUARE_LINKS)
+    assert np.array_equal(both[0][0], orient) and np.array_equal(both[1][0], pos)
+    swapped = error_metrics(e, t, np.ones(4, bool), np.eye(3), SQUARE_LINKS)
+    assert np.array_equal(both[0][1], swapped[0]) and np.array_equal(both[1][1], swapped[1])
 
 
 def test_error_metrics_invalid_agents_missing():
+    # an invalid estimate yields NaN for its agent and its links, never 0,
+    # even when its placeholder pose happens to match the truth exactly
     rng = np.random.default_rng(39)
-    topo = square_demo_topology()
-    truth = [make_pose(rng) for _ in range(4)]
-    ests = [PoseEstimate(p, np.zeros(3)) for p in truth[:3]]
-    ests.append(PoseEstimate(Pose.identity(), np.zeros(3), valid=False))
-    rec = error_metrics(truth, ests, Rotation.identity(), topo)
-    assert 4 not in rec.orientation
-    assert (3, 4) not in rec.position and (1, 4) not in rec.position
-    assert (1, 2) in rec.position
+    truth = [make_pose(rng) for _ in range(3)] + [Pose.identity()]
+    orient, pos = metrics_of(truth, truth, np.eye(3), valid=(True, True, True, False))
+    assert np.isnan(orient[3]) and not np.isnan(orient[:3]).any()
+    by_link = dict(zip(SQUARE_LINKS, pos))
+    assert np.isnan(by_link[(3, 4)]) and np.isnan(by_link[(1, 4)])
+    assert by_link[(1, 2)] < 1e-12 and by_link[(2, 3)] < 1e-12
 
 
 def test_error_link_pairs_deduplicates():
