@@ -12,8 +12,6 @@ from .estimators import (
     EstimatorState,
     FiniteTime,
     ReconstructionMode,
-    WellPosednessReport,
-    check_well_posedness,
     init_aux,
     reconstruct,
 )
@@ -28,6 +26,7 @@ from .graphs import (
     has_spanning_tree,
     is_connected_undirected,
     left_null_eigenvector,
+    root_agents,
 )
 from .se3 import (
     AuxMatrix,

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
-from .graphs import Topology
+from .graphs import Topology, as_int
 from .se3 import Pose, Rotation, Twist
 from .simulation import (
     ConfigurationError,
@@ -90,15 +90,6 @@ def _require_keys(section, allowed: set, required: set, where: str):
         raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _integer(value, name: str) -> int:
-    """A JSON number with an integral value as an int; anything else raises."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (strict: unknown keys rejected)."""
     path = Path(path)
@@ -123,9 +114,8 @@ def load_scenario(path) -> Scenario:
     g = doc["graph"]
     _require_keys(g, {"n", "directed", "edges"}, {"n", "directed", "edges"}, "graph")
     try:
-        n = _integer(g["n"], "n")
-        edges = tuple((_integer(i, "edge end"), _integer(j, "edge end")) for i, j in g["edges"])
-        topo = Topology(n, edges) if g["directed"] else Topology.undirected(n, edges)
+        make = Topology if g["directed"] else Topology.undirected
+        topo = make(g["n"], g["edges"])
     except (ValueError, TypeError) as e:
         raise ScenarioError(f"graph: {e}") from e
 
@@ -175,8 +165,8 @@ def load_scenario(path) -> Scenario:
             law=law,
             dt=float(integ["dt"]),
             t_end=float(integ["t_end"]),
-            seed=_integer(integ["seed"], "seed"),
-            stride=_integer(integ["stride"], "stride"),
+            seed=as_int(integ["seed"], "seed"),
+            stride=as_int(integ["stride"], "stride"),
             reconstruction=mode,
         )
     except (ValueError, TypeError) as e:

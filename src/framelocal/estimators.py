@@ -16,9 +16,9 @@ T_i^-1 acts as the pure rotation R_i^T, so ||T_ij P_j - P_i||_F =
   dP_i = -hat6(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i)
 
 with w_ij = 1 (asymptotic) or ||S_j - S_i||_F^-alpha (finite-time). This
-module holds the law parameters, initialization, reconstruction and the
-well-posedness diagnostic; ``framelocal.simulation`` evaluates the law in
-that aligned form, once for all agents, as the only implementation.
+module holds the law parameters, initialization and reconstruction;
+``framelocal.simulation`` evaluates the law in that aligned form, once for
+all agents, as the only implementation.
 
 The pose estimate is reconstructed from P_i by orthonormalizing the 3x3
 block (the result is the transposed rotation estimate) and mapping the
@@ -39,7 +39,6 @@ import numpy as np
 from .se3 import AuxMatrix, gram_schmidt
 
 INIT_DET_FLOOR = 1e-6      # redraw threshold on |det Q_i(0)|
-WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 DEFAULT_EPSILON = 1e-9     # guard radius replacing the exact consensus case
 
 
@@ -88,15 +87,6 @@ class EstimatorState:
         object.__setattr__(self, "aux", tuple(self.aux))
         if not self.aux:
             raise ValueError("need at least one agent state")
-
-
-@dataclass(frozen=True, eq=False)
-class WellPosednessReport:
-    """Invertibility diagnostic for the weighted initial mix of rotation blocks."""
-
-    mixed_block: np.ndarray
-    det_magnitude: float
-    well_posed: bool
 
 
 def init_aux_stack(n: int, rng_seed: int) -> np.ndarray:
@@ -150,20 +140,3 @@ def reconstruct(
     poses[..., 3, 3] = 1.0
     return np.where(valid[..., None, None], poses, np.eye(4)), valid
 
-
-def check_well_posedness(initial_truth, state: EstimatorState, w1) -> WellPosednessReport:
-    """Diagnose whether reconstruction has a valid limit for this start.
-
-    Forms the weighted combination of initial rotated blocks,
-    sum_i w1_i * R_i(0) Q_i(0), and reports its determinant magnitude; the
-    limit rotation exists exactly when this mix is nonsingular, which fails
-    only on a measure-zero set of initializations.
-    """
-    w1 = np.asarray(w1, dtype=np.float64)
-    if not (len(initial_truth) == len(state.aux) == w1.shape[0]):
-        raise ValueError("length mismatch between poses, states, and weights")
-    mixed = np.zeros((3, 3))
-    for wi, pose, a in zip(w1, initial_truth, state.aux):
-        mixed += wi * (pose.rotation.r @ a.q_block)
-    det = abs(float(np.linalg.det(mixed)))
-    return WellPosednessReport(mixed, det, det > WELL_POSED_DET)

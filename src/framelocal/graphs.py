@@ -3,6 +3,13 @@
 An edge (i, j) means agent i measures / receives from agent j, so j is a
 neighbor of i and row i of the Laplacian picks up -1 in column j. Agent
 indices are 1-based throughout.
+
+Information flows from j to i along an edge (i, j). The root agents, whose
+information reaches every agent, form the root (source) component of the
+condensation and exist exactly when the graph has a spanning tree. Found in
+O(n + E) by ``root_agents``, they decide both graph conditions, and w1 is
+the left null vector of their Laplacian block (no edge enters it), exactly
+zero on every other agent.
 """
 
 from __future__ import annotations
@@ -17,6 +24,15 @@ CONNECT_TOL = 1e-10        # fiedler value below this => disconnected
 CLAMP_TOL = 1e-12          # eigenvector entries below this are noise on zeros
 
 
+def as_int(value, name: str) -> int:
+    """An integral number as an int; bools, fractions and non-numbers raise ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class MultiplicityError(ValueError):
     """The zero eigenvalue of the Laplacian is not simple."""
 
@@ -27,23 +43,25 @@ class ConnectivityError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Directed or undirected interaction graph over n agents."""
+    """Directed or undirected interaction graph over n agents (integer indices)."""
 
     n: int
     edges: tuple = ()
     directed: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
+        n = as_int(self.n, "n")
+        if n < 1:
             raise ValueError("need at least one agent")
+        object.__setattr__(self, "n", n)
         seen = set()
         for e in self.edges:
-            i, j = e
+            i, j = (as_int(k, "edge end") for k in e)
             if i == j:
                 raise ValueError(f"self-loop on agent {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge {e} outside 1..{self.n}")
-            seen.add((int(i), int(j)))
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge {e} outside 1..{n}")
+            seen.add((i, j))
         if not self.directed:
             missing = {(j, i) for (i, j) in seen} - seen
             if missing:
@@ -55,11 +73,7 @@ class Topology:
     @classmethod
     def undirected(cls, n: int, pairs) -> "Topology":
         """Build an undirected topology from one pair per link."""
-        sym = set()
-        for i, j in pairs:
-            sym.add((int(i), int(j)))
-            sym.add((int(j), int(i)))
-        return cls(n, tuple(sorted(sym)), directed=False)
+        return cls(n, tuple(e for i, j in pairs for e in ((i, j), (j, i))), directed=False)
 
     def neighbors(self, i: int) -> tuple:
         """Agents that i measures / receives from, ascending."""
@@ -68,14 +82,13 @@ class Topology:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Laplacian plus the spectral quantities the convergence results use.
+    """The spectral quantities the convergence results use.
 
-    ``w1`` is the left null eigenvector normalized to sum 1 (None when the
-    zero eigenvalue is not simple); ``lambda2`` is the smallest nonzero
+    ``w1`` is the left null eigenvector of the Laplacian normalized to sum 1
+    (None without a spanning tree); ``lambda2`` is the smallest nonzero
     eigenvalue, only defined for connected undirected graphs.
     """
 
-    laplacian: np.ndarray
     w1: np.ndarray | None = None
     lambda2: float | None = None
 
@@ -89,33 +102,48 @@ def build_laplacian(t: Topology) -> np.ndarray:
     return lap
 
 
-def _reaches_all(t: Topology, root: int) -> bool:
-    # Information flows from measured agent j to measurer i, so follow
-    # edges (i, j) backwards: from j we can reach i.
-    out = {k: [] for k in range(1, t.n + 1)}
+def _reach(adj: list, start: int, seen: list) -> list:
+    """Agents reachable from start along adj that were not seen yet; marks them seen."""
+    seen[start] = True
+    found = [start]
+    for k in found:             # breadth first: the list grows while it is read
+        for nxt in adj[k]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                found.append(nxt)
+    return found
+
+
+def root_agents(t: Topology) -> tuple:
+    """Agents whose information reaches every agent, ascending; () if none.
+
+    A search tree that contains a root covers every agent still unseen, so
+    the last tree of a search forest starts at a root if there is one; a
+    forward search confirms it, and a backward one collects all the roots.
+    """
+    flow = [[] for _ in range(t.n)]      # j -> i: who hears j
+    heard = [[] for _ in range(t.n)]     # i -> j: whom i hears
     for i, j in t.edges:
-        out[j].append(i)
-    seen = {root}
-    stack = [root]
-    while stack:
-        k = stack.pop()
-        for nxt in out[k]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == t.n
+        flow[j - 1].append(i - 1)
+        heard[i - 1].append(j - 1)
+    seen = [False] * t.n
+    for k in range(t.n):
+        if not seen[k]:
+            candidate = k
+            _reach(flow, k, seen)
+    if len(_reach(flow, candidate, [False] * t.n)) < t.n:
+        return ()
+    return tuple(sorted(k + 1 for k in _reach(heard, candidate, [False] * t.n)))
 
 
 def has_spanning_tree(t: Topology) -> bool:
     """True when some agent's information can reach every other agent."""
-    return any(_reaches_all(t, r) for r in range(1, t.n + 1))
+    return bool(root_agents(t))
 
 
 def is_connected_undirected(t: Topology) -> bool:
     """True for an undirected topology that is connected (or a single agent)."""
-    if t.directed:
-        return False
-    return _reaches_all(t, 1)
+    return not t.directed and has_spanning_tree(t)
 
 
 def left_null_eigenvector(l: np.ndarray) -> np.ndarray:
@@ -167,15 +195,20 @@ def fiedler_value(l: np.ndarray) -> float:
 
 
 def analyze(t: Topology) -> SpectralData:
-    """Laplacian plus whichever spectral quantities the topology supports."""
-    lap = build_laplacian(t)
-    w1 = None
-    if has_spanning_tree(t):
-        if t.directed:
-            w1 = left_null_eigenvector(lap)
-        else:
-            w1 = np.full(t.n, 1.0 / t.n)
-    lam2 = None
-    if not t.directed and t.n >= 2 and is_connected_undirected(t):
-        lam2 = fiedler_value(lap)
-    return SpectralData(laplacian=lap, w1=w1, lambda2=lam2)
+    """Whichever spectral quantities the topology supports.
+
+    A digraph's w1 comes from its root block alone, without an n x n matrix;
+    an undirected connected graph has uniform w1 and, from n = 2, lambda2.
+    """
+    roots = root_agents(t)
+    if not roots:
+        return SpectralData()
+    if not t.directed:
+        lam2 = fiedler_value(build_laplacian(t)) if t.n >= 2 else None
+        return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)
+    # roots hear only roots, so their edges alone make the root block of L
+    index = {a: k for k, a in enumerate(roots, start=1)}
+    block = Topology(len(roots), tuple((index[i], index[j]) for i, j in t.edges if i in index))
+    w1 = np.zeros(t.n)
+    w1[np.array(roots) - 1] = left_null_eigenvector(build_laplacian(block))
+    return SpectralData(w1=w1)

@@ -28,7 +28,6 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import (
-    WELL_POSED_DET,
     Asymptotic,
     EstimatorState,
     FiniteTime,
@@ -40,8 +39,12 @@ from .estimators import (
 from .graphs import Topology, analyze, build_laplacian, has_spanning_tree, is_connected_undirected
 from .se3 import Pose, Twist, compose, exp_se3, gsop, hat6
 
+WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
+
+# estimator start: the seeded draw (None), per-agent matrices or an (n, 4, 4) stack
+InitialState = EstimatorState | np.ndarray | None
 
 
 class ConfigurationError(ValueError):
@@ -202,14 +205,17 @@ def error_link_pairs(topo: Topology) -> tuple:
     return tuple(sorted({(min(i, j), max(i, j)) for i, j in topo.edges}))
 
 
-def _initial_stacks(s: Scenario, initial_state: EstimatorState | None = None):
+def _initial_stacks(s: Scenario, initial_state: InitialState = None):
     """Initial truth and estimator stacks shared by run() and the oracles."""
     t0 = np.stack([p.matrix for p in s.initial_poses])
     if initial_state is None:
         return t0, init_aux_stack(s.topo.n, s.seed)
-    if len(initial_state.aux) != s.topo.n:
-        raise ValueError(f"initial state has {len(initial_state.aux)} agents, expected {s.topo.n}")
-    return t0, np.stack([a.matrix for a in initial_state.aux])
+    if isinstance(initial_state, EstimatorState):
+        initial_state = [a.matrix for a in initial_state.aux]
+    p0 = np.asarray(initial_state, dtype=np.float64)
+    if p0.shape != t0.shape:
+        raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
+    return t0, p0
 
 
 def _check_preconditions(s: Scenario):
@@ -227,7 +233,7 @@ def _check_preconditions(s: Scenario):
         raise ConfigurationError(f"unknown law {s.law!r}")
 
 
-def oracle_report(s: Scenario, initial_state: EstimatorState | None = None) -> OracleReport:
+def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
     """Predictions from the initial data: weights, consensus state, bias, bounds."""
     _check_preconditions(s)
     spectral = analyze(s.topo)
@@ -287,18 +293,18 @@ def _make_rhs(s: Scenario):
     return rhs
 
 
-def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
+def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
-    ``initial_state`` replaces the seeded random estimator initialization
-    when given (a harness-level knob; the laws themselves stay local).
+    ``initial_state``, per-agent matrices or an (n, 4, 4) stack, replaces the
+    seeded estimator initialization (a harness knob; the laws stay local).
     """
     # the only validated objects a run builds: the truth exponentials here
     # and the bias in oracle_report; all that follows works on arrays
     e_half = np.stack([exp_se3(tw, s.dt / 2.0).matrix for tw in s.twists])
     e_full = np.stack([exp_se3(tw, s.dt).matrix for tw in s.twists])
-    report = oracle_report(s, initial_state)
     t_stack, p_stack = _initial_stacks(s, initial_state)
+    report = oracle_report(s, p_stack)
     r_c = None if report.transform_bias is None else report.transform_bias.rotation.r
     n = s.topo.n
     links = error_link_pairs(s.topo)
@@ -353,22 +359,19 @@ def run(s: Scenario, initial_state: EstimatorState | None = None) -> tuple:
     return trace, report
 
 
-def closed_form_aligned(s: Scenario, t: float, initial_state: EstimatorState | None = None) -> list:
-    """Exact aligned states at time t for the asymptotic law.
+def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = None) -> np.ndarray:
+    """Exact (n, 4, 4) aligned states at time t for the asymptotic law.
 
-    The aligned states obey a constant-coefficient linear consensus flow,
-    so the solution is the matrix exponential of the scaled Laplacian
-    applied to the stacked initial aligned states. Serves as the
+    The aligned states obey the constant-coefficient linear consensus flow
+    dS/dt = -L S, agent by agent over the 4x4 blocks, so the solution is
+    expm(-L t) applied to the stacked initial aligned states. Serves as the
     independent oracle for simulated trajectories.
     """
     if not isinstance(s.law, Asymptotic):
         raise ValueError("closed form applies to the asymptotic law only")
-    lap = build_laplacian(s.topo)
     t0, p0 = _initial_stacks(s, initial_state)
-    stacked = (t0 @ p0).reshape(4 * s.topo.n, 4)
-    flow = scipy.linalg.expm(-np.kron(lap, np.eye(4)) * t)
-    out = flow @ stacked
-    return [out[4 * i : 4 * i + 4] for i in range(s.topo.n)]
+    flow = scipy.linalg.expm(-build_laplacian(s.topo) * t)
+    return np.einsum("ij,jab->iab", flow, t0 @ p0)
 
 
 def lyapunov_chain_check(trace: Trace, lambda2: float, alpha: float) -> LyapunovCheck:

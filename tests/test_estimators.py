@@ -1,4 +1,4 @@
-"""Localization laws, reconstruction, and the well-posedness diagnostic."""
+"""Localization laws, reconstruction, and the well-posedness of the limit."""
 
 import numpy as np
 import pytest
@@ -12,17 +12,18 @@ from framelocal import (
     Rotation,
     Topology,
     Twist,
-    check_well_posedness,
     compose,
     exp_se3,
     gsop,
     hat6,
     init_aux,
     inverse,
+    oracle_report,
     reconstruct,
     relative_transform,
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
+from framelocal.simulation import Scenario
 from conftest import make_pose, make_twist, random_rotation, stacks
 from rhs_oracle import (
     Measurement,
@@ -296,12 +297,19 @@ def test_reconstruct_two_column_survives_bad_third_column():
     assert valid.tolist() == [False]
 
 
+def resting_scenario(topo: Topology, poses) -> Scenario:
+    """Asymptotic-law scenario with the given truth poses and zero twists."""
+    still = (Twist.zero(),) * topo.n
+    return Scenario(topo, tuple(poses), still, Asymptotic(), 1e-3, 1e-3, seed=0)
+
+
 def test_well_posedness_single_agent():
+    # identity truth and estimator: the mix sum_i w1_i R_i Q_i is the identity
     state = EstimatorState((AuxMatrix(np.eye(3), np.zeros(3)),), Asymptotic())
-    rep = check_well_posedness([Pose.identity()], state, np.array([1.0]))
-    assert rep.well_posed
-    assert rep.det_magnitude == pytest.approx(1.0)
-    assert np.allclose(rep.mixed_block, np.eye(3))
+    rep = oracle_report(resting_scenario(Topology(1), [Pose.identity()]), initial_state=state)
+    assert abs(np.linalg.det(rep.consensus_block)) == pytest.approx(1.0)
+    assert np.allclose(rep.consensus_block, np.eye(3))
+    assert np.allclose(rep.transform_bias.matrix, np.eye(4))
 
 
 def test_well_posedness_cancellation():
@@ -311,20 +319,22 @@ def test_well_posedness_cancellation():
     state = EstimatorState(
         (AuxMatrix(q1, np.zeros(3)), AuxMatrix(-q1, np.zeros(3))), Asymptotic()
     )
-    rep = check_well_posedness(
-        [Pose.identity(), Pose.identity()], state, np.array([0.5, 0.5])
-    )
-    assert rep.det_magnitude < 1e-12
-    assert not rep.well_posed
+    s = resting_scenario(Topology.undirected(2, [(1, 2)]), [Pose.identity()] * 2)
+    rep = oracle_report(s, initial_state=state)
+    assert np.array_equal(rep.w1, [0.5, 0.5])
+    assert abs(np.linalg.det(rep.consensus_block)) < 1e-12
+    assert rep.transform_bias is None
 
 
 def test_well_posedness_random_starts():
     rng = np.random.default_rng(29)
+    square = Topology.undirected(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     for seed in range(5):
         state = init_aux(4, rng_seed=seed)
-        truth = [make_pose(rng) for _ in range(4)]
-        rep = check_well_posedness(truth, state, np.full(4, 0.25))
-        assert rep.well_posed
+        s = resting_scenario(square, [make_pose(rng) for _ in range(4)])
+        rep = oracle_report(s, initial_state=state)
+        assert np.array_equal(rep.w1, np.full(4, 0.25))
+        assert rep.transform_bias is not None
 
 
 def test_reconstruct_default_mode_is_two_column():

@@ -1,8 +1,12 @@
-"""Laplacian construction and spectral quantities against hand/dense oracles."""
+"""Laplacian construction, root agents and spectral quantities against oracles."""
+
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from framelocal import (
     ConnectivityError,
@@ -14,6 +18,7 @@ from framelocal import (
     has_spanning_tree,
     is_connected_undirected,
     left_null_eigenvector,
+    root_agents,
 )
 from framelocal.scenarios import directed_demo_topology, square_demo_topology
 from conftest import spanning_digraph
@@ -25,6 +30,52 @@ def null_space_oracle(lap: np.ndarray) -> np.ndarray:
     assert ns.shape[1] == 1
     w = ns[:, 0]
     return w / w.sum()
+
+
+def reaches_all_oracle(t: Topology, root: int) -> bool:
+    """One search from root along the information flow (j to i for edge (i, j))."""
+    out = {k: [] for k in range(1, t.n + 1)}
+    for i, j in t.edges:
+        out[j].append(i)
+    seen = {root}
+    stack = [root]
+    while stack:
+        k = stack.pop()
+        for nxt in out[k]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == t.n
+
+
+def roots_oracle(t: Topology) -> tuple:
+    """Root agents by one search per candidate root, O(n (n + E))."""
+    return tuple(r for r in range(1, t.n + 1) if reaches_all_oracle(t, r))
+
+
+def ring_rooted_digraph(n: int, m: int, seed: int) -> Topology:
+    """Digraph whose root component is the directed ring 1..m, with random chords.
+
+    Every other agent hears from a lower-numbered agent, so the ring reaches
+    everyone, plus from random others; no edge enters the ring from outside.
+    """
+    rng = np.random.default_rng(seed)
+    edges = {(k, k % m + 1) for k in range(1, m + 1) if m > 1}
+    chords = ((i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j)
+    edges |= {e for e in chords if rng.random() < 0.3}
+    for i in range(m + 1, n + 1):
+        edges.add((i, int(rng.integers(1, i))))
+        edges |= {(i, j) for j in range(1, n + 1) if j != i and rng.random() < 0.2}
+    return Topology(n, tuple(edges))
+
+
+@st.composite
+def topologies(draw) -> Topology:
+    """Sparse random digraphs and undirected graphs over 1 to 12 agents."""
+    n = draw(st.integers(1, 12))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = [(i, j) for i, j in draw(st.lists(ends, max_size=2 * n)) if i != j]
+    return Topology(n, tuple(pairs)) if draw(st.booleans()) else Topology.undirected(n, pairs)
 
 
 def test_two_node_undirected_laplacian():
@@ -148,6 +199,81 @@ def test_fiedler_bounds_rayleigh_quotient():
         x = rng.normal(size=4)
         x -= x.mean()
         assert x @ lap @ x >= lam2 * (x @ x) - 1e-9
+
+
+def test_root_agents_by_hand():
+    assert root_agents(directed_demo_topology()) == (2, 3, 4)
+    assert root_agents(Topology(4, ((1, 2), (2, 3), (3, 4)))) == (4,)
+    assert root_agents(square_demo_topology()) == (1, 2, 3, 4)
+    assert root_agents(Topology(1)) == (1,)
+    assert root_agents(Topology(3)) == ()
+    # two source components {2} and {4}
+    assert root_agents(Topology(4, ((1, 2), (3, 4)))) == ()
+
+
+@given(topologies())
+@example(Topology(1))
+@example(Topology(6))
+@example(Topology(5, ((1, 2), (3, 4))))
+@example(Topology.undirected(5, [(1, 2), (3, 4)]))
+@example(Topology(5, ((1, 2), (2, 1), (3, 1), (4, 3))))
+@example(directed_demo_topology())
+def test_root_agents_agree_with_per_root_scan(t):
+    roots = roots_oracle(t)
+    assert root_agents(t) == roots
+    assert has_spanning_tree(t) == bool(roots)
+    assert is_connected_undirected(t) == (not t.directed and reaches_all_oracle(t, 1))
+
+
+def test_analyze_w1_lives_on_the_root_component():
+    for n, m, seed in ((10, 1, 1), (10, 3, 2), (10, 5, 3), (12, 12, 4), (7, 2, 5)):
+        t = ring_rooted_digraph(n, m, seed)
+        roots = root_agents(t)
+        assert roots == tuple(range(1, m + 1))
+        w1 = analyze(t).w1
+        assert np.abs(w1 - null_space_oracle(build_laplacian(t))).max() < 1e-9
+        assert np.all(w1[m:] == 0.0)
+    w1 = analyze(directed_demo_topology()).w1
+    assert w1[0] == 0.0 and np.abs(w1[1:] - 1.0 / 3.0).max() < 1e-12
+
+
+def test_analyze_long_directed_chain_is_fast():
+    # each agent hears the next, so the last one is the only root and a
+    # search from every candidate root costs O(n^2) steps
+    n = 2048
+    t = Topology(n, tuple((i, i + 1) for i in range(1, n)))
+    start = time.perf_counter()
+    spectral = analyze(t)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert spectral.w1[-1] == 1.0 and not spectral.w1[:-1].any()
+    assert spectral.lambda2 is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Topology(4.7, ((1, 2),)),
+        lambda: Topology(4, ((1, 2.5), (2, 3), (3, 4), (4, 1))),
+        lambda: Topology(True, ()),
+        lambda: Topology(2, ((True, 2),)),
+        lambda: Topology("4", ()),
+        lambda: Topology.undirected(4, [(1, 2.5)]),
+    ],
+    ids=["n", "edge", "bool-n", "bool-edge", "string-n", "undirected-edge"],
+)
+def test_topology_rejects_non_integral_indices(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_topology_converts_integral_values():
+    t = Topology(4.0, ((1.0, np.int64(2)), (np.float64(3.0), 4)))
+    assert t.n == 4 and t.edges == ((1, 2), (3, 4))
+    assert type(t.n) is int and all(type(k) is int for e in t.edges for k in e)
+    u = Topology.undirected(np.int64(3), [(1, 2.0)])
+    assert (u.n, u.edges) == (3, ((1, 2), (2, 1)))
+    assert type(u.n) is int
 
 
 def test_topology_validation():

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from framelocal import (
     AuxMatrix,
@@ -14,6 +15,7 @@ from framelocal import (
     Rotation,
     Topology,
     Twist,
+    build_laplacian,
     closed_form_aligned,
     compose,
     error_metrics,
@@ -27,10 +29,11 @@ from framelocal import (
     run,
     settling_time,
 )
+from framelocal import simulation
 from framelocal.estimators import Asymptotic, FiniteTime
 from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _initial_stacks, _make_rhs, error_link_pairs
-from conftest import make_pose, make_scenario, make_twist
+from conftest import make_pose, make_scenario, make_twist, spanning_digraph
 from rhs_oracle import law_rhs, synthesize_measurements
 
 
@@ -275,6 +278,48 @@ def test_closed_form_two_agent_hand_solution():
         expected_1 = avg + (s0[0] - avg) * np.exp(-2.0 * t)
         got = closed_form_aligned(s, t)[0]
         assert np.abs(got - expected_1).max() < 1e-10
+
+
+def kron_closed_form(s, t: float) -> np.ndarray:
+    """Oracle: the 4n x 4n flow expm(-(L kron I4) t) on the stacked aligned states."""
+    t0, p0 = _initial_stacks(s)
+    flow = scipy.linalg.expm(-np.kron(build_laplacian(s.topo), np.eye(4)) * t)
+    return (flow @ (t0 @ p0).reshape(4 * s.topo.n, 4)).reshape(s.topo.n, 4, 4)
+
+
+def test_closed_form_matches_kronecker_flow():
+    rooted = Topology(5, ((1, 5), (2, 5), (3, 1), (4, 2), (4, 3)))
+    for seed, topo in enumerate((spanning_digraph(3, 501), spanning_digraph(6, 502), rooted)):
+        s = make_scenario(topo, seed=20 + seed, t_end=0.5)
+        for t in (0.0, 0.3, 2.0, 10.0):
+            got = closed_form_aligned(s, t)
+            assert got.shape == (topo.n, 4, 4)
+            assert np.abs(got - kron_closed_form(s, t)).max() < 1e-12
+
+
+def test_run_draws_the_initial_state_once(monkeypatch):
+    # the oracle report and the integration share one seeded draw
+    calls = []
+    draw = simulation.init_aux_stack
+    monkeypatch.setattr(
+        simulation, "init_aux_stack", lambda n, seed: calls.append(seed) or draw(n, seed)
+    )
+    trace, report = run(make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01))
+    assert calls == [9]
+    assert np.array_equal(trace.aux[0], draw(2, 9))
+    assert np.allclose(report.consensus_state, trace.aligned[0].mean(axis=0), atol=1e-12)
+
+
+def test_initial_state_as_objects_or_stack():
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
+    state = init_aux(2, 5)
+    stack = np.stack([a.matrix for a in state.aux])
+    assert np.array_equal(
+        oracle_report(s, stack).consensus_state, oracle_report(s, state).consensus_state
+    )
+    assert np.array_equal(closed_form_aligned(s, 0.5, stack), closed_form_aligned(s, 0.5, state))
+    with pytest.raises(ValueError, match="shape"):
+        run(s, stack[:1])
 
 
 def test_closed_form_rejects_finite_time_law():
