@@ -49,6 +49,7 @@ from .simulation import (
     Scenario,
     Trace,
     run,
+    sample_blocks,
     settling_time,
 )
 
@@ -255,51 +256,57 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
         raise ScenarioError(f"override: {e}") from e
 
 
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _json_float(x) -> float | None:
     x = float(x)
     return None if np.isnan(x) else x
 
 
+def _write_rows(fh, fmt: str, table: np.ndarray):
+    # "%.17g" formats a float exactly as f"{x:.17g}" does, nan, inf and -0
+    # included; "%d" writes the integer-valued columns
+    for row in table:
+        fh.write(fmt % tuple(row.tolist()))
+
+
 def _write_trace_csv(trace: Trace, path: Path):
-    n = trace.orientation_errors.shape[1]
+    k, n = trace.orientation_errors.shape
     cols = ["t"]
     cols += [f"orient_err_{i}" for i in range(1, n + 1)]
     cols += [f"pos_err_{i}_{j}" for i, j in trace.error_edges]
     cols += ["V"]
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(trace.times)):
-            row = [_f17(trace.times[k])]
-            row += [_f17(x) for x in trace.orientation_errors[k]]
-            row += [_f17(x) for x in trace.position_errors[k]]
-            row.append(_f17(trace.lyapunov[k]))
-            fh.write(",".join(row) + "\n")
+        for b in sample_blocks(k, n):
+            table = np.column_stack(
+                (trace.times[b], trace.orientation_errors[b], trace.position_errors[b],
+                 trace.lyapunov[b])
+            )
+            _write_rows(fh, fmt, table)
 
 
 def _write_state_csv(trace: Trace, path: Path):
-    # S and That are derived one sample at a time, as Trace.aligned and
-    # Trace.estimates derive them, so no whole-trace copy is ever held
-    n = trace.truth.shape[1]
+    # S and That are derived block by block (sample_blocks), as Trace.aligned
+    # and Trace.estimates derive them, so no whole-trace copy is ever held
+    k, n = trace.truth.shape[:2]
     cols = ["t", "agent"]
     for tag in ("T", "P", "S", "That"):
         cols += [f"{tag}_{r}{c}" for r in range(4) for c in range(4)]
     cols += ["valid"]
+    fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * 64 + ["%d"]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(trace.times)):
-            tt, pp = trace.truth[k], trace.aux[k]
+        for b in sample_blocks(k, n):
+            tt, pp = trace.truth[b], trace.aux[b]
             estimates, valid = reconstruct(pp, trace.reconstruction)
-            blocks = (tt, pp, tt @ pp, estimates)
-            for i in range(n):
-                row = [_f17(trace.times[k]), str(i + 1)]
-                for block in blocks:
-                    row += [_f17(x) for x in block[i].ravel()]
-                row.append("1" if valid[i] else "0")
-                fh.write(",".join(row) + "\n")
+            samples = tt.shape[0]
+            table = np.column_stack((
+                np.repeat(trace.times[b], n),
+                np.tile(np.arange(1, n + 1), samples),
+                *(m.reshape(samples * n, 16) for m in (tt, pp, tt @ pp, estimates)),
+                valid.ravel(),
+            ))
+            _write_rows(fh, fmt, table)
 
 
 def _matrix_list(m: np.ndarray) -> list:

@@ -75,10 +75,6 @@ class Topology:
         """Build an undirected topology from one pair per link."""
         return cls(n, tuple(e for i, j in pairs for e in ((i, j), (j, i))), directed=False)
 
-    def neighbors(self, i: int) -> tuple:
-        """Agents that i measures / receives from, ascending."""
-        return tuple(j for (a, j) in self.edges if a == i)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:

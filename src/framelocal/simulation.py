@@ -17,10 +17,18 @@ it (finite-time law only), sums it per receiving agent, and rotates the sum
 back by R_i^T. The bottom row of the derivative is never written, so it
 stays exactly zero. The test suite pins the kernel to a per-agent oracle
 that applies the measured relative transforms literally.
+
+The step loop records each sample by copying the stacks and computing V;
+a non-finite V stops the run. The reconstructions and error metrics of all
+samples follow after integration, one batched pass per block of at most
+BLOCK_MATRICES agent matrices (``sample_blocks``); each value equals its
+sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES
+is rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +50,8 @@ from .se3 import Pose, Twist, compose, exp_se3, gsop, hat6
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
+BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
+MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
 
 # estimator start: the seeded draw (None), per-agent matrices or an (n, 4, 4) stack
 InitialState = EstimatorState | np.ndarray | None
@@ -72,6 +82,8 @@ class Scenario:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and at least dt, got {self.t_end}")
+        if math.isinf(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt overflows, got {self.t_end} / {self.dt}")
         if len(self.initial_poses) != self.topo.n or len(self.twists) != self.topo.n:
             raise ValueError(
                 f"need {self.topo.n} poses and twists, got "
@@ -94,10 +106,12 @@ class Trace:
 
     Stored per sample: the true poses T_i, the estimator matrices P_i, the
     per-agent / per-link deviations from the predicted transform bias (NaN
-    where reconstruction was invalid or the bias is undefined) and V.
-    Derived on each access, over the whole trace: ``aligned`` = T_i P_i,
+    where reconstruction was invalid or the bias is undefined) and V. The
+    deviations are computed after integration, in blocks of samples.
+    Derived over the whole trace: ``aligned`` = T_i P_i on each access,
     whose consensus the laws drive, and ``estimates`` / ``estimate_valid``,
-    the reconstruction of every P_i in the run's mode.
+    the reconstruction of every P_i in the run's mode, made once on first
+    access.
     """
 
     times: np.ndarray            # (k,)
@@ -117,15 +131,19 @@ class Trace:
         """(k, n, 4, 4) aligned states T_i P_i."""
         return self.truth @ self.aux
 
+    @functools.cached_property
+    def _reconstructed(self) -> tuple:
+        return reconstruct(self.aux, self.reconstruction)
+
     @property
     def estimates(self) -> np.ndarray:
         """(k, n, 4, 4) reconstructed pose matrices (identity where invalid)."""
-        return reconstruct(self.aux, self.reconstruction)[0]
+        return self._reconstructed[0]
 
     @property
     def estimate_valid(self) -> np.ndarray:
         """(k, n) mask of valid reconstructions."""
-        return reconstruct(self.aux, self.reconstruction)[1]
+        return self._reconstructed[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +216,13 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
         np.where(valid, orient, np.nan),
         np.where(valid[..., i] & valid[..., j], pos, np.nan),
     )
+
+
+def sample_blocks(k: int, n: int):
+    """Slices of consecutive samples, each at most BLOCK_MATRICES agent
+    matrices (but at least one sample), covering k samples of n agents."""
+    step = max(1, BLOCK_MATRICES // n)
+    return (slice(lo, min(lo + step, k)) for lo in range(0, k, step))
 
 
 def error_link_pairs(topo: Topology) -> tuple:
@@ -299,49 +324,69 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     ``initial_state``, per-agent matrices or an (n, 4, 4) stack, replaces the
     seeded estimator initialization (a harness knob; the laws stay local).
     """
+    n = s.topo.n
+    links = error_link_pairs(s.topo)
+    n_steps = s.n_steps
+    k_samples = n_steps // s.stride + 1
+    # times and V, plus per agent truth, aux and an orientation error, plus
+    # a position error per link: what the Trace below stores
+    nbytes = 8 * k_samples * (2 + 33 * n + len(links))
+    if nbytes > MAX_TRACE_BYTES:
+        raise ConfigurationError(
+            f"integration: the trace of {k_samples} samples would take "
+            f"{nbytes / 2**30:.3g} GiB, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
+            "use a larger stride"
+        )
     # the only validated objects a run builds: the truth exponentials here
     # and the bias in oracle_report; all that follows works on arrays
     e_half = np.stack([exp_se3(tw, s.dt / 2.0).matrix for tw in s.twists])
     e_full = np.stack([exp_se3(tw, s.dt).matrix for tw in s.twists])
     t_stack, p_stack = _initial_stacks(s, initial_state)
     report = oracle_report(s, p_stack)
-    r_c = None if report.transform_bias is None else report.transform_bias.rotation.r
-    n = s.topo.n
-    links = error_link_pairs(s.topo)
     rhs = _make_rhs(s)
 
-    n_steps = s.n_steps
-    k_samples = n_steps // s.stride + 1
     times = np.zeros(k_samples)
     truth = np.zeros((k_samples, n, 4, 4))
     aux = np.zeros((k_samples, n, 4, 4))
-    orient_err = np.full((k_samples, n), np.nan)
-    pos_err = np.full((k_samples, len(links)), np.nan)
     lyap = np.zeros(k_samples)
 
     def record(k: int, step: int, tt: np.ndarray, pp: np.ndarray):
         times[k] = step * s.dt
         truth[k] = tt
         aux[k] = pp
-        lyap[k] = 0.5 * float(np.sum((tt @ pp - report.consensus_state) ** 2))
-        if r_c is not None:
-            estimates, valid = reconstruct(pp, s.reconstruction)
-            orient_err[k], pos_err[k] = error_metrics(tt, estimates, valid, r_c, links)
+        v = 0.5 * float(np.sum((tt @ pp - report.consensus_state) ** 2))
+        if not math.isfinite(v):
+            raise ConfigurationError(
+                f"integration: the estimator state is not finite at step {step} "
+                f"(t = {step * s.dt:g}); use a smaller dt"
+            )
+        lyap[k] = v
 
-    record(0, 0, t_stack, p_stack)
     half = s.dt / 2.0
     sixth = s.dt / 6.0
-    for step in range(1, n_steps + 1):
-        t_mid = t_stack @ e_half
-        t_next = t_stack @ e_full
-        k1 = rhs(t_stack, p_stack)
-        k2 = rhs(t_mid, p_stack + half * k1)
-        k3 = rhs(t_mid, p_stack + half * k2)
-        k4 = rhs(t_next, p_stack + s.dt * k3)
-        p_stack = p_stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_stack = t_next
-        if step % s.stride == 0:
-            record(step // s.stride, step, t_stack, p_stack)
+    # a diverging state shows as a non-finite V at the next sample, not as
+    # numpy overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, 0, t_stack, p_stack)
+        for step in range(1, n_steps + 1):
+            t_mid = t_stack @ e_half
+            t_next = t_stack @ e_full
+            k1 = rhs(t_stack, p_stack)
+            k2 = rhs(t_mid, p_stack + half * k1)
+            k3 = rhs(t_mid, p_stack + half * k2)
+            k4 = rhs(t_next, p_stack + s.dt * k3)
+            p_stack = p_stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_stack = t_next
+            if step % s.stride == 0:
+                record(step // s.stride, step, t_stack, p_stack)
+
+    orient_err = np.full((k_samples, n), np.nan)
+    pos_err = np.full((k_samples, len(links)), np.nan)
+    if report.transform_bias is not None:
+        r_c = report.transform_bias.rotation.r
+        for b in sample_blocks(k_samples, n):
+            estimates, valid = reconstruct(aux[b], s.reconstruction)
+            orient_err[b], pos_err[b] = error_metrics(truth[b], estimates, valid, r_c, links)
 
     trace = Trace(
         times=times,

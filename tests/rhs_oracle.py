@@ -17,6 +17,11 @@ from framelocal import EstimatorState, Topology, Twist, hat6, relative_transform
 from framelocal.estimators import Asymptotic, FiniteTime
 
 
+def neighbors(topo: Topology, i: int) -> tuple:
+    """Agents that i measures / receives from, ascending (O(E) per call)."""
+    return tuple(j for (a, j) in topo.edges if a == i)
+
+
 class MeasurementError(ValueError):
     """Measurements passed to an RHS do not cover the agent's neighbor set."""
 
@@ -38,7 +43,7 @@ def synthesize_measurements(truth, twists, topo: Topology) -> list:
     for i in range(1, topo.n + 1):
         rel = {
             j: relative_transform(truth[i - 1], truth[j - 1])
-            for j in topo.neighbors(i)
+            for j in neighbors(topo, i)
         }
         out.append(Measurement(twists[i - 1], rel))
     return out
@@ -48,7 +53,7 @@ def _check_coverage(meas, topo: Topology):
     if len(meas) != topo.n:
         raise MeasurementError(f"got {len(meas)} measurements for {topo.n} agents")
     for i in range(1, topo.n + 1):
-        want = set(topo.neighbors(i))
+        want = set(neighbors(topo, i))
         got = set(meas[i - 1].rel)
         if got != want:
             raise MeasurementError(
@@ -65,7 +70,7 @@ def asymptotic_rhs(state: EstimatorState, meas, topo: Topology) -> list:
     for i in range(1, topo.n + 1):
         p_i = state.aux[i - 1].matrix
         d = -(hat6(meas[i - 1].twist) @ p_i)
-        for j in topo.neighbors(i):
+        for j in neighbors(topo, i):
             d += meas[i - 1].rel[j].matrix @ state.aux[j - 1].matrix - p_i
         out.append(d)
     return out
@@ -87,7 +92,7 @@ def finite_time_rhs(state: EstimatorState, meas, topo: Topology) -> list:
     for i in range(1, topo.n + 1):
         p_i = state.aux[i - 1].matrix
         d = -(hat6(meas[i - 1].twist) @ p_i)
-        for j in topo.neighbors(i):
+        for j in neighbors(topo, i):
             diff = meas[i - 1].rel[j].matrix @ state.aux[j - 1].matrix - p_i
             norm = float(np.linalg.norm(diff))
             if norm >= law.epsilon:

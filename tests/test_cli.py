@@ -1,13 +1,17 @@
 """Scenario file handling, emission, determinism, and the report table."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from framelocal import simulation
 from framelocal.cli import (
     RunConfig,
     ScenarioError,
+    _write_state_csv,
+    _write_trace_csv,
     bundled_scenario_path,
     load_scenario,
     main,
@@ -15,8 +19,9 @@ from framelocal.cli import (
     run_and_emit,
     save_scenario,
 )
-from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
+from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
 from framelocal.scenarios import demo_scenario
+from framelocal.simulation import Trace
 
 
 def scenarios_equal(a, b) -> bool:
@@ -359,3 +364,138 @@ def test_report_rejects_field_of_wrong_type(tmp_path, capsys):
     assert report([str(out / "summary.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_non_finite_state_stops_the_run(tmp_path, capsys):
+    # RK4 at dt = 3 diverges; the run stops with one error line instead of
+    # writing a trace of NaNs with exit code 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+            "--dt", "3", "--t-end", "30000", "--stride", "1000", "--out", str(tmp_path / "out"),
+        ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: integration: ") and "at step 1000 " in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_trace_rejected(tmp_path, capsys):
+    # 1e10 samples: about 10 TB of trace, refused before anything is allocated
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+        "--dt", "1e-9", "--t-end", "10", "--stride", "1", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: integration: ")
+    assert "GiB" in err[0] and "larger stride" in err[0]
+
+
+def test_step_count_overflow_rejected(tmp_path, capsys):
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+        "--dt", "5e-324", "--t-end", "1e300", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: override: ")
+
+
+def _f17(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def write_trace_csv_oracle(trace: Trace, path):
+    """Per-element trace.csv writer: one f-string per value."""
+    n = trace.orientation_errors.shape[1]
+    cols = ["t"]
+    cols += [f"orient_err_{i}" for i in range(1, n + 1)]
+    cols += [f"pos_err_{i}_{j}" for i, j in trace.error_edges]
+    cols += ["V"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(len(trace.times)):
+            row = [_f17(trace.times[k])]
+            row += [_f17(x) for x in trace.orientation_errors[k]]
+            row += [_f17(x) for x in trace.position_errors[k]]
+            row.append(_f17(trace.lyapunov[k]))
+            fh.write(",".join(row) + "\n")
+
+
+def write_state_csv_oracle(trace: Trace, path):
+    """Per-element state.csv writer, reconstructing one sample at a time."""
+    n = trace.truth.shape[1]
+    cols = ["t", "agent"]
+    for tag in ("T", "P", "S", "That"):
+        cols += [f"{tag}_{r}{c}" for r in range(4) for c in range(4)]
+    cols += ["valid"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(len(trace.times)):
+            tt, pp = trace.truth[k], trace.aux[k]
+            estimates, valid = reconstruct(pp, trace.reconstruction)
+            blocks = (tt, pp, tt @ pp, estimates)
+            for i in range(n):
+                row = [_f17(trace.times[k]), str(i + 1)]
+                for block in blocks:
+                    row += [_f17(x) for x in block[i].ravel()]
+                row.append("1" if valid[i] else "0")
+                fh.write(",".join(row) + "\n")
+
+
+def awkward_trace(mode: ReconstructionMode, k: int = 45, n: int = 3) -> Trace:
+    """A trace with NaN and infinite values, a -0.0 entry and invalid reconstructions."""
+    rng = np.random.default_rng(17)
+    truth, aux = rng.standard_normal((2, k, n, 4, 4))
+    truth[..., 3, :] = aux[..., 3, :] = (0.0, 0.0, 0.0, 1.0)
+    truth[2, 0, 0, 1] = -0.0
+    aux[3, 1, :3, :3] = 0.0       # degenerate in both modes
+    aux[9, 2, :3, 0] = 0.0
+    orient = rng.random((k, n))
+    pos = rng.random((k, 2))
+    orient[3, 1] = pos[3, 0] = np.nan
+    orient[9, 2] = pos[9] = np.nan
+    orient[5, 0] = -0.0
+    lyap = rng.random(k)
+    lyap[7] = np.inf
+    return Trace(
+        times=np.arange(k) * 0.1,
+        truth=truth,
+        aux=aux,
+        orientation_errors=orient,
+        position_errors=pos,
+        error_edges=((1, 2), (2, 3)),
+        lyapunov=lyap,
+        law=Asymptotic(),
+        dt=0.1,
+        stride=1,
+        reconstruction=mode,
+    )
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("mode", list(ReconstructionMode))
+def test_csv_writers_match_per_element_oracles(tmp_path, monkeypatch, mode, block):
+    # 45 samples of 3 agents: two blocks of 42 and 3 samples by default,
+    # or 2 samples per block with the last one half full
+    if block is not None:
+        monkeypatch.setattr(simulation, "BLOCK_MATRICES", block)
+    trace = awkward_trace(mode)
+
+    def both(write, oracle) -> list:
+        write(trace, tmp_path / "new.csv")
+        oracle(trace, tmp_path / "oracle.csv")
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        return [row.split(",") for row in got.decode().splitlines()]
+
+    rows = both(_write_trace_csv, write_trace_csv_oracle)
+    assert rows[1 + 3][2] == "nan" and rows[1 + 5][1] == "-0" and rows[1 + 7][-1] == "inf"
+    rows = both(_write_state_csv, write_state_csv_oracle)
+    assert len(rows) == 1 + 45 * 3
+    assert rows[1 + 3 * 3 + 1][-1] == rows[1 + 9 * 3 + 2][-1] == "0" and rows[1][-1] == "1"
+    assert rows[1 + 2 * 3][3] == "-0"

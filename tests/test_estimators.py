@@ -30,6 +30,7 @@ from rhs_oracle import (
     MeasurementError,
     asymptotic_rhs,
     finite_time_rhs,
+    neighbors,
     synthesize_measurements,
 )
 
@@ -74,7 +75,7 @@ def test_asymptotic_rhs_zero_at_consensus():
     common = state.aux[0]
     state = EstimatorState((common, common, common), Asymptotic())
     meas = [
-        Measurement(Twist.zero(), {j: Pose.identity() for j in topo.neighbors(i)})
+        Measurement(Twist.zero(), {j: Pose.identity() for j in neighbors(topo, i)})
         for i in range(1, 4)
     ]
     for d in asymptotic_rhs(state, meas, topo):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,92 @@ def test_run_builds_no_objects_per_step_or_sample(monkeypatch):
         run(dataclasses.replace(s, t_end=t_end))
         counts.append(dict(built))
     assert counts[0] == counts[1]
+
+
+def counting_reconstruct(monkeypatch) -> list:
+    """Record the leading shape of every simulation.reconstruct call."""
+    calls = []
+    real = simulation.reconstruct
+
+    def counting(aux, mode):
+        calls.append(np.shape(aux)[:-2])
+        return real(aux, mode)
+
+    monkeypatch.setattr(simulation, "reconstruct", counting)
+    return calls
+
+
+def test_trace_reconstructs_once(monkeypatch):
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=2, dt=1e-2, t_end=0.2, stride=5)
+    trace, _ = run(s)
+    calls = counting_reconstruct(monkeypatch)
+    estimates, valid = trace.estimates, trace.estimate_valid
+    assert trace.estimates is estimates and trace.estimate_valid is valid
+    assert calls == [(5, 2)]
+
+
+@pytest.mark.parametrize("block", [None, 8])
+def test_run_errors_come_from_blocks_after_integration(monkeypatch, block):
+    # the step loop only copies samples; the errors of all samples come from
+    # one reconstruct per block, and equal each sample's own errors exactly
+    if block is not None:
+        monkeypatch.setattr(simulation, "BLOCK_MATRICES", block)
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=8, dt=1e-2, t_end=0.5, stride=1)
+    calls = counting_reconstruct(monkeypatch)
+    counts = []
+    for stride in (1, 50):
+        calls.clear()
+        run(dataclasses.replace(s, stride=stride))
+        counts.append(len(calls))
+    if block is None:
+        assert counts == [1, 1]   # 51 samples of 2 agents fit in one block
+    else:
+        assert counts == [13, 1]  # 4 samples per block, 3 in the last one
+    trace, report = run(s)
+    r_c = report.transform_bias.rotation.r
+    assert not np.isnan(trace.orientation_errors).any()
+    for k in range(len(trace.times)):
+        orient, pos = error_metrics(
+            trace.truth[k], *reconstruct(trace.aux[k], s.reconstruction), r_c, trace.error_edges
+        )
+        assert np.array_equal(trace.orientation_errors[k], orient)
+        assert np.array_equal(trace.position_errors[k], pos)
+
+
+def test_run_stops_on_non_finite_state():
+    # RK4 at dt = 3 diverges; V overflows after about 130 steps, and the run
+    # names the first sampled step whose state is not finite instead of
+    # returning NaNs (and without numpy overflow warnings)
+    ring = Topology(3, ((1, 2), (2, 3), (3, 1)))
+    s = make_scenario(ring, seed=4, dt=3.0, t_end=3000.0, stride=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=r"integration: .* at step \d+ \(t = ") as exc:
+            run(s)
+    step = int(str(exc.value).split("step ")[1].split()[0])
+    assert step % 10 == 0 and 10 < step < 1000
+    # the samples before it are finite and recorded
+    trace, _ = run(dataclasses.replace(s, t_end=(step - 10) * 3.0))
+    assert np.isfinite(trace.lyapunov).all() and np.isfinite(trace.aux).all()
+
+
+def test_trace_bound_checked_before_allocation(monkeypatch):
+    # 1e10 samples of 4 agents would need about 10 TB; the run is refused
+    # before the oracle report and before any trace array
+    big = make_scenario(spanning_digraph(4, 9), seed=5, dt=1e-9, t_end=10.0, stride=1)
+    monkeypatch.setattr(simulation, "oracle_report", None)
+    with pytest.raises(ConfigurationError, match=r"integration: .*GiB.*larger stride"):
+        run(big)
+    monkeypatch.undo()
+    # the prediction is exactly the bytes the trace stores
+    s = make_scenario(square_demo_topology(), seed=6, dt=1e-2, t_end=0.3, stride=2)
+    trace, _ = run(s)
+    nbytes = sum(v.nbytes for v in vars(trace).values() if isinstance(v, np.ndarray))
+    monkeypatch.setattr(simulation, "MAX_TRACE_BYTES", nbytes)
+    run(s)
+    monkeypatch.setattr(simulation, "MAX_TRACE_BYTES", nbytes - 1)
+    with pytest.raises(ConfigurationError, match="integration: "):
+        run(s)
 
 
 def test_trace_shape_and_time_column():
