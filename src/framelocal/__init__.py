@@ -16,16 +16,12 @@ from .estimators import (
     reconstruct,
 )
 from .graphs import (
-    ConnectivityError,
-    MultiplicityError,
     SpectralData,
     Topology,
     analyze,
     build_laplacian,
-    fiedler_value,
     has_spanning_tree,
     is_connected_undirected,
-    left_null_eigenvector,
     root_agents,
 )
 from .se3 import (
@@ -34,17 +30,13 @@ from .se3 import (
     Pose,
     Rotation,
     Twist,
-    compose,
     exp_se3,
-    frobenius_distance,
     gsop,
     gsop_two_column,
     hat3,
     hat6,
     inverse,
     relative_transform,
-    vee3,
-    vee6,
 )
 from .simulation import (
     ConfigurationError,
@@ -56,7 +48,6 @@ from .simulation import (
     error_metrics,
     lyapunov_chain_check,
     oracle_report,
-    propagate_truth,
     run,
     settling_time,
 )

@@ -10,6 +10,13 @@ condensation and exist exactly when the graph has a spanning tree. Found in
 O(n + E) by ``root_agents``, they decide both graph conditions, and w1 is
 the left null vector of their Laplacian block (no edge enters it), exactly
 zero on every other agent.
+
+That block L is strongly connected, so its null space is span(1) and any
+m - 1 of its columns are independent; they span the complement of w. The
+bordered matrix, L^T with its last row replaced by ones, is therefore
+nonsingular (1 . w = 1 != 0), and w1 is its solve against e_m. A general
+Laplacian with a repeated zero eigenvalue could make the same solve return
+a plausible w, so it is only ever applied to a root block.
 """
 
 from __future__ import annotations
@@ -19,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 W1_RESIDUAL_TOL = 1e-9     # acceptance residual on w^T L
-SIMPLE_ZERO_TOL = 1e-10    # second eigenvalue below this => zero not simple
-CONNECT_TOL = 1e-10        # fiedler value below this => disconnected
-CLAMP_TOL = 1e-12          # eigenvector entries below this are noise on zeros
 
 
 def as_int(value, name: str) -> int:
@@ -31,14 +35,6 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-class MultiplicityError(ValueError):
-    """The zero eigenvalue of the Laplacian is not simple."""
-
-
-class ConnectivityError(ValueError):
-    """The graph behind a symmetric Laplacian is not connected."""
 
 
 @dataclass(frozen=True)
@@ -142,52 +138,17 @@ def is_connected_undirected(t: Topology) -> bool:
     return not t.directed and has_spanning_tree(t)
 
 
-def left_null_eigenvector(l: np.ndarray) -> np.ndarray:
-    """Left eigenvector of the zero eigenvalue, normalized to sum 1.
-
-    Requires a Laplacian whose zero eigenvalue is simple (guaranteed by a
-    spanning tree); otherwise raises MultiplicityError. Entries that are
-    pure rounding noise on structural zeros are clamped to exactly zero.
-    """
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if l.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {l.shape}")
-    vals, vecs = np.linalg.eig(l.T)
-    order = np.argsort(np.abs(vals))
-    if n > 1 and np.abs(vals[order[1]]) < SIMPLE_ZERO_TOL:
-        raise MultiplicityError(
-            f"zero eigenvalue is not simple (|lambda_2| = {np.abs(vals[order[1]]):.3e})"
-        )
-    v = vecs[:, order[0]]
-    # The null eigenvector of a real matrix with a simple real eigenvalue can
-    # be taken real; divide out the phase of the largest component.
-    pivot = v[np.argmax(np.abs(v))]
-    w = np.real(v / pivot)
-    w = w / w.sum()
-    w[np.abs(w) < CLAMP_TOL] = 0.0
-    w = w / w.sum()
+def _root_block_weights(l: np.ndarray) -> np.ndarray:
+    """w with w^T l = 0 and sum 1 for the Laplacian l of a strongly connected block."""
+    bordered = l.T.copy()
+    bordered[-1] = 1.0
+    rhs = np.zeros(len(l))
+    rhs[-1] = 1.0
+    w = np.linalg.solve(bordered, rhs)
     residual = float(np.max(np.abs(w @ l)))
     if residual > W1_RESIDUAL_TOL:
         raise ValueError(f"left null eigenvector residual too large: {residual:.3e}")
     return w
-
-
-def fiedler_value(l: np.ndarray) -> float:
-    """Second-smallest eigenvalue of a symmetric Laplacian."""
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if l.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {l.shape}")
-    if not np.allclose(l, l.T, atol=1e-12):
-        raise ValueError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(l)
-    if n < 2:
-        raise ValueError("need at least two vertices for a spectral gap")
-    lam2 = float(vals[1])
-    if lam2 < CONNECT_TOL:
-        raise ConnectivityError(f"graph is disconnected (lambda_2 = {lam2:.3e})")
-    return lam2
 
 
 def analyze(t: Topology) -> SpectralData:
@@ -200,11 +161,11 @@ def analyze(t: Topology) -> SpectralData:
     if not roots:
         return SpectralData()
     if not t.directed:
-        lam2 = fiedler_value(build_laplacian(t)) if t.n >= 2 else None
+        lam2 = float(np.linalg.eigvalsh(build_laplacian(t))[1]) if t.n >= 2 else None
         return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)
     # roots hear only roots, so their edges alone make the root block of L
     index = {a: k for k, a in enumerate(roots, start=1)}
     block = Topology(len(roots), tuple((index[i], index[j]) for i, j in t.edges if i in index))
     w1 = np.zeros(t.n)
-    w1[np.array(roots) - 1] = left_null_eigenvector(build_laplacian(block))
+    w1[np.array(roots) - 1] = _root_block_weights(build_laplacian(block))
     return SpectralData(w1=w1)

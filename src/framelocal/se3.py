@@ -1,7 +1,7 @@
 """Rigid-body arithmetic on SO(3)/SE(3).
 
 Rotations, poses (4x4 homogeneous transforms), body-frame twists, the
-hat/vee maps, the closed-form SE(3) exponential, and Gram-Schmidt
+hat maps, the closed-form SE(3) exponential, and Gram-Schmidt
 orthonormalization with a determinant-sign fix so the result is always a
 proper rotation. Gram-Schmidt has one implementation over stacks of 3x3
 blocks; ``gsop`` and ``gsop_two_column`` apply it to a single matrix.
@@ -165,32 +165,12 @@ def hat3(w) -> np.ndarray:
     ])
 
 
-def vee3(m: np.ndarray) -> np.ndarray:
-    """Inverse of hat3. Rejects inputs that are not skew within tolerance."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-    if np.max(np.abs(m + m.T)) > SKEW_TOL:
-        raise ValueError("matrix is not skew-symmetric")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def hat6(t: Twist) -> np.ndarray:
     """Twist -> 4x4 generator [hat3(angular) linear; 0 0]."""
     m = np.zeros((4, 4))
     m[:3, :3] = hat3(t.angular)
     m[:3, 3] = t.linear
     return m
-
-
-def vee6(m: np.ndarray) -> Twist:
-    """Inverse of hat6. Rejects matrices whose bottom row is not zero."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-    if np.max(np.abs(m[3])) > SKEW_TOL:
-        raise ValueError(f"bottom row must be zero, got {m[3]}")
-    return Twist(m[:3, 3].copy(), vee3(m[:3, :3]))
 
 
 # Below this angle the Rodrigues coefficients switch to their Taylor series;
@@ -222,14 +202,6 @@ def exp_se3(t: Twist, dt: float) -> Pose:
     rot = np.eye(3) + a * k + b * k2
     v = np.eye(3) + b * k + c * k2
     return Pose(Rotation(rot), v @ rho)
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Pose product a * b."""
-    return Pose(
-        Rotation(a.rotation.r @ b.rotation.r),
-        a.rotation.r @ b.translation + a.translation,
-    )
 
 
 def inverse(a: Pose) -> Pose:
@@ -317,12 +289,3 @@ def gsop_two_column(m: np.ndarray) -> Rotation:
     of the third column, and always yields determinant +1 by construction.
     """
     return _single_gram_schmidt(m, two_column=True)
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt(tr((a-b)^T (a-b))) for same-shaped matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))

@@ -22,8 +22,9 @@ The step loop records each sample by copying the stacks and computing V;
 a non-finite V stops the run. The reconstructions and error metrics of all
 samples follow after integration, one batched pass per block of at most
 BLOCK_MATRICES agent matrices (``sample_blocks``); each value equals its
-sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES
-is rejected before anything is allocated.
+sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
+or whose step work n_steps x (n + E + 150) would exceed MAX_STEP_WORK, is
+rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import scipy.linalg
 
 from .estimators import (
     Asymptotic,
-    EstimatorState,
     FiniteTime,
     Law,
     ReconstructionMode,
@@ -45,16 +45,20 @@ from .estimators import (
     reconstruct,
 )
 from .graphs import Topology, analyze, build_laplacian, has_spanning_tree, is_connected_undirected
-from .se3 import Pose, Twist, compose, exp_se3, gsop, hat6
+from .se3 import Pose, exp_se3, gsop, hat6
 
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
 MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
+# largest step work a run may start: on an idle 2-core Xeon, RK4 took 43 us
+# per step at n + E = 12 and 617 us at 2048, i.e. about 0.28 us per unit with
+# a per-step overhead of about 150 units, so this is about 47 minutes
+MAX_STEP_WORK = 1e10
 
-# estimator start: the seeded draw (None), per-agent matrices or an (n, 4, 4) stack
-InitialState = EstimatorState | np.ndarray | None
+# estimator start: the seeded draw (None) or an (n, 4, 4) stack
+InitialState = np.ndarray | None
 
 
 class ConfigurationError(ValueError):
@@ -162,10 +166,6 @@ class OracleReport:
     def consensus_block(self) -> np.ndarray:
         return self.consensus_state[:3, :3]
 
-    @property
-    def consensus_translation(self) -> np.ndarray:
-        return self.consensus_state[:3, 3]
-
 
 @dataclass(frozen=True, eq=False)
 class LyapunovCheck:
@@ -180,13 +180,6 @@ class LyapunovCheck:
     @property
     def all_passed(self) -> bool:
         return bool(np.all(self.passed[self.checked])) if self.checked.any() else True
-
-
-def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
-    """Exact pose advance under a constant body twist."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return compose(pose, exp_se3(twist, dt))
 
 
 def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
@@ -235,8 +228,6 @@ def _initial_stacks(s: Scenario, initial_state: InitialState = None):
     t0 = np.stack([p.matrix for p in s.initial_poses])
     if initial_state is None:
         return t0, init_aux_stack(s.topo.n, s.seed)
-    if isinstance(initial_state, EstimatorState):
-        initial_state = [a.matrix for a in initial_state.aux]
     p0 = np.asarray(initial_state, dtype=np.float64)
     if p0.shape != t0.shape:
         raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
@@ -321,8 +312,8 @@ def _make_rhs(s: Scenario):
 def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
-    ``initial_state``, per-agent matrices or an (n, 4, 4) stack, replaces the
-    seeded estimator initialization (a harness knob; the laws stay local).
+    ``initial_state``, an (n, 4, 4) stack, replaces the seeded estimator
+    initialization (a harness knob; the laws stay local).
     """
     n = s.topo.n
     links = error_link_pairs(s.topo)
@@ -336,6 +327,15 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"integration: the trace of {k_samples} samples would take "
             f"{nbytes / 2**30:.3g} GiB, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
             "use a larger stride"
+        )
+    # per RK4 step: work per agent and per edge, plus a per-call overhead
+    # that dominates at small n
+    work = n_steps * (n + len(s.topo.edges) + 150)
+    if work > MAX_STEP_WORK:
+        raise ConfigurationError(
+            f"integration: {n_steps} steps over {n} agents and {len(s.topo.edges)} edges "
+            f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
+            "use a larger dt or a smaller t_end"
         )
     # the only validated objects a run builds: the truth exponentials here
     # and the bias in oracle_report; all that follows works on arrays

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framelocal import (
-    MultiplicityError,
     Pose,
+    Rotation,
     Topology,
     Twist,
+    analyze,
     build_laplacian,
     gsop,
     has_spanning_tree,
-    left_null_eigenvector,
 )
 from framelocal.estimators import Asymptotic
 from framelocal.scenarios import seeded_rotations
@@ -52,8 +52,6 @@ def random_rotation(rng) -> np.ndarray:
 
 
 def make_pose(rng, span: float = 5.0) -> Pose:
-    from framelocal import Rotation
-
     return Pose(Rotation(random_rotation(rng)), rng.uniform(-span, span, 3))
 
 
@@ -67,6 +65,14 @@ def make_aux_matrix(rng) -> np.ndarray:
     m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
     m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
     return m
+
+
+def compose(a: Pose, b: Pose) -> Pose:
+    """Pose product a * b."""
+    return Pose(
+        Rotation(a.rotation.r @ b.rotation.r),
+        a.rotation.r @ b.translation + a.translation,
+    )
 
 
 def series_exp(m: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -113,10 +119,7 @@ def spanning_digraph(n: int, seed: int) -> Topology:
         if not has_spanning_tree(topo):
             continue
         lap = build_laplacian(topo)
-        try:
-            w1 = left_null_eigenvector(lap)
-        except MultiplicityError:
-            continue
+        w1 = analyze(topo).w1
         residual = np.abs(scipy.linalg.expm(-40.0 * lap) - np.outer(np.ones(n), w1)).max()
         if residual < 1e-9:
             return topo
@@ -135,8 +138,6 @@ def make_scenario(
     if law is None:
         law = Asymptotic()
     rng = np.random.default_rng(seed + 7919)
-    from framelocal import Rotation
-
     rotations = seeded_rotations(topo.n, seed + 104729)
     poses = tuple(
         Pose(r, rng.uniform(-5.0, 5.0, 3)) for r in rotations

@@ -395,6 +395,25 @@ def test_oversized_trace_rejected(tmp_path, capsys):
     assert "GiB" in err[0] and "larger stride" in err[0]
 
 
+def test_step_work_rejected_before_integration(tmp_path, capsys, monkeypatch):
+    # 1e10 RK4 steps in 11 samples pass the trace bound; the predicted step
+    # work is refused before the kernel is built, so nothing integrates
+    def no_kernel(_s):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(simulation, "_make_rhs", no_kernel)
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+        "--dt", "1e-9", "--t-end", "10", "--stride", "1000000000", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: integration: 10000000000 steps ")
+    assert "1.58e+12 units of step work" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_step_count_overflow_rejected(tmp_path, capsys):
     capsys.readouterr()
     code = main([

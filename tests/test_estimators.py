@@ -12,7 +12,6 @@ from framelocal import (
     Rotation,
     Topology,
     Twist,
-    compose,
     exp_se3,
     gsop,
     hat6,
@@ -22,9 +21,9 @@ from framelocal import (
     reconstruct,
     relative_transform,
 )
-from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
+from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, init_aux_stack
 from framelocal.simulation import Scenario
-from conftest import make_pose, make_twist, random_rotation, stacks
+from conftest import compose, make_pose, make_twist, random_rotation, stacks
 from rhs_oracle import (
     Measurement,
     MeasurementError,
@@ -306,7 +305,7 @@ def resting_scenario(topo: Topology, poses) -> Scenario:
 
 def test_well_posedness_single_agent():
     # identity truth and estimator: the mix sum_i w1_i R_i Q_i is the identity
-    state = EstimatorState((AuxMatrix(np.eye(3), np.zeros(3)),), Asymptotic())
+    state = np.eye(4)[None]
     rep = oracle_report(resting_scenario(Topology(1), [Pose.identity()]), initial_state=state)
     assert abs(np.linalg.det(rep.consensus_block)) == pytest.approx(1.0)
     assert np.allclose(rep.consensus_block, np.eye(3))
@@ -317,9 +316,7 @@ def test_well_posedness_cancellation():
     # two agents whose rotated blocks cancel under equal weights
     rng = np.random.default_rng(28)
     q1 = rng.uniform(-1.0, 1.0, (3, 3))
-    state = EstimatorState(
-        (AuxMatrix(q1, np.zeros(3)), AuxMatrix(-q1, np.zeros(3))), Asymptotic()
-    )
+    state = np.stack([aux_matrix(q1), aux_matrix(-q1)])
     s = resting_scenario(Topology.undirected(2, [(1, 2)]), [Pose.identity()] * 2)
     rep = oracle_report(s, initial_state=state)
     assert np.array_equal(rep.w1, [0.5, 0.5])
@@ -331,7 +328,7 @@ def test_well_posedness_random_starts():
     rng = np.random.default_rng(29)
     square = Topology.undirected(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     for seed in range(5):
-        state = init_aux(4, rng_seed=seed)
+        state = init_aux_stack(4, rng_seed=seed)
         s = resting_scenario(square, [make_pose(rng) for _ in range(4)])
         rep = oracle_report(s, initial_state=state)
         assert np.array_equal(rep.w1, np.full(4, 0.25))

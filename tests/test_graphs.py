@@ -9,17 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from framelocal import (
-    ConnectivityError,
-    MultiplicityError,
     Topology,
     analyze,
     build_laplacian,
-    fiedler_value,
     has_spanning_tree,
     is_connected_undirected,
-    left_null_eigenvector,
     root_agents,
 )
+from framelocal.graphs import W1_RESIDUAL_TOL
 from framelocal.scenarios import directed_demo_topology, square_demo_topology
 from conftest import spanning_digraph
 from rhs_oracle import neighbors
@@ -131,20 +128,19 @@ def test_connectivity_checks():
 
 
 def test_w1_uniform_for_undirected():
-    lap = build_laplacian(square_demo_topology())
-    assert np.abs(left_null_eigenvector(lap) - 0.25).max() < 1e-9
+    assert np.abs(analyze(square_demo_topology()).w1 - 0.25).max() < 1e-9
 
 
 def test_w1_directed_pair():
     # only agent 1 receives, so the weight sits on agent 2
-    lap = build_laplacian(Topology(2, ((1, 2),)))
-    assert np.array_equal(lap, [[1.0, -1.0], [0.0, 0.0]])
-    assert np.allclose(left_null_eigenvector(lap), [0.0, 1.0], atol=1e-12)
+    t = Topology(2, ((1, 2),))
+    assert np.array_equal(build_laplacian(t), [[1.0, -1.0], [0.0, 0.0]])
+    assert np.allclose(analyze(t).w1, [0.0, 1.0], atol=1e-12)
 
 
 def test_w1_directed_demo_against_null_space():
     lap = build_laplacian(directed_demo_topology())
-    w1 = left_null_eigenvector(lap)
+    w1 = analyze(directed_demo_topology()).w1
     assert np.abs(w1 - null_space_oracle(lap)).max() < 1e-9
     assert abs(w1.sum() - 1.0) < 1e-12
     assert np.all(w1 >= 0.0)
@@ -153,49 +149,43 @@ def test_w1_directed_demo_against_null_space():
 
 def test_w1_random_digraphs_against_null_space():
     for seed in range(4):
-        lap = build_laplacian(spanning_digraph(6, 100 + seed))
-        assert np.abs(left_null_eigenvector(lap) - null_space_oracle(lap)).max() < 1e-9
+        t = spanning_digraph(6, 100 + seed)
+        assert np.abs(analyze(t).w1 - null_space_oracle(build_laplacian(t))).max() < 1e-9
 
 
 def test_w1_multiplicity_error():
-    lap = build_laplacian(Topology(4, ((1, 2), (2, 1), (3, 4), (4, 3))))
-    with pytest.raises(MultiplicityError):
-        left_null_eigenvector(lap)
+    # two disjoint pairs: the zero eigenvalue is double, so there is no w1
+    assert analyze(Topology(4, ((1, 2), (2, 1), (3, 4), (4, 3)))).w1 is None
 
 
 def test_fiedler_complete_graph():
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    lap = build_laplacian(Topology.undirected(4, pairs))
-    assert abs(fiedler_value(lap) - 4.0) < 1e-9
+    assert abs(analyze(Topology.undirected(4, pairs)).lambda2 - 4.0) < 1e-9
 
 
 def test_fiedler_square():
     lap = build_laplacian(square_demo_topology())
     vals = np.linalg.eigvalsh(lap)
     assert np.allclose(vals, [0.0, 2.0, 2.0, 4.0], atol=1e-9)
-    assert abs(fiedler_value(lap) - 2.0) < 1e-9
+    assert abs(analyze(square_demo_topology()).lambda2 - 2.0) < 1e-9
 
 
 def test_fiedler_path_of_two():
-    lap = build_laplacian(Topology.undirected(2, [(1, 2)]))
-    assert abs(fiedler_value(lap) - 2.0) < 1e-12
+    assert abs(analyze(Topology.undirected(2, [(1, 2)])).lambda2 - 2.0) < 1e-12
 
 
 def test_fiedler_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        fiedler_value(build_laplacian(directed_demo_topology()))
+    assert analyze(directed_demo_topology()).lambda2 is None
 
 
 def test_fiedler_rejects_disconnected():
-    lap = build_laplacian(Topology.undirected(4, [(1, 2), (3, 4)]))
-    with pytest.raises(ConnectivityError):
-        fiedler_value(lap)
+    assert analyze(Topology.undirected(4, [(1, 2), (3, 4)])).lambda2 is None
 
 
 def test_fiedler_bounds_rayleigh_quotient():
     rng = np.random.default_rng(21)
     lap = build_laplacian(square_demo_topology())
-    lam2 = fiedler_value(lap)
+    lam2 = analyze(square_demo_topology()).lambda2
     for _ in range(50):
         x = rng.normal(size=4)
         x -= x.mean()
@@ -249,6 +239,44 @@ def test_analyze_long_directed_chain_is_fast():
     assert elapsed < 1.0
     assert spectral.w1[-1] == 1.0 and not spectral.w1[:-1].any()
     assert spectral.lambda2 is None
+
+
+@given(topologies())
+@example(Topology(1))
+@example(Topology(2, ((1, 2),)))
+@example(Topology(5, ((1, 2), (2, 1), (3, 1), (4, 3))))
+@example(directed_demo_topology())
+def test_analyze_w1_is_the_weighted_null_vector(t):
+    roots = root_agents(t)
+    w1 = analyze(t).w1
+    if not roots:
+        assert w1 is None
+        return
+    lap = build_laplacian(t)
+    off_roots = np.setdiff1d(np.arange(t.n), np.array(roots) - 1)
+    assert abs(w1.sum() - 1.0) < 1e-12
+    assert np.all(w1 >= 0.0)
+    assert np.all(w1[off_roots] == 0.0)
+    assert np.abs(w1 @ lap).max() < W1_RESIDUAL_TOL
+    assert np.abs(w1 - null_space_oracle(lap)).max() < 1e-12
+
+
+def test_analyze_large_strongly_connected_digraph_is_fast():
+    # every agent is a root, so the root block is the whole n x n Laplacian
+    n = 1024
+    rng = np.random.default_rng(7)
+    edges = {(k, k % n + 1) for k in range(1, n + 1)}
+    while len(edges) < 3 * n:
+        i, j = (int(x) for x in rng.integers(1, n + 1, 2))
+        if i != j:
+            edges.add((i, j))
+    t = Topology(n, tuple(edges))
+    start = time.perf_counter()
+    w1 = analyze(t).w1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.3
+    assert abs(w1.sum() - 1.0) < 1e-12 and np.all(w1 > 0.0)
+    assert np.abs(w1 @ build_laplacian(t)).max() < W1_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize(

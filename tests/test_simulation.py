@@ -18,14 +18,13 @@ from framelocal import (
     Twist,
     build_laplacian,
     closed_form_aligned,
-    compose,
     error_metrics,
+    exp_se3,
     hat6,
     init_aux,
     inverse,
     lyapunov_chain_check,
     oracle_report,
-    propagate_truth,
     reconstruct,
     run,
     settling_time,
@@ -34,8 +33,20 @@ from framelocal import simulation
 from framelocal.estimators import Asymptotic, FiniteTime
 from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _initial_stacks, _make_rhs, error_link_pairs
-from conftest import make_pose, make_scenario, make_twist, spanning_digraph
+from conftest import compose, make_pose, make_scenario, make_twist, spanning_digraph
 from rhs_oracle import law_rhs, synthesize_measurements
+
+
+def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
+    """Exact pose advance under a constant body twist."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return compose(pose, exp_se3(twist, dt))
+
+
+def stack_of(state: EstimatorState) -> np.ndarray:
+    """The (n, 4, 4) stack of an estimator state's matrices."""
+    return np.stack([a.matrix for a in state.aux])
 
 
 def test_propagate_zero_twist():
@@ -129,7 +140,7 @@ def test_stacked_rhs_matches_public_operations():
         truth = list(s.initial_poses)
         meas = synthesize_measurements(truth, list(s.twists), topo)
         public = law_rhs(state, meas, topo)
-        t0, p0 = _initial_stacks(s, state)
+        t0, p0 = _initial_stacks(s, stack_of(state))
         fast = _make_rhs(s)(t0, p0)
         for i in range(3):
             assert np.abs(fast[i] - public[i]).max() < 1e-12
@@ -143,7 +154,7 @@ def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> t
     """
     if state is None:
         state = init_aux(s.topo.n, s.seed, s.law)
-    t0, p0 = _initial_stacks(s, state)
+    t0, p0 = _initial_stacks(s, stack_of(state))
     fast = _make_rhs(s)(t0, p0)
     meas = synthesize_measurements(list(s.initial_poses), list(s.twists), s.topo)
     oracle = np.stack(law_rhs(state, meas, s.topo))
@@ -323,6 +334,24 @@ def test_trace_bound_checked_before_allocation(monkeypatch):
         run(s)
 
 
+def test_step_work_bound_checked_before_integration(monkeypatch):
+    # 1e10 steps in 11 samples pass the trace bound; the step work is
+    # refused before the oracle report and before the kernel is built
+    big = make_scenario(spanning_digraph(4, 9), seed=5, dt=1e-9, t_end=10.0, stride=10**9)
+    monkeypatch.setattr(simulation, "oracle_report", None)
+    monkeypatch.setattr(simulation, "_make_rhs", None)
+    with pytest.raises(ConfigurationError, match=r"integration: 10000000000 steps .*step work"):
+        run(big)
+    monkeypatch.undo()
+    # the prediction is n_steps x (n + E + 150), checked inclusively
+    s = make_scenario(square_demo_topology(), seed=6, dt=1e-2, t_end=0.3, stride=2)
+    monkeypatch.setattr(simulation, "MAX_STEP_WORK", 30 * (4 + 8 + 150))
+    run(s)
+    monkeypatch.setattr(simulation, "MAX_STEP_WORK", 30 * (4 + 8 + 150) - 1)
+    with pytest.raises(ConfigurationError, match="integration: 30 steps "):
+        run(s)
+
+
 def test_trace_shape_and_time_column():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=2, dt=1e-2, t_end=0.5, stride=5)
     trace, _ = run(s)
@@ -398,13 +427,14 @@ def test_run_draws_the_initial_state_once(monkeypatch):
 
 
 def test_initial_state_as_objects_or_stack():
+    # the stack of init_aux's objects starts a run exactly as the seeded draw
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
-    state = init_aux(2, 5)
-    stack = np.stack([a.matrix for a in state.aux])
+    seeded = dataclasses.replace(s, seed=5)
+    stack = stack_of(init_aux(2, 5))
     assert np.array_equal(
-        oracle_report(s, stack).consensus_state, oracle_report(s, state).consensus_state
+        oracle_report(s, stack).consensus_state, oracle_report(seeded).consensus_state
     )
-    assert np.array_equal(closed_form_aligned(s, 0.5, stack), closed_form_aligned(s, 0.5, state))
+    assert np.array_equal(closed_form_aligned(s, 0.5, stack), closed_form_aligned(seeded, 0.5))
     with pytest.raises(ValueError, match="shape"):
         run(s, stack[:1])
 
@@ -437,7 +467,7 @@ def test_consensus_at_start_stays_put():
         AuxMatrix((np.linalg.inv(p.matrix) @ common)[:3, :3], (np.linalg.inv(p.matrix) @ common)[:3, 3])
         for p in s.initial_poses
     )
-    trace, rep = run(s, initial_state=EstimatorState(aux, s.law))
+    trace, rep = run(s, initial_state=np.stack([a.matrix for a in aux]))
     assert rep.v0 < 1e-25
     assert trace.lyapunov.max() < 1e-10
     assert np.nanmax(trace.orientation_errors) < 1e-5
