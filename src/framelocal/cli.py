@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
-from .graphs import Topology, as_int
+from .graphs import Topology
 from .se3 import Pose, Rotation, Twist
 from .simulation import (
     ConfigurationError,
@@ -166,8 +166,8 @@ def load_scenario(path) -> Scenario:
             law=law,
             dt=float(integ["dt"]),
             t_end=float(integ["t_end"]),
-            seed=as_int(integ["seed"], "seed"),
-            stride=as_int(integ["stride"], "stride"),
+            seed=integ["seed"],
+            stride=integ["stride"],
             reconstruction=mode,
         )
     except (ValueError, TypeError) as e:

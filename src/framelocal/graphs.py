@@ -85,13 +85,22 @@ class SpectralData:
     lambda2: float | None = None
 
 
+def edge_arrays(t: Topology) -> tuple:
+    """Receivers i and senders j of the edges (i, j), as 0-based index arrays."""
+    return tuple(np.array(t.edges, dtype=np.intp).reshape(-1, 2).T - 1)
+
+
+def _laplacian(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Laplacian over n agents of the distinct edges (i[k], j[k]), 0-based."""
+    lap = np.zeros((n, n))
+    lap[i, j] = -1.0
+    np.fill_diagonal(lap, np.bincount(i, minlength=n))
+    return lap
+
+
 def build_laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: -1 at (i, j) for each edge, neighbor count on the diagonal."""
-    lap = np.zeros((t.n, t.n))
-    for i, j in t.edges:
-        lap[i - 1, j - 1] = -1.0
-        lap[i - 1, i - 1] += 1.0
-    return lap
+    return _laplacian(t.n, *edge_arrays(t))
 
 
 def _reach(adj: list, start: int, seen: list) -> list:
@@ -163,9 +172,13 @@ def analyze(t: Topology) -> SpectralData:
     if not t.directed:
         lam2 = float(np.linalg.eigvalsh(build_laplacian(t))[1]) if t.n >= 2 else None
         return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)
-    # roots hear only roots, so their edges alone make the root block of L
-    index = {a: k for k, a in enumerate(roots, start=1)}
-    block = Topology(len(roots), tuple((index[i], index[j]) for i, j in t.edges if i in index))
+    # roots hear only roots, so the edges into roots alone make the root
+    # block of L; index renumbers the roots 0..m-1 and marks others -1
+    rows = np.array(roots) - 1
+    index = np.full(t.n, -1)
+    index[rows] = np.arange(len(rows))
+    i, j = edge_arrays(t)
+    inner = index[i] >= 0
     w1 = np.zeros(t.n)
-    w1[np.array(roots) - 1] = _root_block_weights(build_laplacian(block))
+    w1[rows] = _root_block_weights(_laplacian(len(rows), index[i[inner]], index[j[inner]]))
     return SpectralData(w1=w1)

@@ -3,8 +3,11 @@
 Rotations, poses (4x4 homogeneous transforms), body-frame twists, the
 hat maps, the closed-form SE(3) exponential, and Gram-Schmidt
 orthonormalization with a determinant-sign fix so the result is always a
-proper rotation. Gram-Schmidt has one implementation over stacks of 3x3
-blocks; ``gsop`` and ``gsop_two_column`` apply it to a single matrix.
+proper rotation. The exponential and Gram-Schmidt each have one
+implementation over stacks that returns a validity mask (``exp_twists``,
+``gram_schmidt``); ``exp_se3``, ``gsop`` and ``gsop_two_column`` apply
+them to a single item and return validated objects. ``rotation_check`` is
+the one rotation test, shared by ``Rotation`` and ``exp_twists``.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -41,6 +44,29 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis by the dot kernel of ``u @ v``, which
+    a stacked vector-vector matmul runs item by item, stack-independently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def rotation_check(r) -> tuple:
+    """The rotation test over a (..., 3, 3) stack: ``(valid, finite, ortho, det)``.
+
+    An item is valid when its entries are all finite (``finite``) and both
+    ``ortho`` = ||R^T R - I||_F and |``det`` - 1|, with det = det(R), are
+    within ROTATION_TOL. ``Rotation`` raises on the first test that fails.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = (np.swapaxes(r, -1, -2) @ r - np.eye(3)).reshape(*r.shape[:-2], 9)
+        ortho = np.sqrt(_dot(gap, gap))
+        det = np.linalg.det(r)
+        valid = finite & (ortho <= ROTATION_TOL) & (np.abs(det - 1.0) <= ROTATION_TOL)
+    return valid, finite, ortho, det
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """A proper rotation matrix (orthogonal, determinant +1)."""
@@ -51,12 +77,11 @@ class Rotation:
         r = _freeze(self.r)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not np.isfinite(r).all():
+        _, finite, ortho, det = rotation_check(r)
+        if not finite:
             raise ValueError(f"rotation has non-finite entries: {r.tolist()}")
-        ortho = np.linalg.norm(r.T @ r - np.eye(3))
         if ortho > ROTATION_TOL:
             raise ValueError(f"not orthonormal: ||R^T R - I||_F = {ortho:.3e}")
-        det = np.linalg.det(r)
         if abs(det - 1.0) > ROTATION_TOL:
             raise ValueError(f"not a proper rotation: det = {det:.12f}")
         object.__setattr__(self, "r", r)
@@ -156,13 +181,14 @@ class AuxMatrix:
 
 
 def hat3(w) -> np.ndarray:
-    """3-vector -> skew-symmetric matrix, so that hat3(w) @ x == cross(w, x)."""
+    """(..., 3) vectors -> (..., 3, 3) skew-symmetric matrices, so that
+    hat3(w) @ x == cross(w, x)."""
     w = np.asarray(w, dtype=np.float64)
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    if w.shape[-1:] != (3,):
+        raise ValueError(f"expected (..., 3) vectors, got {w.shape}")
+    x, y, z = np.moveaxis(w, -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(*w.shape, 3)
 
 
 def hat6(t: Twist) -> np.ndarray:
@@ -178,30 +204,53 @@ def hat6(t: Twist) -> np.ndarray:
 _SMALL_ANGLE = 1e-6
 
 
-def exp_se3(t: Twist, dt: float) -> Pose:
-    """Closed-form exponential of dt * hat6(t).
+def exp_twists(linear, angular, dt: float) -> tuple:
+    """Closed-form exponentials of dt * hat6 over stacks of twists.
 
-    Rodrigues formula for the rotation block and the analytic integral
-    matrix for the translation; a series expansion takes over when the
-    rotation angle ||angular|| * dt is below 1e-6.
+    Over (..., 3) linear and angular parts: Rodrigues' formula for the
+    rotation block and the analytic integral matrix V for the translation
+    V (dt * linear); the coefficients switch to their series where the
+    rotation angle theta = ||angular|| * dt is below 1e-6. Returns
+    ``(m, valid)``: the (..., 4, 4) matrices, left as computed, and the mask
+    of items whose rotation block passes ``rotation_check`` and whose
+    translation is finite. An item's result is bit-identical whether it is
+    alone or in any stack.
     """
-    phi = np.asarray(t.angular, dtype=np.float64) * dt
-    rho = np.asarray(t.linear, dtype=np.float64) * dt
-    theta = float(np.linalg.norm(phi))
-    k = hat3(phi)
-    k2 = k @ k
-    if theta < _SMALL_ANGLE:
+    linear = np.asarray(linear, dtype=np.float64)
+    angular = np.asarray(angular, dtype=np.float64)
+    if angular.shape[-1:] != (3,) or linear.shape != angular.shape:
+        raise ValueError(f"expected two (..., 3) stacks, got {linear.shape} and {angular.shape}")
+    # the branch an item does not take may divide 0 by 0 (theta = 0), and a
+    # huge twist overflows; both end in the mask, not in a warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = angular * dt
+        rho = linear * dt
+        theta = np.sqrt(_dot(phi, phi))
         t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-        c = (theta - np.sin(theta)) / (theta * theta * theta)
-    rot = np.eye(3) + a * k + b * k2
-    v = np.eye(3) + b * k + c * k2
-    return Pose(Rotation(rot), v @ rho)
+        small = theta < _SMALL_ANGLE
+        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / theta)
+        b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(theta)) / t2)
+        c = np.where(
+            small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, (theta - np.sin(theta)) / (t2 * theta)
+        )
+        a, b, c = (x[..., None, None] for x in (a, b, c))
+        k = hat3(phi)
+        k2 = k @ k
+        m = np.zeros(phi.shape[:-1] + (4, 4))
+        m[..., :3, :3] = np.eye(3) + a * k + b * k2
+        # a stacked matrix-vector matmul runs the kernel of a single V @ rho
+        # item by item; a row-by-row _dot would differ from it in the last bit
+        m[..., :3, 3] = ((np.eye(3) + b * k + c * k2) @ rho[..., None])[..., 0]
+        m[..., 3, 3] = 1.0
+    valid = rotation_check(m[..., :3, :3])[0] & np.isfinite(m[..., :3, 3]).all(axis=-1)
+    return m, valid
+
+
+def exp_se3(t: Twist, dt: float) -> Pose:
+    """Closed-form exponential of dt * hat6(t): ``exp_twists`` of one twist,
+    validated as a Pose (ValueError where it is not a finite rigid transform)."""
+    m, _ = exp_twists(t.linear[None], t.angular[None], dt)
+    return Pose.from_matrix(m[0])
 
 
 def inverse(a: Pose) -> Pose:
@@ -217,12 +266,6 @@ def relative_transform(t_i: Pose, t_j: Pose) -> Pose:
         Rotation(rt @ t_j.rotation.r),
         rt @ (t_j.translation - t_i.translation),
     )
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the last axis by the dot kernel of ``u @ v``, which
-    a stacked vector-vector matmul runs item by item, stack-independently."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def gram_schmidt(m, two_column: bool = False) -> tuple:

@@ -3,10 +3,12 @@
 A run advances the true poses by the exact exponential of their constant
 body twists (so truth never leaves SE(3)) and integrates the estimator
 matrices with classical RK4 on the raw 4x4 ODE, evaluating the relative
-transforms at the exact stage times. Alongside the trace, a run computes
-an oracle report from the initial data alone: the consensus weights, the
-predicted consensus state and transform bias, and (for the finite-time
-law) the Lyapunov-based settling bound.
+transforms at the exact stage times. The exponentials over a half and a
+full step come from two stacked calls over all agents (``exp_twists``);
+one that is not a finite rigid motion stops the run before integration.
+Alongside the trace, a run computes an oracle report from the initial data
+alone: the consensus weights, the predicted consensus state and transform
+bias, and (for the finite-time law) the Lyapunov-based settling bound.
 
 Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
@@ -44,8 +46,16 @@ from .estimators import (
     init_aux_stack,
     reconstruct,
 )
-from .graphs import Topology, analyze, build_laplacian, has_spanning_tree, is_connected_undirected
-from .se3 import Pose, exp_se3, gsop, hat6
+from .graphs import (
+    Topology,
+    analyze,
+    as_int,
+    build_laplacian,
+    edge_arrays,
+    has_spanning_tree,
+    is_connected_undirected,
+)
+from .se3 import Pose, exp_twists, gsop, hat6
 
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
@@ -93,10 +103,14 @@ class Scenario:
                 f"need {self.topo.n} poses and twists, got "
                 f"{len(self.initial_poses)} / {len(self.twists)}"
             )
-        if int(self.stride) != self.stride or self.stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {self.stride}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        stride = as_int(self.stride, "stride")
+        if stride < 1:
+            raise ValueError(f"stride must be a positive integer, got {stride}")
+        seed = as_int(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def n_steps(self) -> int:
@@ -162,10 +176,6 @@ class OracleReport:
     settling_bound_optimistic: float | None   # half of the above
     v0: float
 
-    @property
-    def consensus_block(self) -> np.ndarray:
-        return self.consensus_state[:3, :3]
-
 
 @dataclass(frozen=True, eq=False)
 class LyapunovCheck:
@@ -176,10 +186,6 @@ class LyapunovCheck:
     passed: np.ndarray
     fraction_passed: float
     kappa: float
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(np.all(self.passed[self.checked])) if self.checked.any() else True
 
 
 def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
@@ -285,7 +291,7 @@ def _make_rhs(s: Scenario):
     edges (i, j) with S = T P in its top three rows, flattened to 12 columns.
     """
     n = s.topo.n
-    src, dst = (np.array(s.topo.edges, dtype=np.intp).reshape(-1, 2) - 1).T
+    src, dst = edge_arrays(s.topo)
     bins = (12 * src[:, None] + np.arange(12)).ravel()
     neg_xi = -np.stack([hat6(tw) for tw in s.twists])
     finite = isinstance(s.law, FiniteTime)
@@ -337,10 +343,18 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )
-    # the only validated objects a run builds: the truth exponentials here
-    # and the bias in oracle_report; all that follows works on arrays
-    e_half = np.stack([exp_se3(tw, s.dt / 2.0).matrix for tw in s.twists])
-    e_full = np.stack([exp_se3(tw, s.dt).matrix for tw in s.twists])
+    # the truth exponentials come as stacks; the bias in oracle_report is the
+    # only validated object a run builds, and all else works on arrays
+    linear = np.stack([tw.linear for tw in s.twists])
+    angular = np.stack([tw.angular for tw in s.twists])
+    e_half, half_ok = exp_twists(linear, angular, s.dt / 2.0)
+    e_full, full_ok = exp_twists(linear, angular, s.dt)
+    bad = np.flatnonzero(~(half_ok & full_ok))
+    if len(bad):
+        raise ConfigurationError(
+            f"integration: the truth exponential of agent {bad[0] + 1} over dt = {s.dt:g} "
+            "is not a finite rigid motion; use a smaller dt"
+        )
     t_stack, p_stack = _initial_stacks(s, initial_state)
     report = oracle_report(s, p_stack)
     rhs = _make_rhs(s)

@@ -382,6 +382,18 @@ def test_non_finite_state_stops_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_runaway_twist_stops_the_run(tmp_path, capsys):
+    # an angular velocity of 1e200 overflows the truth exponential; it used
+    # to end in a ValueError traceback from the rotation check (a numpy
+    # warning would fail the test: the suite runs with warnings as errors)
+    code, err = run_edited_demo(
+        tmp_path, capsys, lambda d: d["agents"][1].update(angular_velocity=[1e200, 0.0, 0.0])
+    )
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: integration: ") and "agent 2 " in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_oversized_trace_rejected(tmp_path, capsys):
     # 1e10 samples: about 10 TB of trace, refused before anything is allocated
     capsys.readouterr()

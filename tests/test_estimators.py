@@ -307,8 +307,8 @@ def test_well_posedness_single_agent():
     # identity truth and estimator: the mix sum_i w1_i R_i Q_i is the identity
     state = np.eye(4)[None]
     rep = oracle_report(resting_scenario(Topology(1), [Pose.identity()]), initial_state=state)
-    assert abs(np.linalg.det(rep.consensus_block)) == pytest.approx(1.0)
-    assert np.allclose(rep.consensus_block, np.eye(3))
+    assert abs(np.linalg.det(rep.consensus_state[:3, :3])) == pytest.approx(1.0)
+    assert np.allclose(rep.consensus_state[:3, :3], np.eye(3))
     assert np.allclose(rep.transform_bias.matrix, np.eye(4))
 
 
@@ -320,7 +320,7 @@ def test_well_posedness_cancellation():
     s = resting_scenario(Topology.undirected(2, [(1, 2)]), [Pose.identity()] * 2)
     rep = oracle_report(s, initial_state=state)
     assert np.array_equal(rep.w1, [0.5, 0.5])
-    assert abs(np.linalg.det(rep.consensus_block)) < 1e-12
+    assert abs(np.linalg.det(rep.consensus_state[:3, :3])) < 1e-12
     assert rep.transform_bias is None
 
 

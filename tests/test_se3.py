@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelocal import (
     AuxMatrix,
@@ -19,7 +20,14 @@ from framelocal import (
     inverse,
     relative_transform,
 )
-from framelocal.se3 import GS_RANK_TOL, SKEW_TOL, gram_schmidt
+from framelocal.se3 import (
+    _SMALL_ANGLE,
+    GS_RANK_TOL,
+    SKEW_TOL,
+    exp_twists,
+    gram_schmidt,
+    rotation_check,
+)
 from conftest import (
     blocks,
     compose,
@@ -61,6 +69,28 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+def exp_se3_oracle(t: Twist, dt: float) -> np.ndarray:
+    """The exponential of dt * hat6(t) for one twist, branching in Python."""
+    phi = np.asarray(t.angular, dtype=np.float64) * dt
+    rho = np.asarray(t.linear, dtype=np.float64) * dt
+    theta = float(np.linalg.norm(phi))
+    k = hat3(phi)
+    k2 = k @ k
+    if theta < _SMALL_ANGLE:
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+        c = (theta - np.sin(theta)) / (theta * theta * theta)
+    m = np.eye(4)
+    m[:3, :3] = np.eye(3) + a * k + b * k2
+    m[:3, 3] = (np.eye(3) + b * k + c * k2) @ rho
+    return m
+
+
 def test_hat3_zero():
     assert np.array_equal(hat3((0.0, 0.0, 0.0)), np.zeros((3, 3)))
 
@@ -77,6 +107,17 @@ def test_hat3_matches_cross_product():
         x = rng.normal(size=3)
         assert np.allclose(hat3(w) @ x, np.cross(w, x))
         assert np.allclose(hat3(w) @ w, np.zeros(3))
+
+
+def test_hat3_stack_equals_its_items():
+    w = np.random.default_rng(6).normal(size=(2, 5, 3))
+    whole = hat3(w)
+    assert whole.shape == (2, 5, 3, 3)
+    for k in range(2):
+        for i in range(5):
+            assert np.array_equal(whole[k, i], hat3(w[k, i]))
+    with pytest.raises(ValueError):
+        hat3(np.zeros(4))
 
 
 def test_vee3_roundtrip():
@@ -425,3 +466,62 @@ def test_constructors_reject_non_finite_entries(bad):
         Twist(np.zeros(3), vec)
     with pytest.raises(DegenerateInputError):
         gsop(np.full((3, 3), bad))
+
+
+# Rotation angles |omega dt|: exact zero, both sides of the switch to the
+# series at 1e-6, and up to and past pi.
+ANGLE = (
+    st.sampled_from([0.0, np.nextafter(_SMALL_ANGLE, 0.0), _SMALL_ANGLE, np.pi, 2.0 * np.pi])
+    | st.floats(1e-8, 1e-5)
+    | st.floats(0.0, 10.0)
+)
+AXIS = arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+)
+LINEAR = arrays(np.float64, 3, elements=st.floats(-5.0, 5.0))
+
+
+@given(st.lists(st.tuples(AXIS, ANGLE, LINEAR), min_size=1, max_size=5), st.floats(1e-4, 2.0))
+def test_exp_twists_equals_scalar_oracle_bit_for_bit(parts, dt):
+    angular = np.stack([axis / np.linalg.norm(axis) * angle / dt for axis, angle, _ in parts])
+    linear = np.stack([v for _, _, v in parts])
+    m, valid = exp_twists(linear, angular, dt)
+    assert m.shape == (len(parts), 4, 4) and valid.all()
+    # a stack of stacks, in two orders
+    both, _ = exp_twists(np.stack([linear, linear[::-1]]), np.stack([angular, angular[::-1]]), dt)
+    for i in range(len(parts)):
+        tw = Twist(linear[i], angular[i])
+        assert np.array_equal(m[i], exp_se3_oracle(tw, dt))
+        assert np.array_equal(exp_twists(linear[i], angular[i], dt)[0], m[i])
+        assert np.array_equal(exp_twists(linear[i:], angular[i:], dt)[0][0], m[i])
+        assert np.array_equal(exp_se3(tw, dt).matrix, m[i])
+        assert np.array_equal(both[0, i], m[i])
+        assert np.array_equal(both[1, -1 - i], m[i])
+
+
+def test_exp_twists_masks_a_transform_that_is_not_finite():
+    # a huge angle overflows inside Rodrigues' formula and a huge speed
+    # overflows the translation; neither warns, and a zero twist is exact
+    angular = np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    linear = np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    m, valid = exp_twists(linear, angular, 10.0)
+    assert valid.tolist() == [False, False, True]
+    assert np.array_equal(m[2], np.eye(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        exp_se3(Twist(linear[0], angular[0]), 10.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        exp_se3(Twist(linear[1], angular[1]), 10.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), blocks((3, 3)))
+def test_rotation_check_is_the_rotation_constructor_test(seed, scale, noise):
+    r = random_rotation(np.random.default_rng(seed)) + scale * noise
+    valid, finite, ortho, det = rotation_check(np.stack([r, -r]))
+    assert finite.all() and not valid[1]
+    try:
+        Rotation(r)
+    except ValueError:
+        assert not valid[0]
+    else:
+        assert valid[0]
+        assert ortho[0] <= 1e-9 and abs(det[0] - 1.0) <= 1e-9
