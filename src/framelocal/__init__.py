@@ -34,7 +34,6 @@ from .se3 import (
     gsop,
     gsop_two_column,
     hat3,
-    hat6,
     inverse,
     relative_transform,
 )

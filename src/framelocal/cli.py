@@ -19,7 +19,8 @@ Scenario schema (single JSON document; units are meters, seconds, radians):
 
 An edge [i, j] means agent i measures and receives from agent j (j is a
 neighbor of i). For undirected graphs each link is listed once; the loader
-adds the reversed pair. Unknown keys anywhere are rejected.
+adds the reversed pair. Unknown keys anywhere are rejected, and so are
+true/false or a string where a number is due, and a non-bool "directed".
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json, summary.json, and optionally
@@ -80,15 +81,27 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(res))
 
 
-def _require_keys(section, allowed: set, required: set, where: str):
+def _require_keys(section, where: str, allowed: set, optional: frozenset = frozenset()):
     if not isinstance(section, dict):
         raise ScenarioError(f"{where}: expected an object")
     unknown = set(section) - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(section)
+    missing = allowed - optional - set(section)
     if missing:
         raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
+
+
+def _numbers(value, name: str):
+    """value, once checked to be a JSON number or nested lists of them."""
+    items = value if type(value) is list else [value]
+    if not set(map(type, items)) <= {int, float}:  # type(True) is bool, not int
+        for v in items:
+            if type(v) is list:
+                _numbers(v, name)
+            elif type(v) not in (int, float):
+                raise ValueError(f"{name}: expected a number, got {v!r}")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -102,18 +115,20 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal over Python's digit limit
+        raise ScenarioError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
 
-    _require_keys(
-        doc,
-        {"description", "graph", "agents", "law", "integration", "reconstruction"},
-        {"graph", "agents", "law", "integration", "reconstruction"},
-        str(path),
-    )
+    sections = {"description", "graph", "agents", "law", "integration", "reconstruction"}
+    _require_keys(doc, str(path), sections, optional={"description"})
+    if not isinstance(doc.get("description", ""), str):
+        raise ScenarioError("description: expected a string")
 
     g = doc["graph"]
-    _require_keys(g, {"n", "directed", "edges"}, {"n", "directed", "edges"}, "graph")
+    _require_keys(g, "graph", {"n", "directed", "edges"})
+    if not isinstance(g["directed"], bool):
+        raise ScenarioError(f"graph: directed must be true or false, got {g['directed']!r}")
     try:
         make = Topology if g["directed"] else Topology.undirected
         topo = make(g["n"], g["edges"])
@@ -126,29 +141,24 @@ def load_scenario(path) -> Scenario:
     poses, twists = [], []
     for idx, a in enumerate(agents, start=1):
         where = f"agents[{idx}]"
-        _require_keys(
-            a,
-            {"rotation", "translation", "linear_velocity", "angular_velocity"},
-            {"rotation", "translation", "linear_velocity", "angular_velocity"},
-            where,
-        )
+        _require_keys(a, where, {"rotation", "translation", "linear_velocity", "angular_velocity"})
         try:
+            for key, value in a.items():
+                _numbers(value, key)
             poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
             twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ScenarioError(f"{where}: {e}") from e
 
     law_doc = doc["law"]
-    _require_keys(law_doc, {"name", "alpha", "epsilon"}, {"name"}, "law")
+    _require_keys(law_doc, "law", {"name", "alpha", "epsilon"}, optional={"alpha", "epsilon"})
     try:
         law = _parse_law(law_doc)
-    except ValueError as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ScenarioError(f"law: {e}") from e
 
     integ = doc["integration"]
-    _require_keys(
-        integ, {"dt", "t_end", "stride", "seed"}, {"dt", "t_end", "stride", "seed"}, "integration"
-    )
+    _require_keys(integ, "integration", {"dt", "t_end", "stride", "seed"})
 
     mode_name = doc["reconstruction"]
     try:
@@ -164,13 +174,13 @@ def load_scenario(path) -> Scenario:
             initial_poses=tuple(poses),
             twists=tuple(twists),
             law=law,
-            dt=float(integ["dt"]),
-            t_end=float(integ["t_end"]),
+            dt=float(_numbers(integ["dt"], "dt")),
+            t_end=float(_numbers(integ["t_end"], "t_end")),
             seed=integ["seed"],
             stride=integ["stride"],
             reconstruction=mode,
         )
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ScenarioError(f"integration: {e}") from e
 
 
@@ -182,26 +192,23 @@ def _parse_law(law_doc: dict):
         return Asymptotic()
     if name == "finite":
         return FiniteTime(
-            alpha=float(law_doc.get("alpha", 0.5)),
-            epsilon=float(law_doc.get("epsilon", 1e-9)),
+            alpha=float(_numbers(law_doc.get("alpha", 0.5), "alpha")),
+            epsilon=float(_numbers(law_doc.get("epsilon", 1e-9), "epsilon")),
         )
     raise ValueError(f"name must be 'asymptotic' or 'finite', got {name!r}")
 
 
 def save_scenario(s: Scenario, path, description: str = ""):
     """Write a scenario as canonical JSON (exact float round trip)."""
-    if s.topo.directed:
-        edges = [[i, j] for i, j in s.topo.edges]
-    else:
-        edges = [[i, j] for i, j in s.topo.edges if i < j]
+    edges = [[i, j] for i, j in s.topo.edges if s.topo.directed or i < j]
     doc = {
         "graph": {"n": s.topo.n, "directed": s.topo.directed, "edges": edges},
         "agents": [
             {
-                "rotation": [[float(x) for x in row] for row in p.rotation.r],
-                "translation": [float(x) for x in p.translation],
-                "linear_velocity": [float(x) for x in tw.linear],
-                "angular_velocity": [float(x) for x in tw.angular],
+                "rotation": p.rotation.r.tolist(),
+                "translation": p.translation.tolist(),
+                "linear_velocity": tw.linear.tolist(),
+                "angular_velocity": tw.angular.tolist(),
             }
             for p, tw in zip(s.initial_poses, s.twists)
         ],
@@ -220,37 +227,23 @@ def save_scenario(s: Scenario, path, description: str = ""):
     }
     if description:
         doc = {"description": description, **doc}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
     """Rebuild the scenario with CLI overrides, re-running all validation."""
-    changes = {}
-    if cfg.law is not None or cfg.alpha is not None:
-        law_name = cfg.law
-        if law_name is None:
-            law_name = "finite" if isinstance(s.law, FiniteTime) else "asymptotic"
-        if law_name == "asymptotic":
-            if cfg.alpha is not None:
-                raise ScenarioError("alpha only applies to the finite-time law")
-            changes["law"] = Asymptotic()
-        else:
-            base = s.law if isinstance(s.law, FiniteTime) else FiniteTime()
-            alpha = cfg.alpha if cfg.alpha is not None else base.alpha
-            changes["law"] = FiniteTime(alpha=alpha, epsilon=base.epsilon)
-    if cfg.dt is not None:
-        changes["dt"] = cfg.dt
-    if cfg.t_end is not None:
-        changes["t_end"] = cfg.t_end
-    if cfg.seed is not None:
-        changes["seed"] = cfg.seed
-    if cfg.stride is not None:
-        changes["stride"] = cfg.stride
+    names = ("dt", "t_end", "seed", "stride")
+    changes = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     if cfg.mode is not None:
         changes["reconstruction"] = ReconstructionMode(cfg.mode)
+    finite = cfg.law == "finite" if cfg.law else isinstance(s.law, FiniteTime)
+    if cfg.alpha is not None and not finite:
+        raise ScenarioError("alpha only applies to the finite-time law")
     try:
+        if cfg.law is not None or cfg.alpha is not None:
+            base = s.law if isinstance(s.law, FiniteTime) else FiniteTime()
+            alpha = base.alpha if cfg.alpha is None else cfg.alpha
+            changes["law"] = FiniteTime(alpha, base.epsilon) if finite else Asymptotic()
         return dataclasses.replace(s, **changes) if changes else s
     except ValueError as e:
         raise ScenarioError(f"override: {e}") from e
@@ -309,20 +302,16 @@ def _write_state_csv(trace: Trace, path: Path):
             _write_rows(fh, fmt, table)
 
 
-def _matrix_list(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m)]
-
-
 def _oracle_doc(report: OracleReport) -> dict:
     bias = None
     if report.transform_bias is not None:
         bias = {
-            "rotation": _matrix_list(report.transform_bias.rotation.r),
-            "translation": [float(x) for x in report.transform_bias.translation],
+            "rotation": report.transform_bias.rotation.r.tolist(),
+            "translation": report.transform_bias.translation.tolist(),
         }
     return {
-        "w1": [float(x) for x in report.w1],
-        "consensus_state": _matrix_list(report.consensus_state),
+        "w1": report.w1.tolist(),
+        "consensus_state": report.consensus_state.tolist(),
         "transform_bias": bias,
         "lambda2": report.lambda2,
         "settling_bound": report.settling_bound,
@@ -345,7 +334,7 @@ def _summary_doc(s: Scenario, trace: Trace, report: OracleReport) -> dict:
         "stride": s.stride,
         "seed": s.seed,
         "lambda2": report.lambda2,
-        "w1": [float(x) for x in report.w1],
+        "w1": report.w1.tolist(),
         "v0": report.v0,
         "settling_bound": report.settling_bound,
         "settling_bound_optimistic": report.settling_bound_optimistic,
@@ -436,15 +425,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and emit trace/oracle/summary")
-    p_run.add_argument("--config", required=True, help="scenario JSON path")
+    # each dest is a RunConfig field name
+    p_run.add_argument("--config", required=True, dest="scenario_path", metavar="CONFIG",
+                       help="scenario JSON path")
     p_run.add_argument("--law", choices=["asymptotic", "finite"])
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--t-end", type=float, dest="t_end")
+    p_run.add_argument("--t-end", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--stride", type=int)
     p_run.add_argument("--mode", choices=["full", "twocol"])
-    p_run.add_argument("--out", default=".", help="output directory (default: .)")
+    p_run.add_argument("--out", default=".", dest="out_dir", metavar="OUT",
+                       help="output directory (default: .)")
     p_run.add_argument("--full-state", action="store_true", help="also write state.csv")
 
     p_rep = sub.add_parser("report", help="tabulate one or more summary.json files")
@@ -452,19 +444,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        cfg = RunConfig(
-            scenario_path=args.config,
-            out_dir=args.out,
-            law=args.law,
-            alpha=args.alpha,
-            dt=args.dt,
-            t_end=args.t_end,
-            seed=args.seed,
-            stride=args.stride,
-            mode=args.mode,
-            full_state=args.full_state,
+        return run_and_emit(
+            RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
         )
-        return run_and_emit(cfg)
     return report(args.summaries)
 
 

@@ -4,8 +4,8 @@ Each agent carries a 4x4 auxiliary matrix that evolves by a consensus-type
 law driven by its own body velocity, its relative-transform measurements,
 and the auxiliary matrices communicated by neighbors:
 
-  asymptotic law   dP_i = -hat6(twist_i) P_i + sum_j (T_ij P_j - P_i)
-  finite-time law  dP_i = -hat6(twist_i) P_i
+  asymptotic law   dP_i = -hat(twist_i) P_i + sum_j (T_ij P_j - P_i)
+  finite-time law  dP_i = -hat(twist_i) P_i
                           + sum_j (T_ij P_j - P_i) / ||T_ij P_j - P_i||_F^alpha
 
 With T_ij = T_i^-1 T_j and the aligned states S_i = T_i P_i, every neighbor
@@ -13,7 +13,7 @@ term is T_i^-1 (S_j - S_i). That difference has a zero bottom row, on which
 T_i^-1 acts as the pure rotation R_i^T, so ||T_ij P_j - P_i||_F =
 ||S_j - S_i||_F and both laws read
 
-  dP_i = -hat6(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i)
+  dP_i = -hat(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i)
 
 with w_ij = 1 (asymptotic) or ||S_j - S_i||_F^-alpha (finite-time). This
 module holds the law parameters, initialization and reconstruction;

@@ -1,7 +1,7 @@
 """Rigid-body arithmetic on SO(3)/SE(3).
 
 Rotations, poses (4x4 homogeneous transforms), body-frame twists, the
-hat maps, the closed-form SE(3) exponential, and Gram-Schmidt
+hat map, the closed-form SE(3) exponential, and Gram-Schmidt
 orthonormalization with a determinant-sign fix so the result is always a
 proper rotation. The exponential and Gram-Schmidt each have one
 implementation over stacks that returns a validity mask (``exp_twists``,
@@ -191,21 +191,13 @@ def hat3(w) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(*w.shape, 3)
 
 
-def hat6(t: Twist) -> np.ndarray:
-    """Twist -> 4x4 generator [hat3(angular) linear; 0 0]."""
-    m = np.zeros((4, 4))
-    m[:3, :3] = hat3(t.angular)
-    m[:3, 3] = t.linear
-    return m
-
-
 # Below this angle the Rodrigues coefficients switch to their Taylor series;
 # sin(x)/x style ratios lose accuracy near zero.
 _SMALL_ANGLE = 1e-6
 
 
 def exp_twists(linear, angular, dt: float) -> tuple:
-    """Closed-form exponentials of dt * hat6 over stacks of twists.
+    """Closed-form exponentials of dt times the generators of a twist stack.
 
     Over (..., 3) linear and angular parts: Rodrigues' formula for the
     rotation block and the analytic integral matrix V for the translation
@@ -247,8 +239,8 @@ def exp_twists(linear, angular, dt: float) -> tuple:
 
 
 def exp_se3(t: Twist, dt: float) -> Pose:
-    """Closed-form exponential of dt * hat6(t): ``exp_twists`` of one twist,
-    validated as a Pose (ValueError where it is not a finite rigid transform)."""
+    """``exp_twists`` of one twist (dt times its generator), validated as a
+    Pose (ValueError where it is not a finite rigid transform)."""
     m, _ = exp_twists(t.linear[None], t.angular[None], dt)
     return Pose.from_matrix(m[0])
 

@@ -9,6 +9,8 @@ one that is not a finite rigid motion stops the run before integration.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
+All of this reads a scenario through ``Scenario._stacks``: its poses, twist
+parts and seeded estimator draw, stacked once, read-only and cached.
 
 Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
@@ -31,6 +33,7 @@ rejected before anything is allocated.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -55,7 +58,7 @@ from .graphs import (
     has_spanning_tree,
     is_connected_undirected,
 )
-from .se3 import Pose, exp_twists, gsop, hat6
+from .se3 import Pose, exp_twists, gsop, hat3
 
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
@@ -75,9 +78,13 @@ class ConfigurationError(ValueError):
     """A scenario violates a precondition of the requested law."""
 
 
+# t0 (n, 4, 4) initial poses; (n, 3) twist parts; p0 = init_aux_stack(n, seed)
+ScenarioStacks = collections.namedtuple("ScenarioStacks", "t0 linear angular p0")
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run; ``_stacks`` makes it arrays once."""
 
     topo: Topology
     initial_poses: tuple
@@ -116,6 +123,19 @@ class Scenario:
     def n_steps(self) -> int:
         # the small slack keeps 10 / 1e-3 from rounding down to 9999
         return int(math.floor(self.t_end / self.dt + 1e-9))
+
+    @functools.cached_property
+    def _stacks(self) -> ScenarioStacks:
+        t0 = np.zeros((self.topo.n, 4, 4))   # each Pose.matrix, built at once
+        t0[:, :3, :3] = [p.rotation.r for p in self.initial_poses]
+        t0[:, :3, 3] = [p.translation for p in self.initial_poses]
+        t0[:, 3, 3] = 1.0
+        linear = np.array([tw.linear for tw in self.twists])
+        angular = np.array([tw.angular for tw in self.twists])
+        stacks = ScenarioStacks(t0, linear, angular, init_aux_stack(self.topo.n, self.seed))
+        for a in stacks:
+            a.setflags(write=False)
+        return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +249,13 @@ def error_link_pairs(topo: Topology) -> tuple:
     return tuple(sorted({(min(i, j), max(i, j)) for i, j in topo.edges}))
 
 
-def _initial_stacks(s: Scenario, initial_state: InitialState = None):
-    """Initial truth and estimator stacks shared by run() and the oracles."""
-    t0 = np.stack([p.matrix for p in s.initial_poses])
-    if initial_state is None:
-        return t0, init_aux_stack(s.topo.n, s.seed)
-    p0 = np.asarray(initial_state, dtype=np.float64)
-    if p0.shape != t0.shape:
-        raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
+def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
+    """(t0, p0) from the scenario's stacks, with initial_state as p0 if given."""
+    t0, _, _, p0 = s._stacks
+    if initial_state is not None:
+        p0 = np.asarray(initial_state, dtype=np.float64)
+        if p0.shape != t0.shape:
+            raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
     return t0, p0
 
 
@@ -284,16 +303,24 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     )
 
 
+def _neg_generators(s: Scenario) -> np.ndarray:
+    """(n, 4, 4) -hat(twist_i) = -[hat3(w_i) v_i; 0 0], negated whole: -0.0 bottom rows."""
+    xi = np.zeros((s.topo.n, 4, 4))
+    xi[:, :3, :3] = hat3(s._stacks.angular)
+    xi[:, :3, 3] = s._stacks.linear
+    return -xi
+
+
 def _make_rhs(s: Scenario):
     """Stacked RHS over (n, 4, 4) truth and estimator states, both laws.
 
-    dP_i = -hat6(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i), summed over the
+    dP_i = -hat(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i), summed over the
     edges (i, j) with S = T P in its top three rows, flattened to 12 columns.
     """
     n = s.topo.n
     src, dst = edge_arrays(s.topo)
     bins = (12 * src[:, None] + np.arange(12)).ravel()
-    neg_xi = -np.stack([hat6(tw) for tw in s.twists])
+    neg_xi = _neg_generators(s)
     finite = isinstance(s.law, FiniteTime)
     alpha = s.law.alpha if finite else 0.0
     eps = s.law.epsilon if finite else 0.0
@@ -345,10 +372,9 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
         )
     # the truth exponentials come as stacks; the bias in oracle_report is the
     # only validated object a run builds, and all else works on arrays
-    linear = np.stack([tw.linear for tw in s.twists])
-    angular = np.stack([tw.angular for tw in s.twists])
-    e_half, half_ok = exp_twists(linear, angular, s.dt / 2.0)
-    e_full, full_ok = exp_twists(linear, angular, s.dt)
+    twists = s._stacks.linear, s._stacks.angular
+    e_half, half_ok = exp_twists(*twists, s.dt / 2.0)
+    e_full, full_ok = exp_twists(*twists, s.dt)
     bad = np.flatnonzero(~(half_ok & full_ok))
     if len(bad):
         raise ConfigurationError(

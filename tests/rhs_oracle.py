@@ -4,7 +4,8 @@ Each agent's derivative is assembled from its own local data only: its body
 twist and the measured relative transform T_ij to each neighbor, applied to
 the neighbor's communicated auxiliary matrix. This is the literal form of
 the laws, with no aligned-coordinate rewriting, and serves as the oracle the
-stacked kernel in ``framelocal.simulation`` is checked against.
+stacked kernel in ``framelocal.simulation`` is checked against; ``hat6`` is
+the per-agent twist generator its stacked generators are checked against.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framelocal import EstimatorState, Topology, Twist, hat6, relative_transform
+from framelocal import EstimatorState, Topology, Twist, hat3, relative_transform
 from framelocal.estimators import Asymptotic, FiniteTime
+
+
+def hat6(t: Twist) -> np.ndarray:
+    """Twist -> 4x4 generator [hat3(angular) linear; 0 0]."""
+    m = np.zeros((4, 4))
+    m[:3, :3] = hat3(t.angular)
+    m[:3, 3] = t.linear
+    return m
 
 
 def neighbors(topo: Topology, i: int) -> tuple:

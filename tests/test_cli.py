@@ -1,12 +1,20 @@
 """Scenario file handling, emission, determinism, and the report table."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from framelocal import simulation
+from framelocal import Topology, cli, simulation
 from framelocal.cli import (
     RunConfig,
     ScenarioError,
@@ -20,8 +28,9 @@ from framelocal.cli import (
     save_scenario,
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
-from framelocal.scenarios import demo_scenario
-from framelocal.simulation import Trace
+from framelocal.scenarios import demo_scenario, seeded_rotations
+from framelocal.se3 import Pose, Twist
+from framelocal.simulation import Scenario, Trace
 
 
 def scenarios_equal(a, b) -> bool:
@@ -303,6 +312,22 @@ def test_non_integral_or_negative_integer_field_rejected(tmp_path, capsys, secti
     assert len(err) == 1 and err[0].startswith(f"error: {section}:")
 
 
+@pytest.mark.parametrize("value", ["1.5", "nan"])
+def test_out_of_range_alpha_override_rejected(tmp_path, capsys, value):
+    # the override law used to be built outside the validation that turns a
+    # ValueError into an error line, so --alpha 1.5 ended in a traceback
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None, "--alpha", value)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: override: alpha ")
+
+
+def test_alpha_override_on_asymptotic_law_rejected(tmp_path, capsys):
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None, "--law", "asymptotic",
+                                "--alpha", "0.5")
+    assert code == 1
+    assert err == ["error: alpha only applies to the finite-time law"]
+
+
 def test_negative_seed_override_rejected(tmp_path, capsys):
     code, err = run_edited_demo(tmp_path, capsys, lambda d: None, "--seed", "-1")
     assert code == 1
@@ -318,6 +343,82 @@ def test_integral_float_fields_accepted(tmp_path):
     s = load_scenario(path)
     assert (s.topo.n, s.stride, s.seed) == (4, 10, 7)
     assert isinstance(s.stride, int) and isinstance(s.seed, int)
+
+
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("law", lambda d: d["law"].update(epsilon=True)),
+        ("law", lambda d: d["law"].update(alpha="0.5")),
+        ("integration", lambda d: d["integration"].update(dt="0.001")),
+        ("integration", lambda d: d["integration"].update(t_end=True)),
+        ("graph", lambda d: d["graph"].update(directed="no")),
+        ("graph", lambda d: d["graph"].update(directed=0)),
+        ("agents[2]", lambda d: d["agents"][1].update(translation=[True, 0.0, 0.0])),
+        ("agents[2]", lambda d: d["agents"][1].update(linear_velocity=["1", 0.0, 0.0])),
+        ("agents[2]", lambda d: d["agents"][1]["rotation"][0].__setitem__(
+            0, repr(d["agents"][1]["rotation"][0][0])
+        )),
+        ("description", lambda d: d.update(description=5)),
+    ],
+    ids=["bool-epsilon", "string-alpha", "string-dt", "bool-t_end", "string-directed",
+         "number-directed", "bool-translation", "string-velocity", "string-rotation",
+         "number-description"],
+)
+def test_value_of_wrong_json_type_rejected(tmp_path, capsys, section, edit):
+    # float() and np.array used to coerce these: "epsilon": true ran with
+    # epsilon = 1, and "directed": "no" built a directed graph
+    code, err = run_edited_demo(tmp_path, capsys, edit)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {section}:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_json_numbers_load_as_floats(tmp_path):
+    doc = json.loads(bundled_scenario_path("demo_finite_time").read_text())
+    doc["integration"].update(dt=1, t_end=2)
+    doc["law"]["epsilon"] = 1
+    doc["agents"][0]["translation"] = [1, 0, 0]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    s = load_scenario(path)
+    assert (s.dt, s.t_end, s.law.epsilon) == (1.0, 2.0, 1.0)
+    assert all(isinstance(x, float) for x in (s.dt, s.t_end, s.law.epsilon))
+    assert np.array_equal(s.initial_poses[0].translation, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "section, literal",
+    [("error: ", "1" * 5000), ("error: integration: ", "1" * 400)],
+    ids=["over-digit-limit", "over-float-range"],
+)
+def test_huge_integer_literal_rejected(tmp_path, capsys, section, literal):
+    # json.loads refuses an integer of over 4300 digits with a ValueError, and
+    # float() an integer beyond 1.8e308 with an OverflowError; both used to
+    # end in a traceback
+    text = bundled_scenario_path("demo_finite_time").read_text()
+    path = tmp_path / "s.json"
+    path.write_text(text.replace('"dt": 0.001', f'"dt": {literal}'))
+    assert '"dt": 1' in path.read_text()
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(section)
+
+
+def test_run_flags_fill_every_run_config_field(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_and_emit", lambda cfg: seen.append(cfg) or 0)
+    assert main(["run", "--config", "s.json"]) == 0
+    assert main([
+        "run", "--config", "s.json", "--out", "o", "--law", "finite", "--alpha", "0.3",
+        "--dt", "0.01", "--t-end", "2", "--seed", "4", "--stride", "5", "--mode", "full",
+        "--full-state",
+    ]) == 0
+    assert seen == [
+        RunConfig("s.json"),
+        RunConfig("s.json", "o", "finite", 0.3, 0.01, 2.0, 4, 5, "full", True),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -530,3 +631,158 @@ def test_csv_writers_match_per_element_oracles(tmp_path, monkeypatch, mode, bloc
     assert len(rows) == 1 + 45 * 3
     assert rows[1 + 3 * 3 + 1][-1] == rows[1 + 9 * 3 + 2][-1] == "0" and rows[1][-1] == "1"
     assert rows[1 + 2 * 3][3] == "-0"
+
+
+# Property tests of the file boundary: any valid scenario survives a save and
+# a load exactly, and any single field set to a value that must fail stops
+# `framelocal run` with one error line before anything is written.
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    n = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.sets(pairs, max_size=8))
+    if draw(st.booleans()):
+        topo = Topology(n, tuple(edges))
+    else:
+        topo = Topology.undirected(n, {tuple(sorted(e)) for e in edges})
+    rotations = seeded_rotations(n, draw(st.integers(0, 2**32)))
+    vectors = draw(arrays(np.float64, (3, n, 3), elements=FINITE))
+    law = draw(st.one_of(
+        st.just(Asymptotic()),
+        st.builds(
+            FiniteTime,
+            alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            epsilon=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        ),
+    ))
+    dt = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    t_end = draw(st.floats(dt, allow_infinity=False))
+    assume(not math.isinf(t_end / dt))
+    return Scenario(
+        topo=topo,
+        initial_poses=tuple(Pose(r, p) for r, p in zip(rotations, vectors[0])),
+        twists=tuple(Twist(v, w) for v, w in zip(vectors[1], vectors[2])),
+        law=law,
+        dt=dt,
+        t_end=t_end,
+        seed=draw(st.integers(0, 2**64)),
+        stride=draw(st.integers(1, 2**40)),
+        reconstruction=draw(st.sampled_from(ReconstructionMode)),
+    )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a fixed alphabet with the characters JSON must escape (st.text() would
+# first build a charmap, several seconds on one core)
+@given(scenarios(), st.text(alphabet='ab "\\/\n\t\x00\u00e9\u2713\U0001f600'))
+def test_save_load_round_trip_is_exact(s, description):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.json"
+        save_scenario(s, path, description=description)
+        back = load_scenario(path)
+    assert (back.topo.n, back.topo.edges, back.topo.directed) == (
+        s.topo.n, s.topo.edges, s.topo.directed
+    )
+    for a, b in zip(back.initial_poses, s.initial_poses, strict=True):
+        assert same_bits(a.matrix, b.matrix)
+    for a, b in zip(back.twists, s.twists, strict=True):
+        assert same_bits(a.linear, b.linear) and same_bits(a.angular, b.angular)
+    assert back.law == s.law and type(back.law) is type(s.law)
+    assert (back.dt, back.t_end, back.seed, back.stride, back.reconstruction) == (
+        s.dt, s.t_end, s.seed, s.stride, s.reconstruction
+    )
+
+
+NAN, INF = float("nan"), float("inf")
+NOT_A_NUMBER = [NAN, INF, True, "1"]
+# invalid values per field, keyed by the name of the innermost object key
+# above the leaf (every entry of "rotation" is keyed "rotation")
+INVALID = {
+    "n": NOT_A_NUMBER + [2.5, -1],
+    "edges": NOT_A_NUMBER + [2.5, -1],
+    "stride": NOT_A_NUMBER + [2.5, -1],
+    "seed": NOT_A_NUMBER + [2.5, -1],
+    "dt": NOT_A_NUMBER + [-1.0],
+    "t_end": NOT_A_NUMBER + [-1.0],
+    "alpha": NOT_A_NUMBER + [-1.0],
+    "epsilon": NOT_A_NUMBER + [-1.0],
+    "rotation": NOT_A_NUMBER,
+    "translation": NOT_A_NUMBER,
+    "linear_velocity": NOT_A_NUMBER,
+    "angular_velocity": NOT_A_NUMBER,
+    "directed": [NAN, INF, "no", 2.5, -1, 0],
+    "name": ["bogus", True, 1],
+    "reconstruction": ["bogus", True, 1],
+    "description": [True, 1.5, ["text"]],
+}
+OPTIONAL = {"description", "alpha", "epsilon"}
+
+
+def walk(doc, path=()):
+    """(path, key, node) of every node below doc; key is the innermost object key."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        here = path + (k,)
+        key = next(x for x in reversed(here) if isinstance(x, str))
+        yield here, key, v
+        if isinstance(v, (dict, list)):
+            yield from walk(v, here)
+
+
+def node_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def broken_demos(draw) -> tuple:
+    """(what, doc): a bundled demo with one field made invalid, and how."""
+    doc = json.loads(bundled_scenario_path(draw(st.sampled_from(
+        ["demo_asymptotic", "demo_finite_time"]
+    ))).read_text())
+    nodes = list(walk(doc))
+    kind = draw(st.sampled_from(["value", "missing", "unknown"]))
+    if kind == "value":
+        leaves = {}
+        for path, key, v in nodes:
+            if not isinstance(v, (dict, list)):
+                leaves.setdefault(key, []).append(path)
+        key = draw(st.sampled_from(sorted(leaves)))
+        path = draw(st.sampled_from(leaves[key]))
+        value = draw(st.sampled_from(INVALID[key]))
+        node_at(doc, path[:-1])[path[-1]] = value
+        return (path, value), doc
+    objects = [()] + [path for path, _, v in nodes if isinstance(v, dict)]
+    path = draw(st.sampled_from(objects))
+    target = node_at(doc, path)
+    if kind == "unknown":
+        target["bogus"] = 1
+        return (path, "unknown key"), doc
+    key = draw(st.sampled_from(sorted(set(target) - OPTIONAL)))
+    del target[key]
+    return (path, f"missing {key}"), doc
+
+
+@settings(max_examples=150)
+@given(broken_demos())
+def test_any_invalid_field_stops_the_run_with_one_error_line(case):
+    what, doc = case
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "s.json", Path(d) / "out"
+        path.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        err = stderr.getvalue().splitlines()
+        assert code == 1, what
+        assert len(err) == 1 and err[0].startswith("error: "), (what, err)
+        assert stdout.getvalue() == ""
+        assert not out.exists()

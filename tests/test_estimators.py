@@ -14,7 +14,6 @@ from framelocal import (
     Twist,
     exp_se3,
     gsop,
-    hat6,
     init_aux,
     inverse,
     oracle_report,
@@ -29,6 +28,7 @@ from rhs_oracle import (
     MeasurementError,
     asymptotic_rhs,
     finite_time_rhs,
+    hat6,
     neighbors,
     synthesize_measurements,
 )

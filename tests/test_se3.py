@@ -16,7 +16,6 @@ from framelocal import (
     gsop,
     gsop_two_column,
     hat3,
-    hat6,
     inverse,
     relative_transform,
 )
@@ -38,6 +37,7 @@ from conftest import (
     series_exp,
     stacks,
 )
+from rhs_oracle import hat6
 
 
 def vee3(m: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from framelocal import (
     closed_form_aligned,
     error_metrics,
     exp_se3,
-    hat6,
     init_aux,
     inverse,
     lyapunov_chain_check,
@@ -32,9 +31,9 @@ from framelocal import (
 from framelocal import simulation
 from framelocal.estimators import Asymptotic, FiniteTime
 from framelocal.scenarios import demo_scenario, square_demo_topology
-from framelocal.simulation import Scenario, _initial_stacks, _make_rhs, error_link_pairs
+from framelocal.simulation import Scenario, _make_rhs, _neg_generators, error_link_pairs
 from conftest import compose, make_pose, make_scenario, make_twist, spanning_digraph
-from rhs_oracle import law_rhs, synthesize_measurements
+from rhs_oracle import hat6, law_rhs, synthesize_measurements
 
 
 def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
@@ -140,7 +139,7 @@ def test_stacked_rhs_matches_public_operations():
         truth = list(s.initial_poses)
         meas = synthesize_measurements(truth, list(s.twists), topo)
         public = law_rhs(state, meas, topo)
-        t0, p0 = _initial_stacks(s, stack_of(state))
+        t0, p0 = s._stacks.t0, stack_of(state)
         fast = _make_rhs(s)(t0, p0)
         for i in range(3):
             assert np.abs(fast[i] - public[i]).max() < 1e-12
@@ -154,7 +153,7 @@ def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> t
     """
     if state is None:
         state = init_aux(s.topo.n, s.seed, s.law)
-    t0, p0 = _initial_stacks(s, stack_of(state))
+    t0, p0 = s._stacks.t0, stack_of(state)
     fast = _make_rhs(s)(t0, p0)
     meas = synthesize_measurements(list(s.initial_poses), list(s.twists), s.topo)
     oracle = np.stack(law_rhs(state, meas, s.topo))
@@ -401,7 +400,7 @@ def test_bottom_rows_preserved_bit_exactly():
 
 def test_closed_form_at_zero_is_initial_state():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=4, t_end=0.5)
-    t0, p0 = _initial_stacks(s)
+    t0, p0 = s._stacks.t0, s._stacks.p0
     for i, block in enumerate(closed_form_aligned(s, 0.0)):
         assert np.abs(block - t0[i] @ p0[i]).max() < 1e-12
 
@@ -416,7 +415,7 @@ def test_closed_form_long_horizon_limit():
 def test_closed_form_two_agent_hand_solution():
     # undirected pair: average plus difference mode decaying at rate 2
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=6, t_end=0.5)
-    t0, p0 = _initial_stacks(s)
+    t0, p0 = s._stacks.t0, s._stacks.p0
     s0 = [t0[i] @ p0[i] for i in range(2)]
     avg = (s0[0] + s0[1]) / 2.0
     for t in (0.1, 0.7, 2.0):
@@ -427,7 +426,7 @@ def test_closed_form_two_agent_hand_solution():
 
 def kron_closed_form(s, t: float) -> np.ndarray:
     """Oracle: the 4n x 4n flow expm(-(L kron I4) t) on the stacked aligned states."""
-    t0, p0 = _initial_stacks(s)
+    t0, p0 = s._stacks.t0, s._stacks.p0
     flow = scipy.linalg.expm(-np.kron(build_laplacian(s.topo), np.eye(4)) * t)
     return (flow @ (t0 @ p0).reshape(4 * s.topo.n, 4)).reshape(s.topo.n, 4, 4)
 
@@ -443,16 +442,56 @@ def test_closed_form_matches_kronecker_flow():
 
 
 def test_run_draws_the_initial_state_once(monkeypatch):
-    # the oracle report and the integration share one seeded draw
+    # the oracle reports, the integration and every closed-form call share
+    # the scenario's one cached draw
     calls = []
     draw = simulation.init_aux_stack
     monkeypatch.setattr(
         simulation, "init_aux_stack", lambda n, seed: calls.append(seed) or draw(n, seed)
     )
-    trace, report = run(make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01))
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01)
+    oracle_report(s)
+    trace, report = run(s)
+    for t in (0.0, 0.5, 2.0):
+        closed_form_aligned(s, t)
     assert calls == [9]
     assert np.array_equal(trace.aux[0], draw(2, 9))
     assert np.allclose(report.consensus_state, trace.aligned[0].mean(axis=0), atol=1e-12)
+
+
+def test_scenario_stacks_are_read_only():
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=11, t_end=0.01)
+    assert s._stacks is s._stacks
+    for a in s._stacks:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # t0 is built from the rotations and translations, byte-equal to the matrices
+    assert s._stacks.t0.tobytes() == np.stack([p.matrix for p in s.initial_poses]).tobytes()
+    assert np.array_equal(s._stacks.linear, np.stack([tw.linear for tw in s.twists]))
+    assert np.array_equal(s._stacks.angular, np.stack([tw.angular for tw in s.twists]))
+    assert np.array_equal(s._stacks.p0, simulation.init_aux_stack(2, 11))
+
+
+def test_replaced_scenario_has_a_fresh_cache():
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
+    first = s._stacks
+    same_seed = dataclasses.replace(s, stride=1)
+    other_seed = dataclasses.replace(s, seed=13)
+    assert same_seed._stacks is not first
+    assert np.array_equal(same_seed._stacks.p0, first.p0)
+    assert np.array_equal(other_seed._stacks.p0, simulation.init_aux_stack(2, 13))
+    assert not np.array_equal(other_seed._stacks.p0, first.p0)
+
+
+def test_generator_stack_matches_per_agent_hat6_bytewise():
+    # tobytes compares signed zeros too: the bottom rows are -0.0, as in
+    # -hat6(twist_i) agent by agent
+    s = make_scenario(spanning_digraph(6, 503), seed=14, t_end=0.01)
+    s = dataclasses.replace(s, twists=s.twists[:-1] + (Twist.zero(),))
+    want = -np.stack([hat6(tw) for tw in s.twists])
+    got = _neg_generators(s)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(got[:, 3]).all()
 
 
 def test_initial_state_as_objects_or_stack():
@@ -594,7 +633,7 @@ def test_error_link_pairs_deduplicates():
 def test_oracle_report_fields():
     s = make_scenario(square_demo_topology(), seed=13, law=FiniteTime(alpha=0.5), t_end=1.0)
     rep = oracle_report(s)
-    t0, p0 = _initial_stacks(s)
+    t0, p0 = s._stacks.t0, s._stacks.p0
     s_c = sum(0.25 * t0[i] @ p0[i] for i in range(4))
     assert np.abs(rep.consensus_state - s_c).max() < 1e-12
     assert np.array_equal(rep.consensus_state[3], [0.0, 0.0, 0.0, 1.0])
