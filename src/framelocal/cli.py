@@ -49,6 +49,7 @@ from .simulation import (
     OracleReport,
     Scenario,
     Trace,
+    error_link_pairs,
     run,
     sample_blocks,
     settling_time,
@@ -265,7 +266,7 @@ def _write_trace_csv(trace: Trace, path: Path):
     k, n = trace.orientation_errors.shape
     cols = ["t"]
     cols += [f"orient_err_{i}" for i in range(1, n + 1)]
-    cols += [f"pos_err_{i}_{j}" for i, j in trace.error_edges]
+    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
     cols += ["V"]
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -291,7 +292,7 @@ def _write_state_csv(trace: Trace, path: Path):
         fh.write(",".join(cols) + "\n")
         for b in sample_blocks(k, n):
             tt, pp = trace.truth[b], trace.aux[b]
-            estimates, valid = reconstruct(pp, trace.reconstruction)
+            estimates, valid = reconstruct(pp, trace.scenario.reconstruction)
             samples = tt.shape[0]
             table = np.column_stack((
                 np.repeat(trace.times[b], n),
@@ -320,7 +321,8 @@ def _oracle_doc(report: OracleReport) -> dict:
     }
 
 
-def _summary_doc(s: Scenario, trace: Trace, report: OracleReport) -> dict:
+def _summary_doc(trace: Trace) -> dict:
+    s, report = trace.scenario, trace.report
     finite = isinstance(s.law, FiniteTime)
     with np.errstate(all="ignore"):
         final_orient = np.nanmax(trace.orientation_errors[-1]) if trace.orientation_errors.size else np.nan
@@ -354,18 +356,21 @@ def _write_json(doc: dict, path: Path):
 def run_and_emit(cfg: RunConfig) -> int:
     """Run one scenario and write trace.csv / oracle.json / summary.json."""
     try:
-        scenario = apply_overrides(load_scenario(cfg.scenario_path), cfg)
-        trace, report = run(scenario)
+        trace, report = run(apply_overrides(load_scenario(cfg.scenario_path), cfg))
     except (ScenarioError, ConfigurationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trace_csv(trace, out / "trace.csv")
-    _write_json(_oracle_doc(report), out / "oracle.json")
-    _write_json(_summary_doc(scenario, trace, report), out / "summary.json")
-    if cfg.full_state:
-        _write_state_csv(trace, out / "state.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_trace_csv(trace, out / "trace.csv")
+        _write_json(_oracle_doc(report), out / "oracle.json")
+        _write_json(_summary_doc(trace), out / "summary.json")
+        if cfg.full_state:
+            _write_state_csv(trace, out / "state.csv")
+    except OSError as e:
+        print(f"error: {e.filename or out}: {e.strerror or e}", file=sys.stderr)
+        return 1
     print(f"wrote {out / 'trace.csv'} ({len(trace.times)} samples)")
     return 0
 

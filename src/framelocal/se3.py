@@ -86,10 +86,6 @@ class Rotation:
             raise ValueError(f"not a proper rotation: det = {det:.12f}")
         object.__setattr__(self, "r", r)
 
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
 
 @dataclass(frozen=True, eq=False)
 class Pose:
@@ -113,10 +109,6 @@ class Pose:
         m[:3, :3] = self.rotation.r
         m[:3, 3] = self.translation
         return m
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(Rotation.identity(), np.zeros(3))
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Pose":
@@ -144,10 +136,6 @@ class Twist:
             raise ValueError(f"twist has non-finite entries: {v.tolist()}, {w.tolist()}")
         object.__setattr__(self, "linear", v)
         object.__setattr__(self, "angular", w)
-
-    @classmethod
-    def zero(cls) -> "Twist":
-        return cls(np.zeros(3), np.zeros(3))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,9 @@ stays exactly zero. The test suite pins the kernel to a per-agent oracle
 that applies the measured relative transforms literally.
 
 The step loop records each sample by copying the stacks and computing V;
-a non-finite V stops the run. The reconstructions and error metrics of all
-samples follow after integration, one batched pass per block of at most
-BLOCK_MATRICES agent matrices (``sample_blocks``); each value equals its
+a non-finite V stops the run. All else a trace reports is derived when read:
+its errors come from one batched pass per block of at most BLOCK_MATRICES
+agent matrices (``sample_blocks``) on first read, each value equal to its
 sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
 or whose step work n_steps x (n + E + 150) would exceed MAX_STEP_WORK, is
 rejected before anything is allocated.
@@ -140,29 +140,26 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Sampled run history: truth, estimator state, errors, and V.
+    """A run's scenario and oracle report plus what integration produced.
 
-    Stored per sample: the true poses T_i, the estimator matrices P_i, the
-    per-agent / per-link deviations from the predicted transform bias (NaN
-    where reconstruction was invalid or the bias is undefined) and V. The
-    deviations are computed after integration, in blocks of samples.
-    Derived over the whole trace: ``aligned`` = T_i P_i on each access,
-    whose consensus the laws drive, and ``estimates`` / ``estimate_valid``,
-    the reconstruction of every P_i in the run's mode, made once on first
-    access.
+    Stored per sample: the true poses T_i, the estimator matrices P_i and V.
+    Derived on each access: ``times`` and ``aligned`` = T_i P_i, whose
+    consensus the laws drive. Derived once, on first access: ``estimates`` /
+    ``estimate_valid`` (every P_i reconstructed in the scenario's mode) and
+    the per-agent / per-link deviations from the predicted transform bias
+    (NaN where reconstruction was invalid or the bias is undefined).
     """
 
-    times: np.ndarray            # (k,)
+    scenario: Scenario
+    report: OracleReport
     truth: np.ndarray            # (k, n, 4, 4)
     aux: np.ndarray              # (k, n, 4, 4)
-    orientation_errors: np.ndarray  # (k, n)
-    position_errors: np.ndarray     # (k, e)
-    error_edges: tuple           # e pairs (i, j), i < j, 1-based
     lyapunov: np.ndarray         # (k,)
-    law: Law
-    dt: float
-    stride: int
-    reconstruction: ReconstructionMode
+
+    @property
+    def times(self) -> np.ndarray:
+        """(k,) sample times, step * dt (left to right, so bit-equal to it)."""
+        return np.arange(len(self.lyapunov)) * self.scenario.stride * self.scenario.dt
 
     @property
     def aligned(self) -> np.ndarray:
@@ -171,7 +168,7 @@ class Trace:
 
     @functools.cached_property
     def _reconstructed(self) -> tuple:
-        return reconstruct(self.aux, self.reconstruction)
+        return reconstruct(self.aux, self.scenario.reconstruction)
 
     @property
     def estimates(self) -> np.ndarray:
@@ -182,6 +179,29 @@ class Trace:
     def estimate_valid(self) -> np.ndarray:
         """(k, n) mask of valid reconstructions."""
         return self._reconstructed[1]
+
+    @functools.cached_property
+    def _errors(self) -> tuple:
+        k, n = self.aux.shape[:2]
+        links = error_link_pairs(self.scenario.topo)
+        orient = np.full((k, n), np.nan)
+        pos = np.full((k, len(links)), np.nan)
+        if self.report.transform_bias is not None:
+            r_c = self.report.transform_bias.rotation.r
+            for b in sample_blocks(k, n):
+                estimates, valid = reconstruct(self.aux[b], self.scenario.reconstruction)
+                orient[b], pos[b] = error_metrics(self.truth[b], estimates, valid, r_c, links)
+        return orient, pos
+
+    @property
+    def orientation_errors(self) -> np.ndarray:
+        """(k, n) per-agent orientation errors, in blocks on first access."""
+        return self._errors[0]
+
+    @property
+    def position_errors(self) -> np.ndarray:
+        """(k, e) errors over the links of ``error_link_pairs``, in blocks on first access."""
+        return self._errors[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,12 +369,11 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     initialization (a harness knob; the laws stay local).
     """
     n = s.topo.n
-    links = error_link_pairs(s.topo)
     n_steps = s.n_steps
     k_samples = n_steps // s.stride + 1
     # times and V, plus per agent truth, aux and an orientation error, plus
-    # a position error per link: what the Trace below stores
-    nbytes = 8 * k_samples * (2 + 33 * n + len(links))
+    # a position error per link: what the Trace stores and derives once read
+    nbytes = 8 * k_samples * (2 + 33 * n + len(error_link_pairs(s.topo)))
     if nbytes > MAX_TRACE_BYTES:
         raise ConfigurationError(
             f"integration: the trace of {k_samples} samples would take "
@@ -385,13 +404,11 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     report = oracle_report(s, p_stack)
     rhs = _make_rhs(s)
 
-    times = np.zeros(k_samples)
     truth = np.zeros((k_samples, n, 4, 4))
     aux = np.zeros((k_samples, n, 4, 4))
     lyap = np.zeros(k_samples)
 
     def record(k: int, step: int, tt: np.ndarray, pp: np.ndarray):
-        times[k] = step * s.dt
         truth[k] = tt
         aux[k] = pp
         v = 0.5 * float(np.sum((tt @ pp - report.consensus_state) ** 2))
@@ -420,28 +437,7 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             if step % s.stride == 0:
                 record(step // s.stride, step, t_stack, p_stack)
 
-    orient_err = np.full((k_samples, n), np.nan)
-    pos_err = np.full((k_samples, len(links)), np.nan)
-    if report.transform_bias is not None:
-        r_c = report.transform_bias.rotation.r
-        for b in sample_blocks(k_samples, n):
-            estimates, valid = reconstruct(aux[b], s.reconstruction)
-            orient_err[b], pos_err[b] = error_metrics(truth[b], estimates, valid, r_c, links)
-
-    trace = Trace(
-        times=times,
-        truth=truth,
-        aux=aux,
-        orientation_errors=orient_err,
-        position_errors=pos_err,
-        error_edges=links,
-        lyapunov=lyap,
-        law=s.law,
-        dt=s.dt,
-        stride=s.stride,
-        reconstruction=s.reconstruction,
-    )
-    return trace, report
+    return Trace(s, report, truth, aux, lyap), report
 
 
 def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = None) -> np.ndarray:
@@ -450,12 +446,16 @@ def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = Non
     The aligned states obey the constant-coefficient linear consensus flow
     dS/dt = -L S, agent by agent over the 4x4 blocks, so the solution is
     expm(-L t) applied to the stacked initial aligned states. Serves as the
-    independent oracle for simulated trajectories.
+    independent oracle for simulated trajectories. A t whose flow is not
+    finite (NaN, infinite, or overflowing) raises ValueError.
     """
     if not isinstance(s.law, Asymptotic):
         raise ValueError("closed form applies to the asymptotic law only")
     t0, p0 = _initial_stacks(s, initial_state)
-    flow = scipy.linalg.expm(-build_laplacian(s.topo) * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = scipy.linalg.expm(-build_laplacian(s.topo) * t)
+    if not np.isfinite(flow).all():
+        raise ValueError(f"the consensus flow expm(-L t) is not finite at t = {t:g}")
     return np.einsum("ij,jab->iab", flow, t0 @ p0)
 
 
@@ -464,14 +464,19 @@ def lyapunov_chain_check(trace: Trace, lambda2: float, alpha: float) -> Lyapunov
 
     dV/dt is estimated by central differences at interior samples; samples
     with V below 1e-12 are excluded (already settled). The tolerance is
-    1e-3 * max(1, |dV/dt|) per sample.
+    1e-3 * max(1, |dV/dt|) per sample. A lambda2 that is not finite and
+    positive, or an alpha outside (0, 1), raises ValueError.
     """
-    if not isinstance(trace.law, FiniteTime):
+    if not isinstance(trace.scenario.law, FiniteTime):
         raise ValueError("chain check applies to finite-time traces only")
+    if not 0.0 < lambda2 < math.inf:
+        raise ValueError(f"lambda2 must be finite and positive, got {lambda2}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     v = trace.lyapunov
     if len(v) < 3:
         raise ValueError("need at least three samples for central differences")
-    h = trace.dt * trace.stride
+    h = trace.scenario.dt * trace.scenario.stride
     kappa = (2.0 * lambda2) ** ((2.0 - alpha) / 2.0)
     vdot = (v[2:] - v[:-2]) / (2.0 * h)
     v_in = v[1:-1]

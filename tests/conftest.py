@@ -59,6 +59,18 @@ def make_twist(rng, scale: float = 0.5) -> Twist:
     return Twist(rng.uniform(-scale, scale, 3), rng.uniform(-scale, scale, 3))
 
 
+def identity_rotation() -> Rotation:
+    return Rotation(np.eye(3))
+
+
+def identity_pose() -> Pose:
+    return Pose(identity_rotation(), np.zeros(3))
+
+
+def zero_twist() -> Twist:
+    return Twist(np.zeros(3), np.zeros(3))
+
+
 def make_aux_matrix(rng) -> np.ndarray:
     """A random valid estimator matrix as a raw 4x4 array."""
     m = np.eye(4)

@@ -30,7 +30,8 @@ from framelocal.cli import (
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
 from framelocal.scenarios import demo_scenario, seeded_rotations
 from framelocal.se3 import Pose, Twist
-from framelocal.simulation import Scenario, Trace
+from framelocal.simulation import Scenario, Trace, error_link_pairs, oracle_report
+from conftest import identity_pose, zero_twist
 
 
 def scenarios_equal(a, b) -> bool:
@@ -495,6 +496,26 @@ def test_runaway_twist_stops_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sub, reason", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "under-file"]
+)
+def test_out_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys, sub, reason):
+    # --out naming an existing file, or a path under one, used to end in a
+    # FileExistsError or NotADirectoryError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / sub if sub else blocker
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_finite_time")),
+        "--t-end", "0.05", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out}: {reason}"]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_oversized_trace_rejected(tmp_path, capsys):
     # 1e10 samples: about 10 TB of trace, refused before anything is allocated
     capsys.readouterr()
@@ -546,7 +567,7 @@ def write_trace_csv_oracle(trace: Trace, path):
     n = trace.orientation_errors.shape[1]
     cols = ["t"]
     cols += [f"orient_err_{i}" for i in range(1, n + 1)]
-    cols += [f"pos_err_{i}_{j}" for i, j in trace.error_edges]
+    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
     cols += ["V"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
@@ -569,7 +590,7 @@ def write_state_csv_oracle(trace: Trace, path):
         fh.write(",".join(cols) + "\n")
         for k in range(len(trace.times)):
             tt, pp = trace.truth[k], trace.aux[k]
-            estimates, valid = reconstruct(pp, trace.reconstruction)
+            estimates, valid = reconstruct(pp, trace.scenario.reconstruction)
             blocks = (tt, pp, tt @ pp, estimates)
             for i in range(n):
                 row = [_f17(trace.times[k]), str(i + 1)]
@@ -594,19 +615,21 @@ def awkward_trace(mode: ReconstructionMode, k: int = 45, n: int = 3) -> Trace:
     orient[5, 0] = -0.0
     lyap = rng.random(k)
     lyap[7] = np.inf
-    return Trace(
-        times=np.arange(k) * 0.1,
-        truth=truth,
-        aux=aux,
-        orientation_errors=orient,
-        position_errors=pos,
-        error_edges=((1, 2), (2, 3)),
-        lyapunov=lyap,
+    s = Scenario(
+        topo=Topology.undirected(n, [(i, i + 1) for i in range(1, n)]),
+        initial_poses=(identity_pose(),) * n,
+        twists=(zero_twist(),) * n,
         law=Asymptotic(),
         dt=0.1,
+        t_end=(k - 1) * 0.1,
+        seed=0,
         stride=1,
         reconstruction=mode,
     )
+    trace = Trace(scenario=s, report=oracle_report(s), truth=truth, aux=aux, lyapunov=lyap)
+    # the errors a trace derives on first read, seeded with the awkward values
+    vars(trace)["_errors"] = (orient, pos)
+    return trace
 
 
 @pytest.mark.parametrize("block", [None, 8])

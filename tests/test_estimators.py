@@ -9,9 +9,7 @@ from framelocal import (
     AuxMatrix,
     EstimatorState,
     Pose,
-    Rotation,
     Topology,
-    Twist,
     exp_se3,
     gsop,
     init_aux,
@@ -22,7 +20,15 @@ from framelocal import (
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, init_aux_stack
 from framelocal.simulation import Scenario
-from conftest import compose, make_pose, make_twist, random_rotation, stacks
+from conftest import (
+    compose,
+    identity_pose,
+    make_pose,
+    make_twist,
+    random_rotation,
+    stacks,
+    zero_twist,
+)
 from rhs_oracle import (
     Measurement,
     MeasurementError,
@@ -74,7 +80,7 @@ def test_asymptotic_rhs_zero_at_consensus():
     common = state.aux[0]
     state = EstimatorState((common, common, common), Asymptotic())
     meas = [
-        Measurement(Twist.zero(), {j: Pose.identity() for j in neighbors(topo, i)})
+        Measurement(zero_twist(), {j: identity_pose() for j in neighbors(topo, i)})
         for i in range(1, 4)
     ]
     for d in asymptotic_rhs(state, meas, topo):
@@ -130,7 +136,7 @@ def test_asymptotic_rhs_zero_bottom_row_exactly():
 def test_asymptotic_rhs_missing_measurement():
     topo = Topology(2, ((1, 2), (2, 1)))
     state = init_aux(2, rng_seed=5)
-    meas = [Measurement(Twist.zero(), {}), Measurement(Twist.zero(), {1: Pose.identity()})]
+    meas = [Measurement(zero_twist(), {}), Measurement(zero_twist(), {1: identity_pose()})]
     with pytest.raises(MeasurementError):
         asymptotic_rhs(state, meas, topo)
 
@@ -139,7 +145,7 @@ def test_asymptotic_rhs_rejects_wrong_law():
     topo = Topology(1)
     state = init_aux(1, rng_seed=6, law=FiniteTime())
     with pytest.raises(ValueError):
-        asymptotic_rhs(state, [Measurement(Twist.zero(), {})], topo)
+        asymptotic_rhs(state, [Measurement(zero_twist(), {})], topo)
 
 
 def test_finite_time_rhs_zero_at_consensus():
@@ -147,8 +153,8 @@ def test_finite_time_rhs_zero_at_consensus():
     state0 = init_aux(2, rng_seed=7, law=FiniteTime())
     state = EstimatorState((state0.aux[0], state0.aux[0]), FiniteTime())
     meas = [
-        Measurement(Twist.zero(), {2: Pose.identity()}),
-        Measurement(Twist.zero(), {1: Pose.identity()}),
+        Measurement(zero_twist(), {2: identity_pose()}),
+        Measurement(zero_twist(), {1: identity_pose()}),
     ]
     for d in finite_time_rhs(state, meas, topo):
         assert np.abs(d).max() == 0.0
@@ -165,8 +171,8 @@ def test_finite_time_rhs_scalar_reduction():
     topo = Topology.undirected(2, [(1, 2)])
     state = EstimatorState((aux_from(base), aux_from(other)), FiniteTime(alpha=alpha))
     meas = [
-        Measurement(Twist.zero(), {2: Pose.identity()}),
-        Measurement(Twist.zero(), {1: Pose.identity()}),
+        Measurement(zero_twist(), {2: identity_pose()}),
+        Measurement(zero_twist(), {1: identity_pose()}),
     ]
     d1, d2 = finite_time_rhs(state, meas, topo)
     assert d1[0, 1] == pytest.approx(d ** (1 - alpha), rel=1e-12)
@@ -182,8 +188,8 @@ def test_finite_time_rhs_epsilon_guard():
     topo = Topology.undirected(2, [(1, 2)])
     state = EstimatorState((aux_from(base), aux_from(other)), FiniteTime(epsilon=eps))
     meas = [
-        Measurement(Twist.zero(), {2: Pose.identity()}),
-        Measurement(Twist.zero(), {1: Pose.identity()}),
+        Measurement(zero_twist(), {2: identity_pose()}),
+        Measurement(zero_twist(), {1: identity_pose()}),
     ]
     for d in finite_time_rhs(state, meas, topo):
         assert np.abs(d).max() == 0.0
@@ -194,8 +200,8 @@ def test_finite_time_guard_jump_bounded():
     eps, alpha = 1e-2, 0.5
     topo = Topology.undirected(2, [(1, 2)])
     meas = [
-        Measurement(Twist.zero(), {2: Pose.identity()}),
-        Measurement(Twist.zero(), {1: Pose.identity()}),
+        Measurement(zero_twist(), {2: identity_pose()}),
+        Measurement(zero_twist(), {1: identity_pose()}),
     ]
 
     def rhs_at(d):
@@ -223,8 +229,8 @@ def test_finite_time_rhs_rejects_directed_topology():
     topo = Topology(2, ((1, 2),))
     state = init_aux(2, rng_seed=8, law=FiniteTime())
     meas = [
-        Measurement(Twist.zero(), {2: Pose.identity()}),
-        Measurement(Twist.zero(), {}),
+        Measurement(zero_twist(), {2: identity_pose()}),
+        Measurement(zero_twist(), {}),
     ]
     with pytest.raises(ValueError):
         finite_time_rhs(state, meas, topo)
@@ -299,14 +305,14 @@ def test_reconstruct_two_column_survives_bad_third_column():
 
 def resting_scenario(topo: Topology, poses) -> Scenario:
     """Asymptotic-law scenario with the given truth poses and zero twists."""
-    still = (Twist.zero(),) * topo.n
+    still = (zero_twist(),) * topo.n
     return Scenario(topo, tuple(poses), still, Asymptotic(), 1e-3, 1e-3, seed=0)
 
 
 def test_well_posedness_single_agent():
     # identity truth and estimator: the mix sum_i w1_i R_i Q_i is the identity
     state = np.eye(4)[None]
-    rep = oracle_report(resting_scenario(Topology(1), [Pose.identity()]), initial_state=state)
+    rep = oracle_report(resting_scenario(Topology(1), [identity_pose()]), initial_state=state)
     assert abs(np.linalg.det(rep.consensus_state[:3, :3])) == pytest.approx(1.0)
     assert np.allclose(rep.consensus_state[:3, :3], np.eye(3))
     assert np.allclose(rep.transform_bias.matrix, np.eye(4))
@@ -317,7 +323,7 @@ def test_well_posedness_cancellation():
     rng = np.random.default_rng(28)
     q1 = rng.uniform(-1.0, 1.0, (3, 3))
     state = np.stack([aux_matrix(q1), aux_matrix(-q1)])
-    s = resting_scenario(Topology.undirected(2, [(1, 2)]), [Pose.identity()] * 2)
+    s = resting_scenario(Topology.undirected(2, [(1, 2)]), [identity_pose()] * 2)
     rep = oracle_report(s, initial_state=state)
     assert np.array_equal(rep.w1, [0.5, 0.5])
     assert abs(np.linalg.det(rep.consensus_state[:3, :3])) < 1e-12

@@ -1,6 +1,8 @@
 """The package exports nothing that only the tests would call."""
 
 import ast
+import functools
+import types
 from pathlib import Path
 
 import framelocal
@@ -17,6 +19,19 @@ def exported_names() -> set:
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
+    }
+
+
+def exported_members() -> set:
+    """(class, member) for the public methods, classmethods and properties
+    that the exported classes define themselves."""
+    kinds = (types.FunctionType, classmethod, staticmethod, property, functools.cached_property)
+    return {
+        (name, member)
+        for name in exported_names()
+        if isinstance(cls := getattr(framelocal, name), type)
+        for member, value in vars(cls).items()
+        if not member.startswith("_") and isinstance(value, kinds)
     }
 
 
@@ -52,4 +67,6 @@ def test_every_export_has_a_caller_outside_the_tests():
     callers = set()
     for path in sources:
         callers |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(exported_names() - callers) == []
+    unused = sorted(exported_names() - callers)
+    unused += sorted(f"{cls}.{m}" for cls, m in exported_members() if m not in callers)
+    assert unused == []

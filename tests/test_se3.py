@@ -31,11 +31,14 @@ from conftest import (
     blocks,
     compose,
     gram_schmidt_oracle,
+    identity_pose,
+    identity_rotation,
     make_pose,
     make_twist,
     random_rotation,
     series_exp,
     stacks,
+    zero_twist,
 )
 from rhs_oracle import hat6
 
@@ -154,7 +157,7 @@ def test_vee6_rejects_homogeneous_bottom_row():
 
 
 def test_exp_zero_twist_is_identity():
-    p = exp_se3(Twist.zero(), 0.5)
+    p = exp_se3(zero_twist(), 0.5)
     assert np.array_equal(p.matrix, np.eye(4))
 
 
@@ -195,7 +198,7 @@ def test_exp_small_angle_branch():
 def test_compose_with_identity():
     rng = np.random.default_rng(5)
     x = make_pose(rng)
-    out = compose(Pose.identity(), x)
+    out = compose(identity_pose(), x)
     assert np.allclose(out.matrix, x.matrix)
 
 
@@ -233,7 +236,7 @@ def test_relative_transform_same_pose():
 def test_relative_transform_from_identity():
     rng = np.random.default_rng(10)
     b = make_pose(rng)
-    assert np.allclose(relative_transform(Pose.identity(), b).matrix, b.matrix)
+    assert np.allclose(relative_transform(identity_pose(), b).matrix, b.matrix)
 
 
 def test_relative_transform_matches_matrix_product():
@@ -459,7 +462,7 @@ def test_constructors_reject_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         Rotation(np.full((3, 3), bad))
     with pytest.raises(ValueError, match="non-finite"):
-        Pose(Rotation.identity(), vec)
+        Pose(identity_rotation(), vec)
     with pytest.raises(ValueError, match="non-finite"):
         Twist(vec, np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):

@@ -32,7 +32,16 @@ from framelocal import simulation
 from framelocal.estimators import Asymptotic, FiniteTime
 from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _make_rhs, _neg_generators, error_link_pairs
-from conftest import compose, make_pose, make_scenario, make_twist, spanning_digraph
+from conftest import (
+    compose,
+    identity_pose,
+    identity_rotation,
+    make_pose,
+    make_scenario,
+    make_twist,
+    spanning_digraph,
+    zero_twist,
+)
 from rhs_oracle import hat6, law_rhs, synthesize_measurements
 
 
@@ -51,7 +60,7 @@ def stack_of(state: EstimatorState) -> np.ndarray:
 def test_propagate_zero_twist():
     rng = np.random.default_rng(30)
     p = make_pose(rng)
-    out = propagate_truth(p, Twist.zero(), 0.5)
+    out = propagate_truth(p, zero_twist(), 0.5)
     assert np.array_equal(out.matrix, p.matrix)
 
 
@@ -59,7 +68,7 @@ def test_propagate_matches_fine_rk4_on_kinematics():
     # agent-1 style screw motion from the origin, checked against RK4 on the
     # raw kinematic ODE dT = T hat6(twist) at a 100x finer step
     tw = Twist(np.array([1.0, 0.0, 0.0]), np.array([0.3, 0.0, 0.0]))
-    pose = Pose.identity()
+    pose = identity_pose()
     dt = 0.05
     out = propagate_truth(pose, tw, dt)
 
@@ -90,15 +99,15 @@ def test_synthesize_identical_poses():
     rng = np.random.default_rng(32)
     p = make_pose(rng)
     topo = Topology.undirected(2, [(1, 2)])
-    meas = synthesize_measurements([p, p], [Twist.zero()] * 2, topo)
+    meas = synthesize_measurements([p, p], [zero_twist()] * 2, topo)
     assert np.abs(meas[0].rel[2].matrix - np.eye(4)).max() < 1e-12
 
 
 def test_synthesize_axis_displacement():
-    t1 = Pose.identity()
-    t2 = Pose(Rotation.identity(), np.array([4.0, 0.0, 0.0]))
+    t1 = identity_pose()
+    t2 = Pose(identity_rotation(), np.array([4.0, 0.0, 0.0]))
     topo = Topology.undirected(2, [(1, 2)])
-    meas = synthesize_measurements([t1, t2], [Twist.zero()] * 2, topo)
+    meas = synthesize_measurements([t1, t2], [zero_twist()] * 2, topo)
     assert np.allclose(meas[0].rel[2].translation, [4.0, 0.0, 0.0])
     assert np.allclose(meas[1].rel[1].translation, [-4.0, 0.0, 0.0])
 
@@ -107,7 +116,7 @@ def test_synthesize_inverse_pair():
     rng = np.random.default_rng(33)
     topo = Topology.undirected(2, [(1, 2)])
     truth = [make_pose(rng), make_pose(rng)]
-    meas = synthesize_measurements(truth, [Twist.zero()] * 2, topo)
+    meas = synthesize_measurements(truth, [zero_twist()] * 2, topo)
     prod = compose(meas[0].rel[2], meas[1].rel[1])
     assert np.abs(prod.matrix - np.eye(4)).max() < 1e-12
 
@@ -219,9 +228,15 @@ def test_kernel_single_agent_without_edges():
 
 def test_trace_stores_only_what_cannot_be_derived():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=2, dt=1e-2, t_end=0.2, stride=5)
-    trace, _ = run(s)
+    trace, report = run(s)
+    assert trace.scenario is s and trace.report is report
+    # nothing derived is stored until it is read
+    fields = {"scenario", "report", "truth", "aux", "lyapunov"}
+    assert {f.name for f in dataclasses.fields(trace)} == set(vars(trace)) == fields
+    assert np.array_equal(trace.times, [step * s.dt for step in range(0, 21, 5)])
+    assert trace.orientation_errors.shape == (5, 2) and trace.position_errors.shape == (5, 1)
     stored = {name for name, v in vars(trace).items() if isinstance(v, np.ndarray)}
-    assert stored == {"times", "truth", "aux", "orientation_errors", "position_errors", "lyapunov"}
+    assert stored == {"truth", "aux", "lyapunov"}
     assert np.array_equal(trace.aligned, trace.truth @ trace.aux)
     estimates, valid = reconstruct(trace.aux, s.reconstruction)
     assert np.array_equal(trace.estimates, estimates)
@@ -279,8 +294,9 @@ def test_trace_reconstructs_once(monkeypatch):
 
 @pytest.mark.parametrize("block", [None, 8])
 def test_run_errors_come_from_blocks_after_integration(monkeypatch, block):
-    # the step loop only copies samples; the errors of all samples come from
-    # one reconstruct per block, and equal each sample's own errors exactly
+    # the step loop only copies samples and run reconstructs nothing; the
+    # errors of all samples come from one reconstruct per block on their
+    # first read, and equal each sample's own errors exactly
     if block is not None:
         monkeypatch.setattr(simulation, "BLOCK_MATRICES", block)
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=8, dt=1e-2, t_end=0.5, stride=1)
@@ -288,7 +304,10 @@ def test_run_errors_come_from_blocks_after_integration(monkeypatch, block):
     counts = []
     for stride in (1, 50):
         calls.clear()
-        run(dataclasses.replace(s, stride=stride))
+        trace, _ = run(dataclasses.replace(s, stride=stride))
+        assert calls == []
+        trace.orientation_errors
+        trace.position_errors
         counts.append(len(calls))
     if block is None:
         assert counts == [1, 1]   # 51 samples of 2 agents fit in one block
@@ -296,10 +315,11 @@ def test_run_errors_come_from_blocks_after_integration(monkeypatch, block):
         assert counts == [13, 1]  # 4 samples per block, 3 in the last one
     trace, report = run(s)
     r_c = report.transform_bias.rotation.r
+    links = error_link_pairs(s.topo)
     assert not np.isnan(trace.orientation_errors).any()
     for k in range(len(trace.times)):
         orient, pos = error_metrics(
-            trace.truth[k], *reconstruct(trace.aux[k], s.reconstruction), r_c, trace.error_edges
+            trace.truth[k], *reconstruct(trace.aux[k], s.reconstruction), r_c, links
         )
         assert np.array_equal(trace.orientation_errors[k], orient)
         assert np.array_equal(trace.position_errors[k], pos)
@@ -351,10 +371,12 @@ def test_trace_bound_checked_before_allocation(monkeypatch):
     with pytest.raises(ConfigurationError, match=r"integration: .*GiB.*larger stride"):
         run(big)
     monkeypatch.undo()
-    # the prediction is exactly the bytes the trace stores
+    # the prediction is exactly the bytes the trace stores, plus the times
+    # and errors it derives once they are read
     s = make_scenario(square_demo_topology(), seed=6, dt=1e-2, t_end=0.3, stride=2)
     trace, _ = run(s)
     nbytes = sum(v.nbytes for v in vars(trace).values() if isinstance(v, np.ndarray))
+    nbytes += sum(a.nbytes for a in (trace.times, trace.orientation_errors, trace.position_errors))
     monkeypatch.setattr(simulation, "MAX_TRACE_BYTES", nbytes)
     run(s)
     monkeypatch.setattr(simulation, "MAX_TRACE_BYTES", nbytes - 1)
@@ -487,7 +509,7 @@ def test_generator_stack_matches_per_agent_hat6_bytewise():
     # tobytes compares signed zeros too: the bottom rows are -0.0, as in
     # -hat6(twist_i) agent by agent
     s = make_scenario(spanning_digraph(6, 503), seed=14, t_end=0.01)
-    s = dataclasses.replace(s, twists=s.twists[:-1] + (Twist.zero(),))
+    s = dataclasses.replace(s, twists=s.twists[:-1] + (zero_twist(),))
     want = -np.stack([hat6(tw) for tw in s.twists])
     got = _neg_generators(s)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -511,6 +533,16 @@ def test_closed_form_rejects_finite_time_law():
     s = make_scenario(square_demo_topology(), seed=7, law=FiniteTime(), t_end=0.5)
     with pytest.raises(ValueError):
         closed_form_aligned(s, 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e300, -1e300, -1e3])
+def test_closed_form_rejects_non_finite_time_or_flow(t):
+    # a NaN or infinite t used to give a non-finite array (or a numpy warning),
+    # and so did a t whose flow expm(-L t) overflows
+    s = make_scenario(square_demo_topology(), seed=7, t_end=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        closed_form_aligned(s, t)
+    assert np.isfinite(closed_form_aligned(s, 1e6)).all()
 
 
 def test_simulated_aligned_matches_closed_form():
@@ -550,6 +582,26 @@ def test_lyapunov_chain_rejects_asymptotic_trace():
     trace, _ = run(s)
     with pytest.raises(ValueError):
         lyapunov_chain_check(trace, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "lambda2, alpha, match",
+    [
+        (-1.0, 0.5, "lambda2"),   # used to give a complex kappa and a full pass
+        (0.0, 0.5, "lambda2"),
+        (np.nan, 0.5, "lambda2"),  # used to fail every checked sample
+        (np.inf, 0.5, "lambda2"),
+        (2.0, 1.5, "alpha"),
+        (2.0, 0.0, "alpha"),
+        (2.0, 1.0, "alpha"),
+        (2.0, np.nan, "alpha"),
+    ],
+)
+def test_lyapunov_chain_rejects_invalid_constants(lambda2, alpha, match):
+    s = make_scenario(square_demo_topology(), seed=12, law=FiniteTime(), dt=1e-2, t_end=0.5)
+    trace, _ = run(s)
+    with pytest.raises(ValueError, match=match):
+        lyapunov_chain_check(trace, lambda2, alpha)
 
 
 def test_lyapunov_chain_passes_on_finite_run():
@@ -617,7 +669,7 @@ def test_error_metrics_invalid_agents_missing():
     # an invalid estimate yields NaN for its agent and its links, never 0,
     # even when its placeholder pose happens to match the truth exactly
     rng = np.random.default_rng(39)
-    truth = [make_pose(rng) for _ in range(3)] + [Pose.identity()]
+    truth = [make_pose(rng) for _ in range(3)] + [identity_pose()]
     orient, pos = metrics_of(truth, truth, np.eye(3), valid=(True, True, True, False))
     assert np.isnan(orient[3]) and not np.isnan(orient[:3]).any()
     by_link = dict(zip(SQUARE_LINKS, pos))
