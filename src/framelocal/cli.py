@@ -21,6 +21,8 @@ An edge [i, j] means agent i measures and receives from agent j (j is a
 neighbor of i). For undirected graphs each link is listed once; the loader
 adds the reversed pair. Unknown keys anywhere are rejected, and so are
 true/false or a string where a number is due, and a non-bool "directed".
+Each such value, and a file that cannot be read, decoded as UTF-8 or parsed,
+ends the command with one ``error:`` line naming the file or the section.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json, summary.json, and optionally
@@ -32,6 +34,7 @@ the same config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -105,19 +108,33 @@ def _numbers(value, name: str):
     return value
 
 
+def _read_json(path: Path):
+    """The JSON document in path; any failure to read or parse it is a ScenarioError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ScenarioError(f"{path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # bytes that are not UTF-8, an integer literal over Python's digit
+        # limit, or nesting deeper than the parser's recursion limit
+        raise ScenarioError(f"{path}: {e}") from e
+
+
+@contextlib.contextmanager
+def _section(where: str):
+    """Turn a bad value raised inside the block into one ScenarioError for where."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ScenarioError(f"{where}: {e}") from e
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (strict: unknown keys rejected)."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ScenarioError(f"{path}: {e.strerror or e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
-    except ValueError as e:  # an integer literal over Python's digit limit
-        raise ScenarioError(f"{path}: {e}") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
 
@@ -130,11 +147,9 @@ def load_scenario(path) -> Scenario:
     _require_keys(g, "graph", {"n", "directed", "edges"})
     if not isinstance(g["directed"], bool):
         raise ScenarioError(f"graph: directed must be true or false, got {g['directed']!r}")
-    try:
+    with _section("graph"):
         make = Topology if g["directed"] else Topology.undirected
         topo = make(g["n"], g["edges"])
-    except (ValueError, TypeError) as e:
-        raise ScenarioError(f"graph: {e}") from e
 
     agents = doc["agents"]
     if not isinstance(agents, list) or len(agents) != topo.n:
@@ -143,33 +158,25 @@ def load_scenario(path) -> Scenario:
     for idx, a in enumerate(agents, start=1):
         where = f"agents[{idx}]"
         _require_keys(a, where, {"rotation", "translation", "linear_velocity", "angular_velocity"})
-        try:
+        with _section(where):
             for key, value in a.items():
                 _numbers(value, key)
             poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
             twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
-        except (ValueError, TypeError, OverflowError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
 
     law_doc = doc["law"]
     _require_keys(law_doc, "law", {"name", "alpha", "epsilon"}, optional={"alpha", "epsilon"})
-    try:
+    with _section("law"):
         law = _parse_law(law_doc)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ScenarioError(f"law: {e}") from e
 
     integ = doc["integration"]
     _require_keys(integ, "integration", {"dt", "t_end", "stride", "seed"})
 
-    mode_name = doc["reconstruction"]
-    try:
-        mode = ReconstructionMode(mode_name)
-    except ValueError:
-        raise ScenarioError(
-            f"reconstruction: expected 'full' or 'twocol', got {mode_name!r}"
-        ) from None
+    mode = doc["reconstruction"]
+    if mode not in [m.value for m in ReconstructionMode]:  # Scenario takes the value
+        raise ScenarioError(f"reconstruction: expected 'full' or 'twocol', got {mode!r}")
 
-    try:
+    with _section("integration"):
         return Scenario(
             topo=topo,
             initial_poses=tuple(poses),
@@ -181,8 +188,6 @@ def load_scenario(path) -> Scenario:
             stride=integ["stride"],
             reconstruction=mode,
         )
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ScenarioError(f"integration: {e}") from e
 
 
 def _parse_law(law_doc: dict):
@@ -192,10 +197,9 @@ def _parse_law(law_doc: dict):
             raise ValueError("alpha/epsilon only apply to the finite-time law")
         return Asymptotic()
     if name == "finite":
-        return FiniteTime(
-            alpha=float(_numbers(law_doc.get("alpha", 0.5), "alpha")),
-            epsilon=float(_numbers(law_doc.get("epsilon", 1e-9), "epsilon")),
-        )
+        # a key left out takes FiniteTime's default
+        keys = [k for k in ("alpha", "epsilon") if k in law_doc]
+        return FiniteTime(**{k: float(_numbers(law_doc[k], k)) for k in keys})
     raise ValueError(f"name must be 'asymptotic' or 'finite', got {name!r}")
 
 
@@ -236,18 +240,16 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
     names = ("dt", "t_end", "seed", "stride")
     changes = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     if cfg.mode is not None:
-        changes["reconstruction"] = ReconstructionMode(cfg.mode)
+        changes["reconstruction"] = cfg.mode
     finite = cfg.law == "finite" if cfg.law else isinstance(s.law, FiniteTime)
     if cfg.alpha is not None and not finite:
         raise ScenarioError("alpha only applies to the finite-time law")
-    try:
+    with _section("override"):
         if cfg.law is not None or cfg.alpha is not None:
             base = s.law if isinstance(s.law, FiniteTime) else FiniteTime()
             alpha = base.alpha if cfg.alpha is None else cfg.alpha
             changes["law"] = FiniteTime(alpha, base.epsilon) if finite else Asymptotic()
         return dataclasses.replace(s, **changes) if changes else s
-    except ValueError as e:
-        raise ScenarioError(f"override: {e}") from e
 
 
 def _json_float(x) -> float | None:
@@ -255,52 +257,51 @@ def _json_float(x) -> float | None:
     return None if np.isnan(x) else x
 
 
-def _write_rows(fh, fmt: str, table: np.ndarray):
+def _write_csv(path: Path, trace: Trace, cols: list, table, ints: tuple = ()):
+    """Header cols, then the rows of table(b, times[b]) per block b of the trace."""
     # "%.17g" formats a float exactly as f"{x:.17g}" does, nan, inf and -0
-    # included; "%d" writes the integer-valued columns
-    for row in table:
-        fh.write(fmt % tuple(row.tolist()))
-
-
-def _write_trace_csv(trace: Trace, path: Path):
-    k, n = trace.orientation_errors.shape
-    cols = ["t"]
-    cols += [f"orient_err_{i}" for i in range(1, n + 1)]
-    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
-    cols += ["V"]
-    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    # included; "%d" writes the integer-valued columns named in ints
+    k, n = trace.truth.shape[:2]
+    times = trace.times
+    fmt = ",".join("%d" if c in ints else "%.17g" for c in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for b in sample_blocks(k, n):
-            table = np.column_stack(
-                (trace.times[b], trace.orientation_errors[b], trace.position_errors[b],
-                 trace.lyapunov[b])
-            )
-            _write_rows(fh, fmt, table)
+            for row in table(b, times[b]):
+                fh.write(fmt % tuple(row.tolist()))
+
+
+def _write_trace_csv(trace: Trace, path: Path):
+    cols = ["t"]
+    cols += [f"orient_err_{i}" for i in range(1, trace.truth.shape[1] + 1)]
+    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
+    cols += ["V"]
+    _write_csv(path, trace, cols, lambda b, t: np.column_stack(
+        (t, trace.orientation_errors[b], trace.position_errors[b], trace.lyapunov[b])
+    ))
 
 
 def _write_state_csv(trace: Trace, path: Path):
-    # S and That are derived block by block (sample_blocks), as Trace.aligned
-    # and Trace.estimates derive them, so no whole-trace copy is ever held
-    k, n = trace.truth.shape[:2]
+    # S and That are derived block by block, as Trace.aligned and
+    # Trace.estimates derive them, so no whole-trace copy is ever held
+    n = trace.truth.shape[1]
     cols = ["t", "agent"]
     for tag in ("T", "P", "S", "That"):
         cols += [f"{tag}_{r}{c}" for r in range(4) for c in range(4)]
     cols += ["valid"]
-    fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * 64 + ["%d"]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for b in sample_blocks(k, n):
-            tt, pp = trace.truth[b], trace.aux[b]
-            estimates, valid = reconstruct(pp, trace.scenario.reconstruction)
-            samples = tt.shape[0]
-            table = np.column_stack((
-                np.repeat(trace.times[b], n),
-                np.tile(np.arange(1, n + 1), samples),
-                *(m.reshape(samples * n, 16) for m in (tt, pp, tt @ pp, estimates)),
-                valid.ravel(),
-            ))
-            _write_rows(fh, fmt, table)
+
+    def table(b, t):
+        tt, pp = trace.truth[b], trace.aux[b]
+        estimates, valid = reconstruct(pp, trace.scenario.reconstruction)
+        samples = len(t)
+        return np.column_stack((
+            np.repeat(t, n),
+            np.tile(np.arange(1, n + 1), samples),
+            *(m.reshape(samples * n, 16) for m in (tt, pp, tt @ pp, estimates)),
+            valid.ravel(),
+        ))
+
+    _write_csv(path, trace, cols, table, ints=("agent", "valid"))
 
 
 def _oracle_doc(report: OracleReport) -> dict:
@@ -379,37 +380,34 @@ def _fmt(x, digits=4) -> str:
     return "-" if x is None else f"{x:.{digits}g}"
 
 
-def _report_row(path: Path, doc: dict) -> str:
-    if doc["lambda2"] is not None:
-        spectral = _fmt(doc["lambda2"])
-    else:
-        spectral = "w1:" + ",".join(f"{w:.2g}" for w in doc["w1"])
-    return (
-        f"{path.parent.name or str(path):<28} {doc['law']:<10} "
-        f"{_fmt(doc['alpha']):>6} {spectral:>10} {_fmt(doc['v0']):>10} "
-        f"{_fmt(doc['settling_bound']):>10} {_fmt(doc['settling_time']):>10} "
-        f"{_fmt(doc['final_max_orientation_error']):>13} "
-        f"{_fmt(doc['final_max_position_error']):>10}"
-    )
+def _report_row(path: Path) -> str:
+    """The table row of one summary.json; a file it cannot tabulate is a ScenarioError."""
+    doc = _read_json(path)
+    try:
+        if doc["lambda2"] is not None:
+            spectral = _fmt(doc["lambda2"])
+        else:
+            spectral = "w1:" + ",".join(f"{w:.2g}" for w in doc["w1"])
+        return (
+            f"{path.parent.name or str(path):<28} {doc['law']:<10} "
+            f"{_fmt(doc['alpha']):>6} {spectral:>10} {_fmt(doc['v0']):>10} "
+            f"{_fmt(doc['settling_bound']):>10} {_fmt(doc['settling_time']):>10} "
+            f"{_fmt(doc['final_max_orientation_error']):>13} "
+            f"{_fmt(doc['final_max_position_error']):>10}"
+        )
+    except KeyError as e:
+        raise ScenarioError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{path}: not a summary file ({e})") from e
 
 
 def report(paths) -> int:
     """Print a comparison table for one or more summary.json files."""
-    rows = []
-    for p in paths:
-        path = Path(p)
-        try:
-            rows.append(_report_row(path, json.loads(path.read_text(encoding="utf-8"))))
-        except OSError as e:
-            print(f"error: {path}: {e.strerror or e}", file=sys.stderr)
-            return 1
-        except KeyError as e:
-            print(f"error: {path}: missing key {e}", file=sys.stderr)
-            return 1
-        except (TypeError, ValueError) as e:
-            # malformed JSON, or a field the table cannot format
-            print(f"error: {path}: not a summary file ({e})", file=sys.stderr)
-            return 1
+    try:
+        rows = [_report_row(Path(p)) for p in paths]
+    except ScenarioError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
     header = (
         f"{'run':<28} {'law':<10} {'alpha':>6} {'spectral':>10} {'V0':>10} "

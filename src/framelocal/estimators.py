@@ -116,7 +116,7 @@ def init_aux(n: int, rng_seed: int, law: Law = Asymptotic()) -> EstimatorState:
 
 def reconstruct(
     aux,
-    mode: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS,
+    mode: ReconstructionMode | str = ReconstructionMode.TWO_COLUMN_CROSS,
 ) -> tuple:
     """Pose estimates from a (..., 4, 4) stack of auxiliary matrices.
 
@@ -130,9 +130,8 @@ def reconstruct(
     aux = np.asarray(aux, dtype=np.float64)
     if aux.shape[-2:] != (4, 4):
         raise ValueError(f"expected (..., 4, 4) matrices, got {aux.shape}")
-    r_hat_t, valid, _ = gram_schmidt(
-        aux[..., :3, :3], two_column=mode is ReconstructionMode.TWO_COLUMN_CROSS
-    )
+    two_column = ReconstructionMode(mode) is ReconstructionMode.TWO_COLUMN_CROSS
+    r_hat_t, valid, _ = gram_schmidt(aux[..., :3, :3], two_column=two_column)
     r_hat = np.swapaxes(r_hat_t, -1, -2)
     poses = np.zeros(aux.shape)
     poses[..., :3, :3] = r_hat

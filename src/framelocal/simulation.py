@@ -9,8 +9,8 @@ one that is not a finite rigid motion stops the run before integration.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
-All of this reads a scenario through ``Scenario._stacks``: its poses, twist
-parts and seeded estimator draw, stacked once, read-only and cached.
+All of this reads a scenario's cached, read-only arrays: ``_stacks`` (poses,
+twist parts) and ``_p0`` (the seeded estimator draw, made only if used).
 
 Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
@@ -78,8 +78,8 @@ class ConfigurationError(ValueError):
     """A scenario violates a precondition of the requested law."""
 
 
-# t0 (n, 4, 4) initial poses; (n, 3) twist parts; p0 = init_aux_stack(n, seed)
-ScenarioStacks = collections.namedtuple("ScenarioStacks", "t0 linear angular p0")
+# t0 (n, 4, 4) initial poses; (n, 3) twist parts
+ScenarioStacks = collections.namedtuple("ScenarioStacks", "t0 linear angular")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +99,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "initial_poses", tuple(self.initial_poses))
         object.__setattr__(self, "twists", tuple(self.twists))
+        object.__setattr__(self, "reconstruction", ReconstructionMode(self.reconstruction))
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
@@ -110,14 +111,12 @@ class Scenario:
                 f"need {self.topo.n} poses and twists, got "
                 f"{len(self.initial_poses)} / {len(self.twists)}"
             )
-        stride = as_int(self.stride, "stride")
-        if stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {stride}")
-        seed = as_int(self.seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stride", as_int(self.stride, "stride"))
+        if self.stride < 1:
+            raise ValueError(f"stride must be a positive integer, got {self.stride}")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def n_steps(self) -> int:
@@ -132,10 +131,17 @@ class Scenario:
         t0[:, 3, 3] = 1.0
         linear = np.array([tw.linear for tw in self.twists])
         angular = np.array([tw.angular for tw in self.twists])
-        stacks = ScenarioStacks(t0, linear, angular, init_aux_stack(self.topo.n, self.seed))
+        stacks = ScenarioStacks(t0, linear, angular)
         for a in stacks:
             a.setflags(write=False)
         return stacks
+
+    @functools.cached_property
+    def _p0(self) -> np.ndarray:
+        """The seeded (n, 4, 4) estimator draw, read-only; drawn only when read."""
+        p0 = init_aux_stack(self.topo.n, self.seed)
+        p0.setflags(write=False)
+        return p0
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +276,11 @@ def error_link_pairs(topo: Topology) -> tuple:
 
 
 def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
-    """(t0, p0) from the scenario's stacks, with initial_state as p0 if given."""
-    t0, _, _, p0 = s._stacks
-    if initial_state is not None:
-        p0 = np.asarray(initial_state, dtype=np.float64)
-        if p0.shape != t0.shape:
-            raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
+    """(t0, p0): the scenario's poses, and initial_state or else its seeded draw."""
+    t0 = s._stacks.t0
+    p0 = s._p0 if initial_state is None else np.asarray(initial_state, dtype=np.float64)
+    if p0.shape != t0.shape:
+        raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
     return t0, p0
 
 
@@ -342,18 +347,15 @@ def _make_rhs(s: Scenario):
     bins = (12 * src[:, None] + np.arange(12)).ravel()
     neg_xi = _neg_generators(s)
     finite = isinstance(s.law, FiniteTime)
-    alpha = s.law.alpha if finite else 0.0
-    eps = s.law.epsilon if finite else 0.0
+    alpha, eps = (s.law.alpha, s.law.epsilon) if finite else (0.0, 0.0)
 
     def rhs(tt, pp):
         aligned = (tt[:, :3, :] @ pp).reshape(n, 12)
         diff = aligned[dst] - aligned[src]
         if finite:
             norms = np.sqrt(np.einsum("ej,ej->e", diff, diff))
-            w = np.zeros(len(norms))
-            live = norms >= eps
-            w[live] = norms[live] ** -alpha
-            diff *= w[:, None]
+            # inf ** -alpha is 0: an edge inside the guard radius gets no weight
+            diff *= (np.where(norms >= eps, norms, np.inf) ** -alpha)[:, None]
         acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
         dp = neg_xi @ pp
         dp[:, :3, :] += tt[:, :3, :3].transpose(0, 2, 1) @ acc

@@ -1,5 +1,6 @@
 """Scenario file handling, emission, determinism, and the report table."""
 
+import collections
 import contextlib
 import io
 import json
@@ -407,6 +408,35 @@ def test_huge_integer_literal_rejected(tmp_path, capsys, section, literal):
     assert len(err) == 1 and err[0].startswith(section)
 
 
+def main_output(argv) -> tuple:
+    """(exit code, stdout, stderr lines) of main(argv); usable inside @given."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue().splitlines()
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [("run", b"\xff{}"), ("run", b"[" * 100_000), ("report", b"[" * 100_000)],
+    ids=["run-not-utf8", "run-deep-nesting", "report-deep-nesting"],
+)
+def test_unreadable_json_is_one_error_line(tmp_path, command, content):
+    # bytes that are not UTF-8 escaped the loader's OSError handler, and
+    # nesting past the parser's recursion limit escaped both readers: each
+    # ended in a traceback
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_bytes(content)
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["report", str(path)]
+    code, stdout, err = main_output(argv)
+    assert code == 1 and stdout == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 def test_run_flags_fill_every_run_config_field(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_and_emit", lambda cfg: seen.append(cfg) or 0)
@@ -466,6 +496,41 @@ def test_report_rejects_field_of_wrong_type(tmp_path, capsys):
     assert report([str(out / "summary.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_report_rejects_a_number_it_cannot_format(tmp_path):
+    # a 400-digit integer overflows the float the table formats; it ended
+    # in an OverflowError traceback
+    out = tmp_path / "run"
+    assert main_output(["run", "--config", str(bundled_scenario_path("demo_finite_time")),
+                        "--t-end", "0.1", "--out", str(out)])[0] == 0
+    doc = json.loads((out / "summary.json").read_text())
+    doc["v0"] = 10**400
+    (out / "summary.json").write_text(json.dumps(doc))
+    code, stdout, err = main_output(["report", str(out / "summary.json")])
+    assert code == 1 and stdout == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {out / 'summary.json'}: not a summary file")
+
+
+def test_each_csv_file_reads_the_sample_times_once(tmp_path, monkeypatch):
+    # the writers used to rebuild Trace.times, an arange over every sample,
+    # once per block of sample_blocks: 7 times per file here
+    reads, writing = [], [None]
+    times = Trace.times
+    monkeypatch.setattr(Trace, "times", property(lambda t: reads.append(writing[0]) or times.fget(t)))
+    for name in ("_write_trace_csv", "_write_state_csv"):
+        def marked(trace, path, writer=getattr(cli, name)):
+            writing[0] = path.name
+            writer(trace, path)
+            writing[0] = None
+        monkeypatch.setattr(cli, name, marked)
+    code, stdout, _ = main_output([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")), "--t-end", "2",
+        "--full-state", "--out", str(tmp_path),
+    ])
+    assert code == 0 and "(201 samples)" in stdout
+    counts = collections.Counter(reads)
+    assert counts["trace.csv"] == 1 and counts["state.csv"] == 1
 
 
 def test_non_finite_state_stops_the_run(tmp_path, capsys):
@@ -801,11 +866,52 @@ def test_any_invalid_field_stops_the_run_with_one_error_line(case):
     with tempfile.TemporaryDirectory() as d:
         path, out = Path(d) / "s.json", Path(d) / "out"
         path.write_text(json.dumps(doc))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["run", "--config", str(path), "--out", str(out)])
-        err = stderr.getvalue().splitlines()
+        code, stdout, err = main_output(["run", "--config", str(path), "--out", str(out)])
         assert code == 1, what
         assert len(err) == 1 and err[0].startswith("error: "), (what, err)
-        assert stdout.getvalue() == ""
+        assert stdout == ""
+        assert not out.exists()
+
+
+@st.composite
+def invalid_overrides(draw) -> list:
+    """argv of `framelocal run` on a bundled demo with one override flag set
+    to an invalid value that argparse still accepts."""
+    path = bundled_scenario_path(draw(st.sampled_from(["demo_asymptotic", "demo_finite_time"])))
+    integration = json.loads(path.read_text())["integration"]
+    dt, t_end = integration["dt"], integration["t_end"]
+    non_finite = st.sampled_from([NAN, INF, -INF])
+    non_positive = st.floats(max_value=0.0, allow_nan=False)
+    flag, value = draw(st.one_of(
+        st.tuples(st.just("--dt"), st.one_of(
+            non_finite,
+            non_positive,
+            st.floats(min_value=t_end, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=5e-324, max_value=t_end / 1e308 / 2),  # t_end / dt overflows
+        )),
+        st.tuples(st.just("--t-end"), st.one_of(
+            non_finite,
+            non_positive,
+            st.floats(min_value=0.0, max_value=dt, exclude_min=True, exclude_max=True),
+            st.floats(min_value=dt * 1e308 * 2, allow_infinity=False),  # t_end / dt overflows
+        )),
+        st.tuples(st.just("--alpha"), st.one_of(
+            non_finite, non_positive, st.floats(min_value=1.0, allow_infinity=False)
+        )),
+        st.tuples(st.just("--seed"), st.integers(max_value=-1)),
+        st.tuples(st.just("--stride"), st.integers(max_value=0)),
+    ))
+    # "--flag=value": argparse would read a separate "-inf" as an option
+    return ["run", "--config", str(path), f"{flag}={value!r}"]
+
+
+@settings(max_examples=100)
+@given(invalid_overrides())
+def test_any_invalid_override_stops_the_run_with_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "out"
+        code, stdout, err = main_output([*argv, "--out", str(out)])
+        assert code == 1, argv
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert stdout == ""
         assert not out.exists()

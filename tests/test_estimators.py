@@ -347,6 +347,17 @@ def test_reconstruct_default_mode_is_two_column():
     assert valid.tolist() == [True]
 
 
+def test_reconstruct_takes_a_mode_by_value():
+    # a rank-two block: valid in two-column mode, degenerate in full mode;
+    # "twocol" used to fail an identity test against the enum and run full
+    q = np.column_stack([np.array([2.0, 0, 0]), np.array([1.0, 1, 0]), np.zeros(3)])
+    aux = aux_matrix(q)[None]
+    assert reconstruct(aux, "twocol")[1].tolist() == [True]
+    assert reconstruct(aux, "full")[1].tolist() == [False]
+    with pytest.raises(ValueError, match="ReconstructionMode"):
+        reconstruct(aux, "bogus")
+
+
 def with_bottom_row(top: np.ndarray) -> np.ndarray:
     """(..., 3, 4) top rows completed to (..., 4, 4) with the row (0, 0, 0, 1)."""
     bottom = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (*top.shape[:-2], 1, 4))

@@ -29,7 +29,8 @@ from framelocal import (
     settling_time,
 )
 from framelocal import simulation
-from framelocal.estimators import Asymptotic, FiniteTime
+from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
+from framelocal.graphs import edge_arrays
 from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _make_rhs, _neg_generators, error_link_pairs
 from conftest import (
@@ -224,6 +225,68 @@ def test_kernel_single_agent_without_edges():
         s = make_scenario(topo, seed=45, law=law, t_end=0.1)
         _, p0, fast = kernel_against_oracle(s)
         assert np.array_equal(fast, drift_only(s, p0))
+
+
+def edge_norms(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> tuple:
+    """(diff, norms): the kernel's aligned edge differences and their norms."""
+    src, dst = edge_arrays(s.topo)
+    aligned = (tt[:, :3, :] @ pp).reshape(s.topo.n, 12)
+    diff = aligned[dst] - aligned[src]
+    return diff, np.sqrt(np.einsum("ej,ej->e", diff, diff))
+
+
+def masked_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
+    """The kernel with its first form of the finite-time weights: zeros, a
+    mask of the norms at or above epsilon, their power, a masked assignment."""
+    n = s.topo.n
+    diff, norms = edge_norms(s, tt, pp)
+    w = np.zeros(len(norms))
+    live = norms >= s.law.epsilon
+    w[live] = norms[live] ** -s.law.alpha
+    diff *= w[:, None]
+    src, _ = edge_arrays(s.topo)
+    bins = (12 * src[:, None] + np.arange(12)).ravel()
+    acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
+    dp = _neg_generators(s) @ pp
+    dp[:, :3, :] += tt[:, :3, :3].transpose(0, 2, 1) @ acc
+    return dp
+
+
+def assert_weights_equal_masked_form(s: Scenario, pp: np.ndarray, eps: float, alpha: float):
+    g = dataclasses.replace(s, law=FiniteTime(alpha, float(eps)))
+    tt = g._stacks.t0
+    assert _make_rhs(g)(tt, pp).tobytes() == masked_rhs(g, tt, pp).tobytes()
+
+
+def test_finite_weights_equal_the_masked_form_at_the_guard():
+    # a path whose aligned differences are exactly zero, 1e-14, 1e-9 and of
+    # order one, with epsilon on each nonzero norm and one ulp either side
+    n = 6
+    topo = Topology.undirected(n, [(i, i + 1) for i in range(1, n)])
+    s = make_scenario(topo, seed=46, law=FiniteTime(), t_end=0.1)
+    s = dataclasses.replace(s, initial_poses=(identity_pose(),) * n)
+    pp = simulation.init_aux_stack(n, 46)
+    pp[1] = pp[0]
+    pp[2] = pp[1]
+    pp[2, 0, 0] += 1e-14
+    pp[3] = pp[2]
+    pp[3, 1, 2] += 1e-9
+    _, norms = edge_norms(s, s._stacks.t0, pp)
+    assert (norms == 0).any() and ((0 < norms) & (norms < 1e-13)).any()
+    for norm in np.unique(norms[norms > 0]):
+        for eps in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, np.inf)):
+            for alpha in (0.1, 0.5, 0.9):
+                assert_weights_equal_masked_form(s, pp, eps, alpha)
+    # random rings with a chord and states over twelve decades, epsilon on
+    # the middle norm
+    rng = np.random.default_rng(47)
+    for k in range(20):
+        chord = (1, int(rng.integers(3, 12)))
+        topo = Topology.undirected(12, [(i, i % 12 + 1) for i in range(1, 13)] + [chord])
+        s = make_scenario(topo, seed=48 + k, law=FiniteTime(), t_end=0.1)
+        pp = rng.standard_normal((12, 4, 4)) * 10.0 ** rng.integers(-12, 1, (12, 1, 1))
+        _, norms = edge_norms(s, s._stacks.t0, pp)
+        assert_weights_equal_masked_form(s, pp, np.sort(norms)[len(norms) // 2], rng.uniform(0.05, 0.95))
 
 
 def test_trace_stores_only_what_cannot_be_derived():
@@ -422,7 +485,7 @@ def test_bottom_rows_preserved_bit_exactly():
 
 def test_closed_form_at_zero_is_initial_state():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=4, t_end=0.5)
-    t0, p0 = s._stacks.t0, s._stacks.p0
+    t0, p0 = s._stacks.t0, s._p0
     for i, block in enumerate(closed_form_aligned(s, 0.0)):
         assert np.abs(block - t0[i] @ p0[i]).max() < 1e-12
 
@@ -437,7 +500,7 @@ def test_closed_form_long_horizon_limit():
 def test_closed_form_two_agent_hand_solution():
     # undirected pair: average plus difference mode decaying at rate 2
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=6, t_end=0.5)
-    t0, p0 = s._stacks.t0, s._stacks.p0
+    t0, p0 = s._stacks.t0, s._p0
     s0 = [t0[i] @ p0[i] for i in range(2)]
     avg = (s0[0] + s0[1]) / 2.0
     for t in (0.1, 0.7, 2.0):
@@ -448,7 +511,7 @@ def test_closed_form_two_agent_hand_solution():
 
 def kron_closed_form(s, t: float) -> np.ndarray:
     """Oracle: the 4n x 4n flow expm(-(L kron I4) t) on the stacked aligned states."""
-    t0, p0 = s._stacks.t0, s._stacks.p0
+    t0, p0 = s._stacks.t0, s._p0
     flow = scipy.linalg.expm(-np.kron(build_laplacian(s.topo), np.eye(4)) * t)
     return (flow @ (t0 @ p0).reshape(4 * s.topo.n, 4)).reshape(s.topo.n, 4, 4)
 
@@ -481,28 +544,66 @@ def test_run_draws_the_initial_state_once(monkeypatch):
     assert np.allclose(report.consensus_state, trace.aligned[0].mean(axis=0), atol=1e-12)
 
 
+def test_a_replaced_initial_state_is_never_drawn(monkeypatch):
+    # the seeded draw used to be part of the scenario's stacks, so a run, a
+    # report or a closed form given their own start still paid for it
+    calls = []
+    draw = simulation.init_aux_stack
+    monkeypatch.setattr(
+        simulation, "init_aux_stack", lambda n, seed: calls.append(seed) or draw(n, seed)
+    )
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01)
+    p0 = draw(2, 10)
+    oracle_report(s, p0)
+    trace, _ = run(s, p0)
+    closed_form_aligned(s, 0.5, p0)
+    assert calls == []
+    assert np.array_equal(trace.aux[0], p0)
+
+
+def test_scenario_takes_a_reconstruction_mode_by_value():
+    # "twocol" used to stay a string, which reconstruct ran as the full mode
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=15, t_end=0.2)
+    estimates = {}
+    for mode in ReconstructionMode:
+        by_value = dataclasses.replace(s, reconstruction=mode.value)
+        assert by_value.reconstruction is mode
+        estimates[mode] = run(by_value)[0].estimates
+        assert np.array_equal(
+            estimates[mode], run(dataclasses.replace(s, reconstruction=mode))[0].estimates
+        )
+    assert not np.array_equal(*estimates.values())
+
+
+@pytest.mark.parametrize("mode", ["bogus", "TWO_COLUMN_CROSS", None, 1])
+def test_scenario_rejects_an_unknown_reconstruction_mode(mode):
+    # "bogus" used to run the full mode
+    with pytest.raises(ValueError, match="is not a valid ReconstructionMode"):
+        dataclasses.replace(demo_scenario(t_end=0.05), reconstruction=mode)
+
+
 def test_scenario_stacks_are_read_only():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=11, t_end=0.01)
-    assert s._stacks is s._stacks
-    for a in s._stacks:
+    assert s._stacks is s._stacks and s._p0 is s._p0
+    for a in (*s._stacks, s._p0):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
     # t0 is built from the rotations and translations, byte-equal to the matrices
     assert s._stacks.t0.tobytes() == np.stack([p.matrix for p in s.initial_poses]).tobytes()
     assert np.array_equal(s._stacks.linear, np.stack([tw.linear for tw in s.twists]))
     assert np.array_equal(s._stacks.angular, np.stack([tw.angular for tw in s.twists]))
-    assert np.array_equal(s._stacks.p0, simulation.init_aux_stack(2, 11))
+    assert np.array_equal(s._p0, simulation.init_aux_stack(2, 11))
 
 
 def test_replaced_scenario_has_a_fresh_cache():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
-    first = s._stacks
+    first, first_p0 = s._stacks, s._p0
     same_seed = dataclasses.replace(s, stride=1)
     other_seed = dataclasses.replace(s, seed=13)
-    assert same_seed._stacks is not first
-    assert np.array_equal(same_seed._stacks.p0, first.p0)
-    assert np.array_equal(other_seed._stacks.p0, simulation.init_aux_stack(2, 13))
-    assert not np.array_equal(other_seed._stacks.p0, first.p0)
+    assert same_seed._stacks is not first and same_seed._p0 is not first_p0
+    assert np.array_equal(same_seed._p0, first_p0)
+    assert np.array_equal(other_seed._p0, simulation.init_aux_stack(2, 13))
+    assert not np.array_equal(other_seed._p0, first_p0)
 
 
 def test_generator_stack_matches_per_agent_hat6_bytewise():
@@ -685,7 +786,7 @@ def test_error_link_pairs_deduplicates():
 def test_oracle_report_fields():
     s = make_scenario(square_demo_topology(), seed=13, law=FiniteTime(alpha=0.5), t_end=1.0)
     rep = oracle_report(s)
-    t0, p0 = s._stacks.t0, s._stacks.p0
+    t0, p0 = s._stacks.t0, s._p0
     s_c = sum(0.25 * t0[i] @ p0[i] for i in range(4))
     assert np.abs(rep.consensus_state - s_c).max() < 1e-12
     assert np.array_equal(rep.consensus_state[3], [0.0, 0.0, 0.0, 1.0])
