@@ -16,6 +16,7 @@ from .estimators import (
     reconstruct,
 )
 from .graphs import (
+    ConfigurationError,
     SpectralData,
     Topology,
     analyze,
@@ -38,7 +39,6 @@ from .se3 import (
     relative_transform,
 )
 from .simulation import (
-    ConfigurationError,
     LyapunovCheck,
     OracleReport,
     Scenario,

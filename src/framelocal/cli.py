@@ -24,6 +24,12 @@ true/false or a string where a number is due, and a non-bool "directed".
 Each such value, and a file that cannot be read, decoded as UTF-8 or parsed,
 ends the command with one ``error:`` line naming the file or the section.
 
+The agents are checked as stacks: one pass over the JSON types of all their
+numbers, one ``rotation_check`` over the (n, 3, 3) rotations and one
+``isfinite`` over the (3, n, 3) vectors; the Pose and Twist objects hold
+read-only rows of those stacks. Only when a check fails are the agents
+checked again one by one, in order, which names the first bad agent.
+
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json, summary.json, and optionally
 state.csv with full per-agent state dumps. Floats are emitted with 17
@@ -46,7 +52,7 @@ import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
 from .graphs import Topology
-from .se3 import Pose, Rotation, Twist
+from .se3 import Pose, Rotation, Twist, _prechecked, rotation_check
 from .simulation import (
     ConfigurationError,
     OracleReport,
@@ -154,15 +160,7 @@ def load_scenario(path) -> Scenario:
     agents = doc["agents"]
     if not isinstance(agents, list) or len(agents) != topo.n:
         raise ScenarioError(f"agents: expected a list of {topo.n} entries")
-    poses, twists = [], []
-    for idx, a in enumerate(agents, start=1):
-        where = f"agents[{idx}]"
-        _require_keys(a, where, {"rotation", "translation", "linear_velocity", "angular_velocity"})
-        with _section(where):
-            for key, value in a.items():
-                _numbers(value, key)
-            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
-            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
+    poses, twists = _agents(agents)
 
     law_doc = doc["law"]
     _require_keys(law_doc, "law", {"name", "alpha", "epsilon"}, optional={"alpha", "epsilon"})
@@ -188,6 +186,68 @@ def load_scenario(path) -> Scenario:
             stride=integ["stride"],
             reconstruction=mode,
         )
+
+
+_AGENT_FIELDS = ("rotation", "translation", "linear_velocity", "angular_velocity")
+_AGENT_KEYS = frozenset(_AGENT_FIELDS)
+
+
+def _agent_stacks(agents: list) -> tuple | None:
+    """(rotations (n, 3, 3), vectors (3, n, 3)), read-only, of agents that all
+    pass every check of ``_agents_one_by_one``; None if any agent fails one."""
+    try:
+        if any(type(a) is not dict or a.keys() != _AGENT_KEYS for a in agents):
+            return None
+        rotations, *vectors = ([a[key] for a in agents] for key in _AGENT_FIELDS)
+        # the type of every leaf in one flat pass (type(True) is bool, not
+        # int); a leaf at the wrong depth is a list, a string or not iterable
+        types = {type(x) for r in rotations for row in r for x in row}
+        types |= {type(x) for field in vectors for v in field for x in v}
+        if not types <= {int, float}:
+            return None
+        stacks = np.array(rotations, dtype=np.float64), np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):   # ragged lists, an int beyond float range
+        return None
+    r, v = stacks
+    n = len(agents)
+    if r.shape != (n, 3, 3) or v.shape != (3, n, 3):
+        return None
+    if not (rotation_check(r)[0].all() and np.isfinite(v).all()):
+        return None
+    for a in stacks:
+        a.setflags(write=False)
+    return stacks
+
+
+def _agents_one_by_one(agents: list) -> tuple:
+    """(poses, twists), validated agent by agent; a ScenarioError names the
+    first agent that fails and the first check it fails."""
+    poses, twists = [], []
+    for idx, a in enumerate(agents, start=1):
+        where = f"agents[{idx}]"
+        _require_keys(a, where, _AGENT_KEYS)
+        with _section(where):
+            for key, value in a.items():
+                _numbers(value, key)
+            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
+            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
+    return poses, twists
+
+
+def _agents(agents: list) -> tuple:
+    """(poses, twists) of the agents, checked as stacks; the objects hold rows
+    of those stacks. An agent list that fails any check is checked again one
+    agent at a time, which raises the error."""
+    stacks = _agent_stacks(agents)
+    if stacks is None:
+        return _agents_one_by_one(agents)
+    r, (p, v, w) = stacks
+    poses = [
+        _prechecked(Pose, rotation=_prechecked(Rotation, r=r_i), translation=p_i)
+        for r_i, p_i in zip(r, p)
+    ]
+    twists = [_prechecked(Twist, linear=v_i, angular=w_i) for v_i, w_i in zip(v, w)]
+    return poses, twists
 
 
 def _parse_law(law_doc: dict):

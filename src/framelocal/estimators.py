@@ -92,19 +92,30 @@ class EstimatorState:
 def init_aux_stack(n: int, rng_seed: int) -> np.ndarray:
     """(n, 4, 4) random initial auxiliary matrices, deterministic under the seed.
 
-    Each 3x3 block has independent uniform(-1, 1) entries, redrawn until its
-    determinant magnitude clears 1e-6; translation columns are uniform(-1, 1).
+    Agent by agent, the stream gives 9 uniform(-1, 1) entries of the 3x3
+    block, redrawn until its determinant magnitude clears 1e-6, then the 3 of
+    the translation column. All agents come from one (n, 12) draw, the same
+    stream while no block is redrawn (PCG64 spends one output per double);
+    from the first agent whose block is, the agents are drawn one by one.
     """
     if n < 1:
         raise ValueError("need at least one agent")
     rng = np.random.default_rng(rng_seed)
+    draw = rng.uniform(-1.0, 1.0, (n, 12))
     aux = np.zeros((n, 4, 4))
+    aux[:, :3, :3] = draw[:, :9].reshape(n, 3, 3)
+    aux[:, :3, 3] = draw[:, 9:]
     aux[:, 3, 3] = 1.0
-    for m in aux:
-        m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
-        while abs(np.linalg.det(m[:3, :3])) < INIT_DET_FLOOR:
+    low = np.flatnonzero(np.abs(np.linalg.det(aux[:, :3, :3])) < INIT_DET_FLOOR)
+    if len(low):
+        first = int(low[0])
+        rng = np.random.default_rng(rng_seed)
+        rng.bit_generator.advance(12 * first)   # to where agent `first` starts
+        for m in aux[first:]:
             m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
-        m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
+            while abs(np.linalg.det(m[:3, :3])) < INIT_DET_FLOOR:
+                m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+            m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
     return aux
 
 

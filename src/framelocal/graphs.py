@@ -26,6 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 W1_RESIDUAL_TOL = 1e-9     # acceptance residual on w^T L
+# largest set of dense matrices analyze may hold at once: an undirected graph
+# of up to 4096 agents, whose eigvalsh took 0.83 s at 2048 agents and grows
+# as n^3, or a root block of up to 3344
+MAX_DENSE_BYTES = 1 << 28
+
+
+class ConfigurationError(ValueError):
+    """A scenario violates a precondition of the requested law, or a size bound."""
 
 
 def as_int(value, name: str) -> int:
@@ -165,10 +173,22 @@ def analyze(t: Topology) -> SpectralData:
 
     A digraph's w1 comes from its root block alone, without an n x n matrix;
     an undirected connected graph has uniform w1 and, from n = 2, lambda2.
+    Dense matrices over MAX_DENSE_BYTES are refused (ConfigurationError)
+    before any is allocated.
     """
     roots = root_agents(t)
     if not roots:
         return SpectralData()
+    # a connected undirected graph is all roots and holds its Laplacian and
+    # the copy eigvalsh makes; a digraph its root block, the bordered matrix
+    # and the copy solve makes
+    nbytes = 8 * (3 if t.directed else 2) * len(roots) ** 2
+    if nbytes > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"graph: the spectral analysis of {len(roots)} root agents would hold "
+            f"{nbytes / 2**20:.4g} MiB of dense matrices, over the "
+            f"{MAX_DENSE_BYTES / 2**20:g} MiB limit"
+        )
     if not t.directed:
         lam2 = float(np.linalg.eigvalsh(build_laplacian(t))[1]) if t.n >= 2 else None
         return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)

@@ -50,6 +50,7 @@ from .estimators import (
     reconstruct,
 )
 from .graphs import (
+    ConfigurationError,
     Topology,
     analyze,
     as_int,
@@ -72,10 +73,6 @@ MAX_STEP_WORK = 1e10
 
 # estimator start: the seeded draw (None) or an (n, 4, 4) stack
 InitialState = np.ndarray | None
-
-
-class ConfigurationError(ValueError):
-    """A scenario violates a precondition of the requested law."""
 
 
 # t0 (n, 4, 4) initial poses; (n, 3) twist parts

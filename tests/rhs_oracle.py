@@ -5,7 +5,9 @@ twist and the measured relative transform T_ij to each neighbor, applied to
 the neighbor's communicated auxiliary matrix. This is the literal form of
 the laws, with no aligned-coordinate rewriting, and serves as the oracle the
 stacked kernel in ``framelocal.simulation`` is checked against; ``hat6`` is
-the per-agent twist generator its stacked generators are checked against.
+the per-agent twist generator its stacked generators are checked against,
+and ``init_aux_loop`` the per-agent draw ``init_aux_stack`` is checked
+against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framelocal import EstimatorState, Topology, Twist, hat3, relative_transform
+from framelocal import EstimatorState, Topology, Twist, estimators, hat3, relative_transform
 from framelocal.estimators import Asymptotic, FiniteTime
 
 
@@ -24,6 +26,22 @@ def hat6(t: Twist) -> np.ndarray:
     m[:3, :3] = hat3(t.angular)
     m[:3, 3] = t.linear
     return m
+
+
+def init_aux_loop(n: int, rng_seed: int) -> tuple:
+    """(aux, redrawn): the estimator start drawn agent by agent, and the agents
+    whose block was redrawn, under the floor ``estimators.INIT_DET_FLOOR`` reads now."""
+    rng = np.random.default_rng(rng_seed)
+    aux = np.zeros((n, 4, 4))
+    aux[:, 3, 3] = 1.0
+    redrawn = []
+    for k, m in enumerate(aux):
+        m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+        while abs(np.linalg.det(m[:3, :3])) < estimators.INIT_DET_FLOOR:
+            redrawn.append(k)
+            m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+        m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
+    return aux, sorted(set(redrawn))
 
 
 def neighbors(topo: Topology, i: int) -> tuple:

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framelocal import Topology, cli, simulation
+from framelocal import Topology, cli, graphs, se3, simulation
 from framelocal.cli import (
     RunConfig,
     ScenarioError,
@@ -30,7 +30,7 @@ from framelocal.cli import (
 )
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
 from framelocal.scenarios import demo_scenario, seeded_rotations
-from framelocal.se3 import Pose, Twist
+from framelocal.se3 import Pose, Rotation, Twist
 from framelocal.simulation import Scenario, Trace, error_link_pairs, oracle_report
 from conftest import identity_pose, zero_twist
 
@@ -470,6 +470,91 @@ def test_non_finite_agent_field_rejected(tmp_path, capsys, key, value):
     assert len(err) == 1 and err[0].startswith("error: agents[2]:")
 
 
+NOT_ORTHONORMAL = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (
+            lambda a: (a[2].update(rotation=NOT_ORTHONORMAL),
+                       a[1].update(translation=[0.0, float("nan"), 0.0])),
+            "error: agents[2]: translation has non-finite entries: [0.0, nan, 0.0]",
+        ),
+        (
+            lambda a: a[1].update(rotation=[[1, 0, 0], [0, 1], [0, 0, 1]]),
+            "error: agents[2]: setting an array element with a sequence. The requested array "
+            "has an inhomogeneous shape after 1 dimensions. The detected shape was (3,) + "
+            "inhomogeneous part.",
+        ),
+        (
+            lambda a: a[1].update(rotation=[[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+            "error: agents[2]: not a proper rotation: det = -1.000000000000",
+        ),
+        (
+            lambda a: a[1].update(rotation=[[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            "error: agents[2]: rotation: expected a number, got True",
+        ),
+        (
+            lambda a: (a[3].update(bogus=1), a[1].update(rotation=NOT_ORTHONORMAL)),
+            "error: agents[2]: not orthonormal: ||R^T R - I||_F = 3.000e+00",
+        ),
+    ],
+    ids=["lower-of-two-bad-agents", "ragged-rotation", "reflection", "bool-in-rotation",
+         "bad-rotation-before-unknown-key"],
+)
+def test_agent_error_line_is_exact(tmp_path, capsys, edit, line):
+    # the agents are checked as stacks; when any check fails they are checked
+    # again one by one, in order, and the first failure of the first bad agent
+    # is the line, exactly as the per-agent loader wrote it
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: edit(d["agents"]))
+    assert code == 1
+    assert err == [line]
+
+
+def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
+    # a valid file costs the same number of rotation tests at any agent
+    # count, and no pose, rotation or twist runs its own checks
+    rng = np.random.default_rng(41)
+    paths = []
+    for n in (4, 64, 512):
+        s = Scenario(
+            topo=Topology(n, tuple((k, k % n + 1) for k in range(1, n + 1))),
+            initial_poses=[Pose(r, p) for r, p in zip(seeded_rotations(n, n), rng.normal(size=(n, 3)))],
+            twists=[Twist(v, w) for v, w in rng.normal(size=(n, 2, 3))],
+            law=Asymptotic(), dt=1e-2, t_end=0.1, seed=n,
+        )
+        paths.append(tmp_path / f"ring_{n}.json")
+        save_scenario(s, paths[-1])
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for module in (cli, se3):
+        monkeypatch.setattr(module, "rotation_check", counting("rotation_check", se3.rotation_check))
+    for cls in (Rotation, Pose, Twist):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    counts = []
+    for path in paths:
+        calls.clear()
+        load_scenario(path)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2] == {"rotation_check": 1}
+
+
+def test_oversized_spectral_analysis_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the finite demo's square holds two 4 x 4 matrices in its analysis
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", 2 * 8 * 4**2 - 1)
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: graph: the spectral analysis of 4 root agents")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["{not json", "{}", "[1, 2]", '{"law": "finite"}'],
@@ -786,6 +871,44 @@ def test_save_load_round_trip_is_exact(s, description):
     assert (back.dt, back.t_end, back.seed, back.stride, back.reconstruction) == (
         s.dt, s.t_end, s.seed, s.stride, s.reconstruction
     )
+
+
+# exact rotations, two of them written with ints and -0.0
+EXACT_ROTATIONS = (
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    [[-1.0, 0.0, -0.0], [0, -1, 0], [0.0, 0, 1]],
+)
+
+
+@st.composite
+def agent_lists(draw) -> list:
+    """Entries of 1 to 4 valid agents whose vectors mix ints of any size and floats."""
+    vector = st.lists(st.integers(-(2**70), 2**70) | FINITE, min_size=3, max_size=3)
+    return [
+        {
+            "rotation": draw(st.sampled_from(EXACT_ROTATIONS)),
+            "translation": draw(vector),
+            "linear_velocity": draw(vector),
+            "angular_velocity": draw(vector),
+        }
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@given(agent_lists())
+def test_stacked_agents_equal_the_checked_objects(agents):
+    # the objects hold rows of the stacks: each value converts as the
+    # per-agent objects convert it, and is read-only like theirs
+    poses, twists = cli._agents(agents)
+    want_poses, want_twists = cli._agents_one_by_one(agents)
+    for got, want in zip(poses, want_poses, strict=True):
+        assert same_bits(got.rotation.r, want.rotation.r)
+        assert same_bits(got.translation, want.translation)
+        assert not (got.rotation.r.flags.writeable or got.translation.flags.writeable)
+    for got, want in zip(twists, want_twists, strict=True):
+        assert same_bits(got.linear, want.linear) and same_bits(got.angular, want.angular)
+        assert not (got.linear.flags.writeable or got.angular.flags.writeable)
 
 
 NAN, INF = float("nan"), float("inf")

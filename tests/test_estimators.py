@@ -18,6 +18,7 @@ from framelocal import (
     reconstruct,
     relative_transform,
 )
+from framelocal import estimators
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, init_aux_stack
 from framelocal.simulation import Scenario
 from conftest import (
@@ -35,6 +36,7 @@ from rhs_oracle import (
     asymptotic_rhs,
     finite_time_rhs,
     hat6,
+    init_aux_loop,
     neighbors,
     synthesize_measurements,
 )
@@ -379,3 +381,31 @@ def test_reconstruct_stack_equals_its_slices(aux, mode):
     q_vec = aux[valid][:, :3, 3]
     assert np.abs(poses[valid][:, :3, 3] + np.einsum("nij,nj->ni", r_hat, q_vec)).max(initial=0) < 1e-12
     assert np.all(poses[..., 3, :] == [0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n, seeds", [(1, 200), (2, 200), (4, 200), (64, 100), (1024, 20)])
+def test_stacked_start_is_the_per_agent_stream(n, seeds):
+    # one (n, 12) draw gives every agent the doubles the loop gives it, bit
+    # for bit; at the default floor, seed 13 at n = 1024 redraws agent 811
+    # (index 810), so the stream shifts from there
+    for seed in range(seeds):
+        aux, redrawn = init_aux_loop(n, seed)
+        assert init_aux_stack(n, seed).tobytes() == aux.tobytes()
+        assert redrawn == ([810] if (n, seed) == (1024, 13) else [])
+
+
+@pytest.mark.parametrize("n, seeds", [(4, 200), (64, 50)])
+def test_stacked_start_redraws_as_the_loop_does(monkeypatch, n, seeds):
+    # a floor of 0.3 redraws over half the blocks, so from the first agent
+    # that is redrawn the stream shifts: at the first, a middle and the last
+    # agent among these seeds
+    monkeypatch.setattr(estimators, "INIT_DET_FLOOR", 0.3)
+    firsts = set()
+    for seed in range(seeds):
+        aux, redrawn = init_aux_loop(n, seed)
+        assert init_aux_stack(n, seed).tobytes() == aux.tobytes()
+        if redrawn:
+            firsts.add(redrawn[0])
+    assert 0 in firsts and any(0 < k < n - 1 for k in firsts)
+    if n == 4:
+        assert n - 1 in firsts

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from framelocal import (
+    ConfigurationError,
     Topology,
     analyze,
     build_laplacian,
@@ -16,6 +17,7 @@ from framelocal import (
     is_connected_undirected,
     root_agents,
 )
+from framelocal import graphs
 from framelocal.graphs import W1_RESIDUAL_TOL
 from framelocal.scenarios import directed_demo_topology, square_demo_topology
 from conftest import spanning_digraph
@@ -324,3 +326,44 @@ def test_analyze_directed_and_undirected():
     u = analyze(square_demo_topology())
     assert u.lambda2 == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(u.w1, 0.25)
+
+
+def ring(n: int, directed: bool) -> Topology:
+    links = [(k, k % n + 1) for k in range(1, n + 1)]
+    return Topology(n, tuple(links)) if directed else Topology.undirected(n, links)
+
+
+class Allocating(Exception):
+    """Raised in place of the first dense matrix analyze would build."""
+
+
+def refuse_allocation(*args):
+    raise Allocating
+
+
+def test_dense_bound_checked_before_allocation(monkeypatch):
+    # a 20 000-agent ring would hold two 3.2 GB matrices; it is refused once
+    # its roots are known, before any dense matrix exists, while 2048 agents
+    # (the largest of the step sweep) pass the bound under either law
+    monkeypatch.setattr(graphs, "_laplacian", refuse_allocation)
+    with pytest.raises(ConfigurationError, match=r"^graph: .* 20000 root agents .* 6104 MiB .* 256 MiB limit$"):
+        analyze(ring(20000, directed=False))
+    for directed in (False, True):
+        with pytest.raises(Allocating):
+            analyze(ring(2048, directed))
+
+
+@pytest.mark.parametrize(
+    "t, nbytes",
+    [(square_demo_topology(), 2 * 8 * 4**2), (directed_demo_topology(), 3 * 8 * 3**2)],
+    ids=["undirected", "directed"],
+)
+def test_dense_bound_is_inclusive(monkeypatch, t, nbytes):
+    # two n x n matrices for an undirected graph (the Laplacian and the copy
+    # eigvalsh factors); three m x m for the 3-agent root block of a digraph
+    # (the block, the bordered matrix and the copy solve factors)
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", nbytes)
+    assert analyze(t).w1 is not None
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", nbytes - 1)
+    with pytest.raises(ConfigurationError, match="^graph: "):
+        analyze(t)
