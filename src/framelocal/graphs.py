@@ -6,10 +6,10 @@ indices are 1-based throughout.
 
 Information flows from j to i along an edge (i, j). The root agents, whose
 information reaches every agent, form the root (source) component of the
-condensation and exist exactly when the graph has a spanning tree. Found in
-O(n + E) by ``root_agents``, they decide both graph conditions, and w1 is
-the left null vector of their Laplacian block (no edge enters it), exactly
-zero on every other agent.
+condensation and exist exactly when the graph has a spanning tree. Found
+once per topology in O(n + E) by ``root_agents``, they decide both graph
+conditions, and w1 is the left null vector of their Laplacian block (no
+edge enters it), exactly zero on every other agent.
 
 That block L is strongly connected, so its null space is span(1) and any
 m - 1 of its columns are independent; they span the complement of w. The
@@ -21,6 +21,8 @@ a plausible w, so it is only ever applied to a root block.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,59 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def _checked_edges(edges: tuple, n: int, directed: bool) -> tuple:
+    """The distinct edges, sorted, checked one at a time: the first fault raises."""
+    seen = set()
+    for e in edges:
+        i, j = (as_int(k, "edge end") for k in e)
+        if i == j:
+            raise ValueError(f"self-loop on agent {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge {e} outside 1..{n}")
+        seen.add((i, j))
+    if not directed:
+        missing = {(j, i) for (i, j) in seen} - seen
+        if missing:
+            raise ValueError(
+                f"undirected graph needs symmetric edges; missing {sorted(missing)}"
+            )
+    return tuple(sorted(seen))
+
+
+def _stacked_edges(edges: tuple, n: int, directed: bool) -> tuple | None:
+    """What ``_checked_edges`` returns, checked as one integer stack; None
+    where the stack cannot vouch for the edges, so the per-edge check decides.
+
+    The stack takes pairs of ints (not bools) and of integral floats below
+    2^53, which it holds exactly; an edge (i, j) sorts as the key i (n + 1) + j.
+    """
+    if n >= 2**31:     # the keys would overflow int64
+        return None
+    try:
+        if set(map(len, edges)) - {2}:
+            return None
+    except TypeError:
+        return None
+    ends = list(itertools.chain.from_iterable(edges))
+    kinds = set(map(type, ends))
+    if any(issubclass(k, bool) or not issubclass(k, (int, np.integer, float)) for k in kinds):
+        return None
+    a = np.array(ends).reshape(-1, 2)
+    if a.dtype.kind == "f":
+        if not (np.abs(a) < 2.0**53).all() or (a != np.floor(a)).any():
+            return None
+    elif a.dtype.kind not in "iu":
+        return None
+    if len(a) and (int(a.min()) < 1 or int(a.max()) > n or (a[:, 0] == a[:, 1]).any()):
+        return None
+    a = a.astype(np.int64)
+    keys = np.unique(a[:, 0] * (n + 1) + a[:, 1])     # distinct, ascending
+    i, j = np.divmod(keys, n + 1)
+    if not directed and not np.array_equal(np.sort(j * (n + 1) + i), keys):
+        return None
+    return tuple(zip(i.tolist(), j.tolist()))
+
+
 @dataclass(frozen=True)
 class Topology:
     """Directed or undirected interaction graph over n agents (integer indices)."""
@@ -58,21 +113,15 @@ class Topology:
         if n < 1:
             raise ValueError("need at least one agent")
         object.__setattr__(self, "n", n)
-        seen = set()
-        for e in self.edges:
-            i, j = (as_int(k, "edge end") for k in e)
-            if i == j:
-                raise ValueError(f"self-loop on agent {i}")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"edge {e} outside 1..{n}")
-            seen.add((i, j))
-        if not self.directed:
-            missing = {(j, i) for (i, j) in seen} - seen
-            if missing:
-                raise ValueError(
-                    f"undirected graph needs symmetric edges; missing {sorted(missing)}"
-                )
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        edges = tuple(self.edges)
+        stacked = _stacked_edges(edges, n, self.directed)
+        object.__setattr__(
+            self, "edges", _checked_edges(edges, n, self.directed) if stacked is None else stacked
+        )
+
+    @functools.cached_property
+    def _roots(self) -> tuple:
+        return _search_roots(self)
 
     @classmethod
     def undirected(cls, n: int, pairs) -> "Topology":
@@ -125,6 +174,15 @@ def _reach(adj: list, start: int, seen: list) -> list:
 
 def root_agents(t: Topology) -> tuple:
     """Agents whose information reaches every agent, ascending; () if none.
+
+    Searched once per topology and kept on it, so the graph conditions and
+    ``analyze`` share one search.
+    """
+    return t._roots
+
+
+def _search_roots(t: Topology) -> tuple:
+    """``root_agents`` by search, O(n + E).
 
     A search tree that contains a root covers every agent still unseen, so
     the last tree of a search forest starts at a root if there is one; a

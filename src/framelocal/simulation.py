@@ -16,14 +16,26 @@ Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
 the difference has a zero bottom row, so T_i^-1 acts on it as R_i^T and
 its Frobenius norm is ||S_j - S_i||_F. Per call the kernel forms the top
-three rows of every S_i, takes one 12-column difference per edge, weights
+three rows of every S_i, takes one 12-column difference per link, weights
 it (finite-time law only), sums it per receiving agent, and rotates the sum
 back by R_i^T. The bottom row of the derivative is never written, so it
-stays exactly zero. The test suite pins the kernel to a per-agent oracle
-that applies the measured relative transforms literally.
+stays exactly zero.
 
-The step loop records each sample by copying the stacks and computing V;
-a non-finite V stops the run. All else a trace reports is derived when read:
+On an undirected graph the term of edge (j, i) is the exact negation of
+that of (i, j): a - b = -(b - a) and w (-d) = -(w d) in IEEE arithmetic, and
+the norm of -d is that of d. So the kernel gathers, weights and allocates
+each link once, as (lo, hi) with lo < hi, and writes the mirror with one
+negation; a digraph keeps every edge and a mirror of length 0. The rows are
+laid out so that each agent sums its senders below it and then above it,
+each ascending: the order of the sorted edges, so every sum adds the same
+values in the same order as a pass over all edges, and the derivative is
+the same bit for bit. The test suite pins the kernel to that full-edge pass
+(bit for bit) and to a per-agent oracle that applies the measured relative
+transforms literally.
+
+The step loop does its RK4 stage and update arithmetic in place in two
+reused buffers, and records each sample by copying the stacks and computing
+V; a non-finite V stops the run. All else a trace reports is derived when read:
 its errors come from one batched pass per block of at most BLOCK_MATRICES
 agent matrices (``sample_blocks``) on first read, each value equal to its
 sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
@@ -66,9 +78,12 @@ SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
 MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
-# largest step work a run may start: on an idle 2-core Xeon, RK4 took 43 us
-# per step at n + E = 12 and 617 us at 2048, i.e. about 0.28 us per unit with
-# a per-step overhead of about 150 units, so this is about 47 minutes
+# largest step work a run may start: on an idle 2-core Xeon, RK4 with a
+# pass over all edges took 43 us per step at n + E = 12 and 617 us at 2048,
+# i.e. about 0.28 us per unit with a per-step overhead of about 150 units, so
+# this is at most about 47 minutes. On the same box under load (best of 15
+# runs) the mirrored pass took 103 and 918 us where the full one took 100 and
+# 1238 us: the per-unit cost fell by about 30 % and the overhead held
 MAX_STEP_WORK = 1e10
 
 # estimator start: the seeded draw (None) or an (n, 4, 4) stack
@@ -338,21 +353,33 @@ def _make_rhs(s: Scenario):
 
     dP_i = -hat(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i), summed over the
     edges (i, j) with S = T P in its top three rows, flattened to 12 columns.
+    Each undirected link is computed once and mirrored by negation, in rows
+    that keep the sorted-edge summation order (see the module docstring).
+    The returned derivative is a new array; only the edge rows are reused.
     """
     n = s.topo.n
-    src, dst = edge_arrays(s.topo)
-    bins = (12 * src[:, None] + np.arange(12)).ravel()
+    lo, hi = edge_arrays(s.topo)
+    if not s.topo.directed:
+        lo, hi = lo[lo < hi], hi[lo < hi]
+    m = len(s.topo.edges) - len(lo)   # links mirrored: all of an undirected graph, none of a digraph
+    # rows [mirror terms received at hi..., forward terms received at lo...]:
+    # each bin sums its senders below it, then above it, so in sorted-edge order
+    bins = (12 * np.concatenate((hi[:m], lo))[:, None] + np.arange(12)).ravel()
+    diff = np.empty((m + len(lo), 12))
+    forward = diff[m:]
     neg_xi = _neg_generators(s)
     finite = isinstance(s.law, FiniteTime)
     alpha, eps = (s.law.alpha, s.law.epsilon) if finite else (0.0, 0.0)
 
     def rhs(tt, pp):
         aligned = (tt[:, :3, :] @ pp).reshape(n, 12)
-        diff = aligned[dst] - aligned[src]
+        np.subtract(aligned.take(hi, 0), aligned.take(lo, 0), out=forward)
         if finite:
-            norms = np.sqrt(np.einsum("ej,ej->e", diff, diff))
+            norms = np.sqrt(np.einsum("ej,ej->e", forward, forward))
             # inf ** -alpha is 0: an edge inside the guard radius gets no weight
-            diff *= (np.where(norms >= eps, norms, np.inf) ** -alpha)[:, None]
+            w = np.where(norms >= eps, norms, np.inf) ** -alpha
+            np.multiply(forward, w[:, None], out=forward)
+        np.negative(forward[:m], out=diff[:m])   # exact: w (-d) = -(w d)
         acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
         dp = neg_xi @ pp
         dp[:, :3, :] += tt[:, :3, :3].transpose(0, 2, 1) @ acc
@@ -420,6 +447,11 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
 
     half = s.dt / 2.0
     sixth = s.dt / 6.0
+    # the stages and the update work in place, with the operations of
+    # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order; p_stack is
+    # a copy, so neither the scenario's draw nor a caller's state is written
+    p_stack = p_stack.copy()
+    stage, total = np.empty_like(p_stack), np.empty_like(p_stack)
     # a diverging state shows as a non-finite V at the next sample, not as
     # numpy overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,10 +460,13 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             t_mid = t_stack @ e_half
             t_next = t_stack @ e_full
             k1 = rhs(t_stack, p_stack)
-            k2 = rhs(t_mid, p_stack + half * k1)
-            k3 = rhs(t_mid, p_stack + half * k2)
-            k4 = rhs(t_next, p_stack + s.dt * k3)
-            p_stack = p_stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(t_mid, np.add(p_stack, np.multiply(half, k1, out=stage), out=stage))
+            k3 = rhs(t_mid, np.add(p_stack, np.multiply(half, k2, out=stage), out=stage))
+            k4 = rhs(t_next, np.add(p_stack, np.multiply(s.dt, k3, out=stage), out=stage))
+            np.add(k1, np.multiply(2.0, k2, out=total), out=total)
+            total += np.multiply(2.0, k3, out=stage)
+            total += k4
+            p_stack += np.multiply(sixth, total, out=total)
             t_stack = t_next
             if step % s.stride == 0:
                 record(step // s.stride, step, t_stack, p_stack)

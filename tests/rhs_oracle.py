@@ -7,7 +7,9 @@ the laws, with no aligned-coordinate rewriting, and serves as the oracle the
 stacked kernel in ``framelocal.simulation`` is checked against; ``hat6`` is
 the per-agent twist generator its stacked generators are checked against,
 and ``init_aux_loop`` the per-agent draw ``init_aux_stack`` is checked
-against.
+against. ``edge_rhs`` is the stacked kernel as a pass over every directed
+edge, which the mirrored kernel must equal bit for bit, and ``edge_rk4``
+a whole integration over it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 
 from framelocal import EstimatorState, Topology, Twist, estimators, hat3, relative_transform
 from framelocal.estimators import Asymptotic, FiniteTime
+from framelocal.graphs import edge_arrays
+from framelocal.se3 import exp_twists
+from framelocal.simulation import Scenario, _neg_generators
 
 
 def hat6(t: Twist) -> np.ndarray:
@@ -42,6 +47,46 @@ def init_aux_loop(n: int, rng_seed: int) -> tuple:
             m[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
         m[:3, 3] = rng.uniform(-1.0, 1.0, 3)
     return aux, sorted(set(redrawn))
+
+
+def edge_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
+    """The stacked RHS with one gather, difference and weight per directed
+    edge (i, j), summed per receiver i over the edges in sorted order."""
+    n = s.topo.n
+    src, dst = edge_arrays(s.topo)
+    bins = (12 * src[:, None] + np.arange(12)).ravel()
+    aligned = (tt[:, :3, :] @ pp).reshape(n, 12)
+    diff = aligned[dst] - aligned[src]
+    if isinstance(s.law, FiniteTime):
+        norms = np.sqrt(np.einsum("ej,ej->e", diff, diff))
+        diff *= (np.where(norms >= s.law.epsilon, norms, np.inf) ** -s.law.alpha)[:, None]
+    acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
+    dp = _neg_generators(s) @ pp
+    dp[:, :3, :] += tt[:, :3, :3].transpose(0, 2, 1) @ acc
+    return dp
+
+
+def edge_rk4(s: Scenario, p0: np.ndarray, consensus_state: np.ndarray) -> tuple:
+    """(truth, aux, V) of every step: classical RK4 over ``edge_rhs`` with
+    fresh arrays for each stage, the truth advanced by exact exponentials."""
+    t = s._stacks.t0
+    p = np.array(p0)
+    e_half, _ = exp_twists(s._stacks.linear, s._stacks.angular, s.dt / 2.0)
+    e_full, _ = exp_twists(s._stacks.linear, s._stacks.angular, s.dt)
+    half, sixth = s.dt / 2.0, s.dt / 6.0
+    truth, aux, v = [t], [p], [0.5 * float(np.sum((t @ p - consensus_state) ** 2))]
+    for _ in range(s.n_steps):
+        t_mid, t_next = t @ e_half, t @ e_full
+        k1 = edge_rhs(s, t, p)
+        k2 = edge_rhs(s, t_mid, p + half * k1)
+        k3 = edge_rhs(s, t_mid, p + half * k2)
+        k4 = edge_rhs(s, t_next, p + s.dt * k3)
+        p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_next
+        truth.append(t)
+        aux.append(p)
+        v.append(0.5 * float(np.sum((t @ p - consensus_state) ** 2)))
+    return np.stack(truth), np.stack(aux), np.array(v)
 
 
 def neighbors(topo: Topology, i: int) -> tuple:

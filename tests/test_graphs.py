@@ -319,6 +319,57 @@ def test_topology_validation():
     assert neighbors(t, 4) == ()
 
 
+@pytest.mark.parametrize(
+    "edges, directed, message",
+    [
+        (((1, 2), (2, True)), True, "edge end must be an integer, got True"),
+        (((1, 2), (2, 2.5)), True, "edge end must be an integer, got 2.5"),
+        (((1, 2), (3, 3)), True, "self-loop on agent 3"),
+        (((1, 2), (2, 5)), True, "edge (2, 5) outside 1..4"),
+        (((1, 5), (2, 2)), True, "edge (1, 5) outside 1..4"),
+        (
+            ((1, 2), (2, 1), (2, 3), (3, 4)), False,
+            "undirected graph needs symmetric edges; missing [(3, 2), (4, 3)]",
+        ),
+    ],
+    ids=["bool-end", "fraction", "self-loop", "out-of-range", "first-fault", "missing-reverse"],
+)
+def test_topology_names_the_first_faulty_edge(edges, directed, message):
+    with pytest.raises(ValueError) as err:
+        Topology(4, edges, directed)
+    assert str(err.value) == message
+
+
+END = st.one_of(
+    st.integers(1, 6),
+    st.integers(1, 6).map(float),
+    st.sampled_from([-1, 0, 7, 2.5, True, False, np.int64(3), np.float64(2.0)]),
+)
+
+
+@given(st.integers(1, 6), st.lists(st.tuples(END, END), max_size=8), st.booleans(), st.booleans())
+@example(4, [(1, 2), (2, 1)], False, False)
+@example(3, [(2, True)], True, False)
+@example(3, [], False, False)
+def test_stacked_edge_check_equals_the_per_edge_one(n, edges, directed, mirror):
+    # valid edges: the stack returns the per-edge result itself; any fault:
+    # it declines, and Topology raises the per-edge check's first message
+    if mirror:
+        edges += [(j, i) for i, j in edges]
+    edges = tuple(edges)
+    try:
+        want = graphs._checked_edges(edges, n, directed)
+    except ValueError as err:
+        assert graphs._stacked_edges(edges, n, directed) is None
+        with pytest.raises(ValueError) as got:
+            Topology(n, edges, directed)
+        assert str(got.value) == str(err)
+    else:
+        assert graphs._stacked_edges(edges, n, directed) == want
+        got = Topology(n, edges, directed).edges
+        assert got == want and all(type(k) is int for e in got for k in e)
+
+
 def test_analyze_directed_and_undirected():
     d = analyze(directed_demo_topology())
     assert d.lambda2 is None

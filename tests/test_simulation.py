@@ -28,7 +28,7 @@ from framelocal import (
     run,
     settling_time,
 )
-from framelocal import simulation
+from framelocal import graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
 from framelocal.graphs import edge_arrays
 from framelocal.scenarios import demo_scenario, square_demo_topology
@@ -43,7 +43,7 @@ from conftest import (
     spanning_digraph,
     zero_twist,
 )
-from rhs_oracle import hat6, law_rhs, synthesize_measurements
+from rhs_oracle import edge_rhs, edge_rk4, hat6, law_rhs, synthesize_measurements
 
 
 def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
@@ -136,6 +136,34 @@ def test_run_rejects_directed_topology_for_finite_law():
         run(s)
 
 
+def test_oracle_report_searches_the_roots_once(monkeypatch):
+    calls = []
+    search = graphs._search_roots
+    monkeypatch.setattr(graphs, "_search_roots", lambda t: calls.append(t) or search(t))
+    for topo, law in ((spanning_digraph(6, 3), Asymptotic()), (square_demo_topology(), FiniteTime())):
+        s = make_scenario(dataclasses.replace(topo), seed=57, law=law, t_end=0.1)
+        calls.clear()
+        oracle_report(s)
+        assert calls == [s.topo]
+
+
+def test_oracle_report_checks_the_law_before_the_dense_bound(monkeypatch):
+    # with every dense matrix refused, a law that does not fit the graph is
+    # still named first, and only a graph that fits meets the bound
+    digraph = spanning_digraph(6, 3)
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", 0)
+    cases = (
+        (digraph, FiniteTime(), "^finite-time law requires a connected undirected"),
+        (Topology.undirected(4, [(1, 2), (3, 4)]), FiniteTime(), "^finite-time law requires"),
+        (Topology(4, ((1, 2), (2, 1), (3, 4), (4, 3))), Asymptotic(), "^asymptotic law requires"),
+        (digraph, Asymptotic(), "^graph: "),
+        (square_demo_topology(), FiniteTime(), "^graph: "),
+    )
+    for topo, law, message in cases:
+        with pytest.raises(ConfigurationError, match=message):
+            oracle_report(make_scenario(topo, seed=58, law=law, t_end=0.1))
+
+
 def test_stacked_rhs_matches_public_operations():
     rng = np.random.default_rng(34)
     for law in (Asymptotic(), FiniteTime(alpha=0.4)):
@@ -155,16 +183,24 @@ def test_stacked_rhs_matches_public_operations():
             assert np.abs(fast[i] - public[i]).max() < 1e-12
 
 
-def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> tuple:
-    """Stacked kernel and per-agent oracle at the initial data of s.
+def assert_kernel_is_the_edge_pass(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
+    """The mirrored kernel's derivative, asserted byte-equal to the full-edge pass."""
+    fast = _make_rhs(s)(tt, pp)
+    assert fast.tobytes() == edge_rhs(s, tt, pp).tobytes()
+    return fast
 
-    Asserts the kernel's bottom rows are exactly zero and that it matches
-    the oracle to 1e-12 relative; returns (t0, p0, kernel derivative).
+
+def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> tuple:
+    """Stacked kernel, full-edge pass and per-agent oracle at the initial data of s.
+
+    Asserts the kernel equals the full-edge pass bit for bit, that its
+    bottom rows are exactly zero and that it matches the oracle to 1e-12
+    relative; returns (t0, p0, kernel derivative).
     """
     if state is None:
         state = init_aux(s.topo.n, s.seed, s.law)
     t0, p0 = s._stacks.t0, stack_of(state)
-    fast = _make_rhs(s)(t0, p0)
+    fast = assert_kernel_is_the_edge_pass(s, t0, p0)
     meas = synthesize_measurements(list(s.initial_poses), list(s.twists), s.topo)
     oracle = np.stack(law_rhs(state, meas, s.topo))
     assert np.all(fast[:, 3, :] == 0.0)
@@ -195,17 +231,69 @@ def test_kernel_rooted_digraph_root_sum_is_zero():
     assert np.abs(fast[:4] - drift[:4]).max() > 1e-3
 
 
-def test_kernel_ring_with_chords_both_laws():
-    n = 64
-    rng = np.random.default_rng(42)
+def ring_with_chords(n: int, links: int, seed: int) -> Topology:
+    """Undirected ring over n agents plus seeded chords, `links` links in all."""
+    rng = np.random.default_rng(seed)
     pairs = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-    while len(pairs) < 96:
+    while len(pairs) < links:
         i, j = sorted(int(x) for x in rng.choice(np.arange(1, n + 1), 2, replace=False))
         pairs.add((i, j))
-    topo = Topology.undirected(n, sorted(pairs))
+    return Topology.undirected(n, sorted(pairs))
+
+
+def test_kernel_ring_with_chords_both_laws():
+    topo = ring_with_chords(64, 96, seed=42)
+    assert np.bincount(edge_arrays(topo)[0]).max() >= 3
     for law in (Asymptotic(), FiniteTime(alpha=0.5)):
         s = make_scenario(topo, seed=43, law=law, t_end=0.1)
         assert_average_invariant(s, *kernel_against_oracle(s))
+
+
+def test_kernel_is_the_full_edge_pass_bit_for_bit():
+    # undirected graphs from a ring to near-complete under both laws, and
+    # digraphs (with and without mutual pairs, which stay two edges), at
+    # states over twelve decades, so some finite-law edges fall in the guard
+    rng = np.random.default_rng(49)
+    topos = [ring_with_chords(n, links, seed=50 + n) for n, links in ((3, 3), (9, 20), (40, 300))]
+    topos += [spanning_digraph(n, seed=60 + n) for n in (2, 7, 30)]
+    topos.append(Topology(4, ((1, 2), (2, 1), (2, 3), (3, 2), (4, 3)), directed=True))
+    for k, topo in enumerate(topos):
+        laws = [Asymptotic()] + ([] if topo.directed else [FiniteTime(a, 1e-9) for a in (0.2, 0.7)])
+        for law in laws:
+            s = make_scenario(topo, seed=70 + k, law=law, t_end=0.1)
+            for scale in (1.0, 1e-6, 1e-12):
+                pp = rng.standard_normal((topo.n, 4, 4)) * scale
+                assert_kernel_is_the_edge_pass(s, s._stacks.t0, pp)
+
+
+def test_run_is_the_full_edge_rk4_bit_for_bit():
+    # every step recorded, so truth, aux and V are the oracle's step by step
+    topos = (ring_with_chords(32, 48, seed=51), spanning_digraph(32, seed=52))
+    for topo, law in ((topos[0], FiniteTime()), (topos[0], Asymptotic()), (topos[1], Asymptotic())):
+        s = make_scenario(topo, seed=53, law=law, dt=1e-3, t_end=0.05, stride=1)
+        assert s.n_steps == 50
+        trace, report = run(s)
+        truth, aux, v = edge_rk4(s, s._p0, report.consensus_state)
+        assert trace.truth.tobytes() == truth.tobytes()
+        assert trace.aux.tobytes() == aux.tobytes()
+        assert trace.lyapunov.tobytes() == v.tobytes()
+
+
+def test_run_and_kernel_write_no_input_and_no_earlier_result():
+    s = make_scenario(ring_with_chords(8, 12, seed=54), seed=55, law=FiniteTime(), t_end=0.05)
+    p0 = s._p0.copy()
+    run(s)
+    assert np.array_equal(s._p0, p0)
+    state = simulation.init_aux_stack(8, 56)
+    kept = state.copy()
+    run(s, state)
+    assert state.tobytes() == kept.tobytes()
+    # the kernel reuses its edge rows, never the derivative it hands out
+    rhs = _make_rhs(s)
+    first = rhs(s._stacks.t0, state)
+    kept = first.copy()
+    rhs(s._stacks.t0 @ s._stacks.t0, 2.0 * state)
+    assert first.tobytes() == kept.tobytes()
 
 
 def test_kernel_finite_pair_at_consensus():
