@@ -123,6 +123,18 @@ class Topology:
     def _roots(self) -> tuple:
         return _search_roots(self)
 
+    @functools.cached_property
+    def _edge_index(self) -> np.ndarray:
+        """(2, E) receivers and senders of the edges, 0-based and read-only."""
+        index = np.ascontiguousarray(np.array(self.edges, dtype=np.intp).reshape(-1, 2).T) - 1
+        index.setflags(write=False)
+        return index
+
+    @functools.cached_property
+    def _links(self) -> tuple:
+        pairs = np.unique(np.sort(self._edge_index, axis=0), axis=1) + 1
+        return tuple(zip(*pairs.tolist()))
+
     @classmethod
     def undirected(cls, n: int, pairs) -> "Topology":
         """Build an undirected topology from one pair per link."""
@@ -143,8 +155,9 @@ class SpectralData:
 
 
 def edge_arrays(t: Topology) -> tuple:
-    """Receivers i and senders j of the edges (i, j), as 0-based index arrays."""
-    return tuple(np.array(t.edges, dtype=np.intp).reshape(-1, 2).T - 1)
+    """Receivers i and senders j of the edges (i, j), as 0-based index arrays:
+    read-only views of one array built once per topology."""
+    return tuple(t._edge_index)
 
 
 def _laplacian(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -41,6 +41,10 @@ agent matrices (``sample_blocks``) on first read, each value equal to its
 sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
 or whose step work n_steps x (n + E + 150) would exceed MAX_STEP_WORK, is
 rejected before anything is allocated.
+
+The module needs only numpy. SciPy serves the closed-form oracle alone
+(``closed_form_aligned``, through ``scipy.linalg.expm``), which imports it on
+its first call, so importing the package or running a scenario never loads it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .estimators import (
     Asymptotic,
@@ -283,8 +286,9 @@ def sample_blocks(k: int, n: int):
 
 
 def error_link_pairs(topo: Topology) -> tuple:
-    """Measured links as unordered pairs (i, j) with i < j, ascending."""
-    return tuple(sorted({(min(i, j), max(i, j)) for i, j in topo.edges}))
+    """Measured links as unordered pairs (i, j) with i < j, ascending; derived
+    once per topology and kept on it."""
+    return topo._links
 
 
 def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
@@ -485,6 +489,9 @@ def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = Non
     """
     if not isinstance(s.law, Asymptotic):
         raise ValueError("closed form applies to the asymptotic law only")
+    # imported here, its one use, so that a run or a report never loads SciPy
+    import scipy.linalg
+
     t0, p0 = _initial_stacks(s, initial_state)
     with np.errstate(over="ignore", invalid="ignore"):
         flow = scipy.linalg.expm(-build_laplacian(s.topo) * t)

@@ -1,0 +1,70 @@
+"""Importing the package, running scenarios and reporting never load SciPy;
+only the closed-form oracle does.
+
+Each check runs in a fresh interpreter, because the test suite itself
+imports scipy.linalg, so this process's sys.modules says nothing about
+what the package loads.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from framelocal.cli import bundled_scenario_path, load_scenario
+from framelocal.simulation import closed_form_aligned
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLOSED_FORM_T = 1.5
+
+LOADED_SCIPY = 'sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))'
+
+RUN_AND_REPORT = f"""
+import sys
+import framelocal
+from framelocal import cli
+for name in ("demo_asymptotic", "demo_finite_time"):
+    path = str(cli.bundled_scenario_path(name))
+    assert cli.main(["run", "--config", path, "--out", name, "--full-state"]) == 0
+assert cli.main(["report", "demo_asymptotic/summary.json", "demo_finite_time/summary.json"]) == 0
+print({LOADED_SCIPY})
+"""
+
+CLOSED_FORM = f"""
+import sys
+from framelocal.cli import bundled_scenario_path, load_scenario
+from framelocal.simulation import closed_form_aligned
+s = load_scenario(bundled_scenario_path("demo_asymptotic"))
+assert {LOADED_SCIPY} == []
+flow = closed_form_aligned(s, {CLOSED_FORM_T!r})
+assert "scipy.linalg" in sys.modules
+sys.stdout.buffer.write(flow.tobytes())
+"""
+
+
+def fresh_python(code: str, cwd: Path) -> bytes:
+    """Standard output of code run by a new interpreter that imports framelocal from src."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=300,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_run_and_report_never_load_scipy(tmp_path):
+    out = fresh_python(RUN_AND_REPORT, tmp_path).decode().splitlines()
+    assert out[-1] == "[]"
+    for name in ("demo_asymptotic", "demo_finite_time"):
+        assert (tmp_path / name / "state.csv").is_file()
+
+
+def test_closed_form_loads_scipy_and_matches_in_process(tmp_path):
+    s = load_scenario(bundled_scenario_path("demo_asymptotic"))
+    expected = closed_form_aligned(s, CLOSED_FORM_T).tobytes()
+    assert fresh_python(CLOSED_FORM, tmp_path) == expected

@@ -18,7 +18,7 @@ from framelocal import (
     root_agents,
 )
 from framelocal import graphs
-from framelocal.graphs import W1_RESIDUAL_TOL
+from framelocal.graphs import W1_RESIDUAL_TOL, edge_arrays
 from framelocal.scenarios import directed_demo_topology, square_demo_topology
 from conftest import spanning_digraph
 from rhs_oracle import neighbors
@@ -76,6 +76,22 @@ def topologies(draw) -> Topology:
     ends = st.tuples(st.integers(1, n), st.integers(1, n))
     pairs = [(i, j) for i, j in draw(st.lists(ends, max_size=2 * n)) if i != j]
     return Topology(n, tuple(pairs)) if draw(st.booleans()) else Topology.undirected(n, pairs)
+
+
+@given(topologies())
+@example(directed_demo_topology())
+@example(square_demo_topology())
+@example(Topology(3))
+def test_edge_arrays_are_views_of_one_read_only_index(t):
+    i, j = edge_arrays(t)
+    again = edge_arrays(t)
+    assert i.base is again[0].base is j.base is again[1].base
+    assert not i.flags.writeable and not j.flags.writeable
+    with pytest.raises(ValueError):
+        i[:] = 0
+    edges = np.array(t.edges, dtype=np.intp).reshape(-1, 2)
+    assert np.array_equal(np.stack((i, j), axis=1) + 1, edges)
+    assert i.dtype == j.dtype == np.intp
 
 
 def test_two_node_undirected_laplacian():

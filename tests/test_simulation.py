@@ -869,6 +869,21 @@ def test_error_metrics_invalid_agents_missing():
 def test_error_link_pairs_deduplicates():
     assert error_link_pairs(square_demo_topology()) == ((1, 2), (1, 4), (2, 3), (3, 4))
     assert error_link_pairs(Topology(3, ((1, 2), (2, 1), (3, 1)))) == ((1, 2), (1, 3))
+    assert error_link_pairs(Topology(3)) == ()
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [spanning_digraph(9, seed=5), ring_with_chords(16, 24, seed=3)],
+    ids=["digraph", "undirected-ring"],
+)
+def test_error_link_pairs_are_cached_on_the_topology(topo):
+    assert any((j, i) in topo.edges for i, j in topo.edges)   # mutual pairs to merge
+    links = error_link_pairs(topo)
+    assert error_link_pairs(topo) is links
+    # the set-based definition, one tuple per unordered pair
+    assert links == tuple(sorted({(min(i, j), max(i, j)) for i, j in topo.edges}))
+    assert all(type(k) is int for link in links for k in link)
 
 
 def test_oracle_report_fields():
