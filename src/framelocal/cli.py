@@ -32,9 +32,10 @@ checked again one by one, in order, which names the first bad agent.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json, summary.json, and optionally
-state.csv with full per-agent state dumps. Floats are emitted with 17
-significant digits so every value round-trips exactly; repeated runs with
-the same config and seed produce byte-identical files.
+state.csv with full per-agent state dumps; one walk over ``Trace.blocks()``
+writes both tables. Floats are emitted with 17 significant digits so every
+value round-trips exactly; repeated runs with the same config and seed
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
+from .estimators import Asymptotic, FiniteTime, ReconstructionMode
 from .graphs import Topology
 from .se3 import Pose, Rotation, Twist, _prechecked, rotation_check
 from .simulation import (
@@ -58,9 +59,9 @@ from .simulation import (
     OracleReport,
     Scenario,
     Trace,
+    TraceBlock,
     error_link_pairs,
     run,
-    sample_blocks,
     settling_time,
 )
 
@@ -312,56 +313,46 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
         return dataclasses.replace(s, **changes) if changes else s
 
 
-def _json_float(x) -> float | None:
-    x = float(x)
-    return None if np.isnan(x) else x
+def _json_max(row: np.ndarray) -> float | None:
+    """The largest number in row, or None if it holds none (empty or all NaN)."""
+    top = float(np.fmax.reduce(row, initial=np.nan))   # no all-NaN warning, unlike nanmax
+    return None if np.isnan(top) else top
 
 
-def _write_csv(path: Path, trace: Trace, cols: list, table, ints: tuple = ()):
-    """Header cols, then the rows of table(b, times[b]) per block b of the trace."""
-    # "%.17g" formats a float exactly as f"{x:.17g}" does, nan, inf and -0
-    # included; "%d" writes the integer-valued columns named in ints
-    k, n = trace.truth.shape[:2]
-    times = trace.times
-    fmt = ",".join("%d" if c in ints else "%.17g" for c in cols) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for b in sample_blocks(k, n):
-            for row in table(b, times[b]):
-                fh.write(fmt % tuple(row.tolist()))
-
-
-def _write_trace_csv(trace: Trace, path: Path):
-    cols = ["t"]
-    cols += [f"orient_err_{i}" for i in range(1, trace.truth.shape[1] + 1)]
-    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
-    cols += ["V"]
-    _write_csv(path, trace, cols, lambda b, t: np.column_stack(
-        (t, trace.orientation_errors[b], trace.position_errors[b], trace.lyapunov[b])
-    ))
-
-
-def _write_state_csv(trace: Trace, path: Path):
-    # S and That are derived block by block, as Trace.aligned and
-    # Trace.estimates derive them, so no whole-trace copy is ever held
+def _write_tables(trace: Trace, times: np.ndarray, out: Path, full_state: bool) -> TraceBlock:
+    """Write trace.csv and, with full_state, state.csv from one walk over
+    ``trace.blocks()``; return the last block, whose errors end the summary."""
     n = trace.truth.shape[1]
-    cols = ["t", "agent"]
-    for tag in ("T", "P", "S", "That"):
-        cols += [f"{tag}_{r}{c}" for r in range(4) for c in range(4)]
-    cols += ["valid"]
+    cols = ["t", *(f"orient_err_{i}" for i in range(1, n + 1))]
+    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
+    cells = [f"{m}_{r}{c}" for m in ("T", "P", "S", "That") for r in range(4) for c in range(4)]
+    with contextlib.ExitStack() as stack:
+        write_trace = _csv_writer(stack, out / "trace.csv", [*cols, "V"])
+        if full_state:
+            write_state = _csv_writer(stack, out / "state.csv", ["t", "agent", *cells, "valid"])
+        for b in trace.blocks():
+            t = times[b.samples]
+            write_trace(np.column_stack((t, b.orient, b.pos, trace.lyapunov[b.samples])))
+            if full_state:
+                # S = T P per block, as Trace.aligned derives it: no whole-trace copy
+                tt, pp = trace.truth[b.samples], trace.aux[b.samples]
+                write_state(np.column_stack((
+                    np.repeat(t, n),
+                    np.tile(np.arange(1, n + 1), len(t)),
+                    *(m.reshape(len(t) * n, 16) for m in (tt, pp, tt @ pp, b.estimates)),
+                    b.valid.ravel(),
+                )))
+    return b
 
-    def table(b, t):
-        tt, pp = trace.truth[b], trace.aux[b]
-        estimates, valid = reconstruct(pp, trace.scenario.reconstruction)
-        samples = len(t)
-        return np.column_stack((
-            np.repeat(t, n),
-            np.tile(np.arange(1, n + 1), samples),
-            *(m.reshape(samples * n, 16) for m in (tt, pp, tt @ pp, estimates)),
-            valid.ravel(),
-        ))
 
-    _write_csv(path, trace, cols, table, ints=("agent", "valid"))
+def _csv_writer(stack: contextlib.ExitStack, path: Path, cols: list):
+    """Open path in stack and write the header cols; return a writer of table rows."""
+    fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+    fh.write(",".join(cols) + "\n")
+    # "%.17g" formats a float exactly as f"{x:.17g}" does, nan, inf and -0
+    # included; "%d" writes the integer-valued columns
+    fmt = ",".join("%d" if c in ("agent", "valid") else "%.17g" for c in cols) + "\n"
+    return lambda table: fh.writelines(fmt % tuple(row.tolist()) for row in table)
 
 
 def _oracle_doc(report: OracleReport) -> dict:
@@ -382,12 +373,9 @@ def _oracle_doc(report: OracleReport) -> dict:
     }
 
 
-def _summary_doc(trace: Trace) -> dict:
+def _summary_doc(trace: Trace, final_time: float, last: TraceBlock) -> dict:
     s, report = trace.scenario, trace.report
     finite = isinstance(s.law, FiniteTime)
-    with np.errstate(all="ignore"):
-        final_orient = np.nanmax(trace.orientation_errors[-1]) if trace.orientation_errors.size else np.nan
-        final_pos = np.nanmax(trace.position_errors[-1]) if trace.position_errors.size else np.nan
     return {
         "law": "finite" if finite else "asymptotic",
         "alpha": s.law.alpha if finite else None,
@@ -402,9 +390,9 @@ def _summary_doc(trace: Trace) -> dict:
         "settling_bound": report.settling_bound,
         "settling_bound_optimistic": report.settling_bound_optimistic,
         "settling_time": settling_time(trace) if finite else None,
-        "final_time": float(trace.times[-1]),
-        "final_max_orientation_error": _json_float(final_orient),
-        "final_max_position_error": _json_float(final_pos),
+        "final_time": final_time,
+        "final_max_orientation_error": _json_max(last.orient[-1]),
+        "final_max_position_error": _json_max(last.pos[-1]),
     }
 
 
@@ -424,15 +412,14 @@ def run_and_emit(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_trace_csv(trace, out / "trace.csv")
+        times = trace.times
+        last = _write_tables(trace, times, out, cfg.full_state)
         _write_json(_oracle_doc(report), out / "oracle.json")
-        _write_json(_summary_doc(trace), out / "summary.json")
-        if cfg.full_state:
-            _write_state_csv(trace, out / "state.csv")
+        _write_json(_summary_doc(trace, float(times[-1]), last), out / "summary.json")
     except OSError as e:
         print(f"error: {e.filename or out}: {e.strerror or e}", file=sys.stderr)
         return 1
-    print(f"wrote {out / 'trace.csv'} ({len(trace.times)} samples)")
+    print(f"wrote {out / 'trace.csv'} ({len(times)} samples)")
     return 0
 
 

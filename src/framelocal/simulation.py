@@ -35,10 +35,10 @@ transforms literally.
 
 The step loop does its RK4 stage and update arithmetic in place in two
 reused buffers, and records each sample by copying the stacks and computing
-V; a non-finite V stops the run. All else a trace reports is derived when read:
-its errors come from one batched pass per block of at most BLOCK_MATRICES
-agent matrices (``sample_blocks``) on first read, each value equal to its
-sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
+V; a non-finite V stops the run. All else a trace reports is derived when read,
+in one walk over blocks of at most BLOCK_MATRICES agent matrices
+(``Trace.blocks``, the one place a trace is reconstructed), each value equal
+to its sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
 or whose step work n_steps x (n + E + 150) would exceed MAX_STEP_WORK, is
 rejected before anything is allocated.
 
@@ -95,6 +95,8 @@ InitialState = np.ndarray | None
 
 # t0 (n, 4, 4) initial poses; (n, 3) twist parts
 ScenarioStacks = collections.namedtuple("ScenarioStacks", "t0 linear angular")
+# Trace.blocks(): a slice of samples, their estimates, validity mask and errors
+TraceBlock = collections.namedtuple("TraceBlock", "samples estimates valid orient pos")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +167,10 @@ class Trace:
 
     Stored per sample: the true poses T_i, the estimator matrices P_i and V.
     Derived on each access: ``times`` and ``aligned`` = T_i P_i, whose
-    consensus the laws drive. Derived once, on first access: ``estimates`` /
-    ``estimate_valid`` (every P_i reconstructed in the scenario's mode) and
-    the per-agent / per-link deviations from the predicted transform bias
-    (NaN where reconstruction was invalid or the bias is undefined).
+    consensus the laws drive. Derived in ``blocks()`` and joined once, on
+    first access: ``estimates`` / ``estimate_valid`` (every P_i reconstructed
+    in the scenario's mode) and the per-agent / per-link deviations from the
+    bias (NaN where reconstruction was invalid or the bias is undefined).
     """
 
     scenario: Scenario
@@ -187,9 +189,31 @@ class Trace:
         """(k, n, 4, 4) aligned states T_i P_i."""
         return self.truth @ self.aux
 
+    def blocks(self):
+        """A TraceBlock per block of consecutive samples, each at most BLOCK_MATRICES
+        agent matrices (but at least one sample): the one place a trace is
+        reconstructed. The errors are NaN throughout if the bias is undefined."""
+        k, n = self.aux.shape[:2]
+        links = error_link_pairs(self.scenario.topo)
+        bias = self.report.transform_bias
+        step = max(1, BLOCK_MATRICES // n)
+        for lo in range(0, k, step):
+            b = slice(lo, min(lo + step, k))
+            estimates, valid = reconstruct(self.aux[b], self.scenario.reconstruction)
+            if bias is None:
+                orient = np.full(valid.shape, np.nan)
+                pos = np.full((len(valid), len(links)), np.nan)
+            else:
+                orient, pos = error_metrics(self.truth[b], estimates, valid, bias.rotation.r, links)
+            yield TraceBlock(b, estimates, valid, orient, pos)
+
     @functools.cached_property
     def _reconstructed(self) -> tuple:
-        return reconstruct(self.aux, self.scenario.reconstruction)
+        estimates = np.empty(self.aux.shape)
+        valid = np.empty(self.aux.shape[:2], dtype=bool)
+        for block in self.blocks():
+            estimates[block.samples], valid[block.samples] = block.estimates, block.valid
+        return estimates, valid
 
     @property
     def estimates(self) -> np.ndarray:
@@ -203,15 +227,10 @@ class Trace:
 
     @functools.cached_property
     def _errors(self) -> tuple:
-        k, n = self.aux.shape[:2]
-        links = error_link_pairs(self.scenario.topo)
-        orient = np.full((k, n), np.nan)
-        pos = np.full((k, len(links)), np.nan)
-        if self.report.transform_bias is not None:
-            r_c = self.report.transform_bias.rotation.r
-            for b in sample_blocks(k, n):
-                estimates, valid = reconstruct(self.aux[b], self.scenario.reconstruction)
-                orient[b], pos[b] = error_metrics(self.truth[b], estimates, valid, r_c, links)
+        orient = np.empty(self.aux.shape[:2])
+        pos = np.empty((len(self.aux), len(error_link_pairs(self.scenario.topo))))
+        for block in self.blocks():
+            orient[block.samples], pos[block.samples] = block.orient, block.pos
         return orient, pos
 
     @property
@@ -276,13 +295,6 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
         np.where(valid, orient, np.nan),
         np.where(valid[..., i] & valid[..., j], pos, np.nan),
     )
-
-
-def sample_blocks(k: int, n: int):
-    """Slices of consecutive samples, each at most BLOCK_MATRICES agent
-    matrices (but at least one sample), covering k samples of n agents."""
-    step = max(1, BLOCK_MATRICES // n)
-    return (slice(lo, min(lo + step, k)) for lo in range(0, k, step))
 
 
 def error_link_pairs(topo: Topology) -> tuple:

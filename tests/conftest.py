@@ -20,6 +20,7 @@ from framelocal import (
 )
 from framelocal.estimators import Asymptotic
 from framelocal.scenarios import seeded_rotations
+from framelocal import simulation
 from framelocal.simulation import Scenario
 
 # One profile for every property test: the same examples on every run, no
@@ -165,3 +166,16 @@ def make_scenario(
         seed=seed,
         stride=stride,
     )
+
+
+def counting_reconstruct(monkeypatch) -> list:
+    """Record the leading shape of every simulation.reconstruct call."""
+    calls = []
+    real = simulation.reconstruct
+
+    def counting(aux, mode):
+        calls.append(np.shape(aux)[:-2])
+        return real(aux, mode)
+
+    monkeypatch.setattr(simulation, "reconstruct", counting)
+    return calls

@@ -19,8 +19,7 @@ from framelocal import Topology, cli, graphs, se3, simulation
 from framelocal.cli import (
     RunConfig,
     ScenarioError,
-    _write_state_csv,
-    _write_trace_csv,
+    _write_tables,
     bundled_scenario_path,
     load_scenario,
     main,
@@ -28,11 +27,17 @@ from framelocal.cli import (
     run_and_emit,
     save_scenario,
 )
-from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode, reconstruct
+from framelocal.estimators import (
+    Asymptotic,
+    FiniteTime,
+    ReconstructionMode,
+    init_aux_stack,
+    reconstruct,
+)
 from framelocal.scenarios import demo_scenario, seeded_rotations
 from framelocal.se3 import Pose, Rotation, Twist
 from framelocal.simulation import Scenario, Trace, error_link_pairs, oracle_report
-from conftest import identity_pose, zero_twist
+from conftest import counting_reconstruct, identity_pose, zero_twist
 
 
 def scenarios_equal(a, b) -> bool:
@@ -597,25 +602,88 @@ def test_report_rejects_a_number_it_cannot_format(tmp_path):
     assert len(err) == 1 and err[0].startswith(f"error: {out / 'summary.json'}: not a summary file")
 
 
-def test_each_csv_file_reads_the_sample_times_once(tmp_path, monkeypatch):
-    # the writers used to rebuild Trace.times, an arange over every sample,
-    # once per block of sample_blocks: 7 times per file here
-    reads, writing = [], [None]
+def test_full_state_run_reads_the_sample_times_once(tmp_path, monkeypatch):
+    # Trace.times is an arange over every sample; the writers used to
+    # rebuild it once per block (7 times per file here), and then once per
+    # file, and the summary and the closing line read it again
+    reads = []
     times = Trace.times
-    monkeypatch.setattr(Trace, "times", property(lambda t: reads.append(writing[0]) or times.fget(t)))
-    for name in ("_write_trace_csv", "_write_state_csv"):
-        def marked(trace, path, writer=getattr(cli, name)):
-            writing[0] = path.name
-            writer(trace, path)
-            writing[0] = None
-        monkeypatch.setattr(cli, name, marked)
+    monkeypatch.setattr(Trace, "times", property(lambda t: reads.append(1) or times.fget(t)))
     code, stdout, _ = main_output([
         "run", "--config", str(bundled_scenario_path("demo_asymptotic")), "--t-end", "2",
         "--full-state", "--out", str(tmp_path),
     ])
     assert code == 0 and "(201 samples)" in stdout
-    counts = collections.Counter(reads)
-    assert counts["trace.csv"] == 1 and counts["state.csv"] == 1
+    assert len(reads) == 1
+    last_t = float((tmp_path / "trace.csv").read_text().splitlines()[-1].split(",")[0])
+    assert json.loads((tmp_path / "summary.json").read_text())["final_time"] == last_t
+
+
+def test_full_state_run_reconstructs_each_sample_once(tmp_path, monkeypatch):
+    # trace.csv (through the errors) and state.csv used to reconstruct every
+    # sample each, and cli.py held its own reconstruct; now Trace.blocks is
+    # the one caller, one walk serves both files, and the whole-trace error
+    # and estimate arrays are never built
+    assert not hasattr(cli, "reconstruct")
+    calls = counting_reconstruct(monkeypatch)
+    for joined in ("_errors", "_reconstructed"):
+        monkeypatch.setattr(Trace, joined, property(lambda t: pytest.fail("whole-trace copy")))
+    code, stdout, _ = main_output([
+        "run", "--config", str(bundled_scenario_path("demo_finite_time")), "--t-end", "2",
+        "--full-state", "--out", str(tmp_path),
+    ])
+    assert code == 0 and "(201 samples)" in stdout
+    assert sum(math.prod(shape) for shape in calls) == 201 * 4
+    assert len((tmp_path / "state.csv").read_text().splitlines()) == 1 + 201 * 4
+
+
+def ill_posed_doc() -> dict:
+    """Two agents on one undirected link whose common bias is ill-posed.
+
+    With Q the top-left blocks of ``init_aux_stack(2, 7)`` (seed 7), agent 1
+    at the identity and agent 2 rotated by R, the bias is the Gram-Schmidt
+    orthonormalization of (Q_1 + R Q_2) / 2. R takes Q_2 x onto -Q_1 x for an
+    x with |Q_1 x| = |Q_2 x|, so that matrix is singular up to rounding.
+    """
+    q1, q2 = init_aux_stack(2, 7)[:, :3, :3]
+    lam, vec = np.linalg.eigh(q1.T @ q1 - q2.T @ q2)
+    assert lam[0] < 0.0 < lam[-1]
+    x = np.sqrt(lam[-1]) * vec[:, 0] + np.sqrt(-lam[0]) * vec[:, -1]
+    u, v = q2 @ x, -(q1 @ x)
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    k = se3.hat3(np.cross(u, v))
+    r = np.eye(3) + k + k @ k / (1.0 + u @ v)   # Rodrigues: the rotation taking u to v
+    assert abs(np.linalg.det(q1 + r @ q2)) < 1e-14
+
+    def agent(rotation):
+        zero = [0.0, 0.0, 0.0]
+        return {"rotation": rotation.tolist(), "translation": [1.0, 2.0, 3.0],
+                "linear_velocity": zero, "angular_velocity": zero}
+
+    return {
+        "graph": {"n": 2, "directed": False, "edges": [[1, 2]]},
+        "agents": [agent(np.eye(3)), agent(r)],
+        "law": {"name": "asymptotic"},
+        "integration": {"dt": 0.01, "t_end": 0.1, "stride": 1, "seed": 7},
+        "reconstruction": "twocol",
+    }
+
+
+def test_ill_posed_bias_run_writes_no_warning(tmp_path, capsys):
+    # every error of such a run is NaN; the final maxima used np.nanmax,
+    # whose all-NaN RuntimeWarning np.errstate does not silence, so the run
+    # printed two warning lines to stderr (an error under this suite's
+    # filterwarnings) and exited 0
+    path = tmp_path / "ill_posed.json"
+    path.write_text(json.dumps(ill_posed_doc()))
+    capsys.readouterr()
+    code = main(["run", "--config", str(path), "--full-state", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_max_orientation_error"] is None
+    assert summary["final_max_position_error"] is None
+    assert json.loads((tmp_path / "out" / "oracle.json").read_text())["transform_bias"] is None
 
 
 def test_non_finite_state_stops_the_run(tmp_path, capsys):
@@ -786,24 +854,46 @@ def awkward_trace(mode: ReconstructionMode, k: int = 45, n: int = 3) -> Trace:
 @pytest.mark.parametrize("mode", list(ReconstructionMode))
 def test_csv_writers_match_per_element_oracles(tmp_path, monkeypatch, mode, block):
     # 45 samples of 3 agents: two blocks of 42 and 3 samples by default,
-    # or 2 samples per block with the last one half full
+    # or 2 samples per block with the last one half full; one walk writes
+    # both files, and the awkward errors reach it block by block through
+    # error_metrics, in the order of the samples
     if block is not None:
         monkeypatch.setattr(simulation, "BLOCK_MATRICES", block)
     trace = awkward_trace(mode)
+    assert trace.report.transform_bias is not None
+    orient, pos = trace.orientation_errors, trace.position_errors
+    served = [0]
 
-    def both(write, oracle) -> list:
-        write(trace, tmp_path / "new.csv")
-        oracle(trace, tmp_path / "oracle.csv")
-        got = (tmp_path / "new.csv").read_bytes()
-        assert got == (tmp_path / "oracle.csv").read_bytes()
+    def awkward_errors(truth, estimates, valid, r_c, links):
+        b = slice(served[0], served[0] + len(truth))
+        assert np.array_equal(truth, trace.truth[b], equal_nan=True)
+        served[0] = b.stop
+        return orient[b], pos[b]
+
+    monkeypatch.setattr(simulation, "error_metrics", awkward_errors)
+    (tmp_path / "new").mkdir()
+    last = _write_tables(trace, trace.times, tmp_path / "new", full_state=True)
+    assert served[0] == 45 and last.samples.stop == 45
+    assert np.array_equal(last.orient, orient[last.samples], equal_nan=True)
+
+    def same(name, oracle) -> list:
+        oracle(trace, tmp_path / name)
+        got = (tmp_path / "new" / name).read_bytes()
+        assert got == (tmp_path / name).read_bytes()
         return [row.split(",") for row in got.decode().splitlines()]
 
-    rows = both(_write_trace_csv, write_trace_csv_oracle)
+    rows = same("trace.csv", write_trace_csv_oracle)
     assert rows[1 + 3][2] == "nan" and rows[1 + 5][1] == "-0" and rows[1 + 7][-1] == "inf"
-    rows = both(_write_state_csv, write_state_csv_oracle)
+    rows = same("state.csv", write_state_csv_oracle)
     assert len(rows) == 1 + 45 * 3
     assert rows[1 + 3 * 3 + 1][-1] == rows[1 + 9 * 3 + 2][-1] == "0" and rows[1][-1] == "1"
     assert rows[1 + 2 * 3][3] == "-0"
+    # without --full-state the same walk writes trace.csv alone
+    (tmp_path / "alone").mkdir()
+    served[0] = 0
+    _write_tables(trace, trace.times, tmp_path / "alone", full_state=False)
+    assert [f.name for f in (tmp_path / "alone").iterdir()] == ["trace.csv"]
+    assert (tmp_path / "alone" / "trace.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
 
 
 # Property tests of the file boundary: any valid scenario survives a save and

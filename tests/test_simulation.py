@@ -35,6 +35,7 @@ from framelocal.scenarios import demo_scenario, square_demo_topology
 from framelocal.simulation import Scenario, _make_rhs, _neg_generators, error_link_pairs
 from conftest import (
     compose,
+    counting_reconstruct,
     identity_pose,
     identity_rotation,
     make_pose,
@@ -419,19 +420,6 @@ def test_run_builds_no_objects_per_step_or_sample(monkeypatch):
         run(s)
         counts.append(dict(built))
     assert counts[0] == counts[1] == counts[2]
-
-
-def counting_reconstruct(monkeypatch) -> list:
-    """Record the leading shape of every simulation.reconstruct call."""
-    calls = []
-    real = simulation.reconstruct
-
-    def counting(aux, mode):
-        calls.append(np.shape(aux)[:-2])
-        return real(aux, mode)
-
-    monkeypatch.setattr(simulation, "reconstruct", counting)
-    return calls
 
 
 def test_trace_reconstructs_once(monkeypatch):
