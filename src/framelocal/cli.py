@@ -350,9 +350,10 @@ def _csv_writer(stack: contextlib.ExitStack, path: Path, cols: list):
     fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
     fh.write(",".join(cols) + "\n")
     # "%.17g" formats a float exactly as f"{x:.17g}" does, nan, inf and -0
-    # included; "%d" writes the integer-valued columns
+    # included; "%d" writes the integer-valued columns. A block is formatted
+    # by one % over the row format repeated once per row
     fmt = ",".join("%d" if c in ("agent", "valid") else "%.17g" for c in cols) + "\n"
-    return lambda table: fh.writelines(fmt % tuple(row.tolist()) for row in table)
+    return lambda table: fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _oracle_doc(report: OracleReport) -> dict:

@@ -6,6 +6,8 @@ matrices with classical RK4 on the raw 4x4 ODE, evaluating the relative
 transforms at the exact stage times. The exponentials over a half and a
 full step come from two stacked calls over all agents (``exp_twists``);
 one that is not a finite rigid motion stops the run before integration.
+Stacked as one pair, they give both stage truths of a step from one
+broadcast product.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
@@ -18,8 +20,8 @@ the difference has a zero bottom row, so T_i^-1 acts on it as R_i^T and
 its Frobenius norm is ||S_j - S_i||_F. Per call the kernel forms the top
 three rows of every S_i, takes one 12-column difference per link, weights
 it (finite-time law only), sums it per receiving agent, and rotates the sum
-back by R_i^T. The bottom row of the derivative is never written, so it
-stays exactly zero.
+back by R_i^T. The bottom row of the derivative only ever has -0.0 added
+to it, which changes no value, so it stays exactly zero.
 
 On an undirected graph the term of edge (j, i) is the exact negation of
 that of (i, j): a - b = -(b - a) and w (-d) = -(w d) in IEEE arithmetic, and
@@ -33,14 +35,22 @@ the same bit for bit. The test suite pins the kernel to that full-edge pass
 (bit for bit) and to a per-agent oracle that applies the measured relative
 transforms literally.
 
-The step loop does its RK4 stage and update arithmetic in place in two
-reused buffers, and records each sample by copying the stacks and computing
-V; a non-finite V stops the run. All else a trace reports is derived when read,
-in one walk over blocks of at most BLOCK_MATRICES agent matrices
-(``Trace.blocks``, the one place a trace is reconstructed), each value equal
-to its sample's alone bit for bit. A run whose trace would exceed MAX_TRACE_BYTES,
-or whose step work n_steps x (n + E + 150) would exceed MAX_STEP_WORK, is
-rejected before anything is allocated.
+At small n a step costs about its count of numpy calls, so the kernel and
+the loop make as few, and as cheap, as the arithmetic allows, all in its
+original order. One clipped ``take`` per stage gathers both ends of every
+link into a reused buffer, and one subtraction of its halves fills the
+forward rows. The mirror negation is skipped where there are no mirror
+rows (every digraph). Products land in reused buffers, and the rotated
+sums reach the derivative by one contiguous add of a whole (n, 4, 4)
+stack, not a strided add into its top rows. Ufunc outputs are passed
+positionally. The step loop does its RK4 stage and update arithmetic in
+place in two reused buffers, and records each sample by copying the stacks
+and computing V; a non-finite V stops the run. All else a trace reports is
+derived when read, in one walk over blocks of at most BLOCK_MATRICES agent
+matrices (``Trace.blocks``, the one place a trace is reconstructed), each
+value equal to its sample's alone bit for bit. A run whose trace would
+exceed MAX_TRACE_BYTES, or whose step work n_steps x (n + E + 150) would
+exceed MAX_STEP_WORK, is rejected before anything is allocated.
 
 The module needs only numpy. SciPy serves the closed-form oracle alone
 (``closed_form_aligned``, through ``scipy.linalg.expm``), which imports it on
@@ -81,12 +91,15 @@ SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
 MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
-# largest step work a run may start: on an idle 2-core Xeon, RK4 with a
-# pass over all edges took 43 us per step at n + E = 12 and 617 us at 2048,
-# i.e. about 0.28 us per unit with a per-step overhead of about 150 units, so
-# this is at most about 47 minutes. On the same box under load (best of 15
-# runs) the mirrored pass took 103 and 918 us where the full one took 100 and
-# 1238 us: the per-unit cost fell by about 30 % and the overhead held
+# largest step work a run may start. Measured on earlier kernels: on an idle
+# 2-core Xeon, RK4 with a pass over all edges took 43 us per step at n + E = 12
+# and 617 us at 2048, i.e. about 0.28 us per unit with a per-step overhead of
+# about 150 units, so this is at most about 47 minutes. On the same box under
+# load (best of 15 runs) the mirrored pass took 103 and 918 us where the full
+# one took 100 and 1238 us: the per-unit cost fell by about 30 % and the
+# overhead held. The current step makes fewer numpy calls: at n + E = 12 it
+# took 39 us where the mirrored pass took 50 us (loaded box, best of 5 rounds),
+# so the figures above overstate today's cost and the bound errs on the safe side
 MAX_STEP_WORK = 1e10
 
 # estimator start: the seeded draw (None) or an (n, 4, 4) stack
@@ -371,34 +384,55 @@ def _make_rhs(s: Scenario):
     edges (i, j) with S = T P in its top three rows, flattened to 12 columns.
     Each undirected link is computed once and mirrored by negation, in rows
     that keep the sorted-edge summation order (see the module docstring).
-    The returned derivative is a new array; only the edge rows are reused.
+    The returned derivative is a new array; only the working buffers (the
+    aligned rows, the link ends, the edge rows and the rotated sums) are reused.
     """
     n = s.topo.n
     lo, hi = edge_arrays(s.topo)
     if not s.topo.directed:
         lo, hi = lo[lo < hi], hi[lo < hi]
-    m = len(s.topo.edges) - len(lo)   # links mirrored: all of an undirected graph, none of a digraph
+    f = len(lo)
+    m = len(s.topo.edges) - f   # links mirrored: all of an undirected graph, none of a digraph
     # rows [mirror terms received at hi..., forward terms received at lo...]:
     # each bin sums its senders below it, then above it, so in sorted-edge order
     bins = (12 * np.concatenate((hi[:m], lo))[:, None] + np.arange(12)).ravel()
-    diff = np.empty((m + len(lo), 12))
-    forward = diff[m:]
+    diff = np.empty((m + f, 12))
+    weights, mirror, forward = diff.ravel(), diff[:m], diff[m:]
+    mirrored = forward[:m]   # the forward rows whose links have a mirror row
+    # the top three rows of every S_i, written in place, read as 12 columns
+    aligned = np.empty((n, 3, 4))
+    aligned_rows = aligned.reshape(n, 12)
+    # both ends of every link in one gather; the indices are in range by
+    # construction, and "clip" lets take write into ends directly (under
+    # "raise" it buffers the output)
+    ends_index = np.concatenate((hi, lo))
+    ends = np.empty((2 * f, 12))
+    at_hi, at_lo = ends[:f], ends[f:]
+    n_bins, acc_shape = 12 * n, (n, 3, 4)
+    # R_i^T times the summed terms, written into the top rows of a stack whose
+    # bottom row is -0.0: x + (-0.0) is x for every x, +0.0 included, so one
+    # contiguous add of the whole stack leaves the bottom row as it was
+    update = np.full((n, 4, 4), -0.0)
+    rotated = update[:, :3, :]
     neg_xi = _neg_generators(s)
     finite = isinstance(s.law, FiniteTime)
     alpha, eps = (s.law.alpha, s.law.epsilon) if finite else (0.0, 0.0)
 
     def rhs(tt, pp):
-        aligned = (tt[:, :3, :] @ pp).reshape(n, 12)
-        np.subtract(aligned.take(hi, 0), aligned.take(lo, 0), out=forward)
+        np.matmul(tt[:, :3, :], pp, aligned)
+        aligned_rows.take(ends_index, 0, ends, "clip")
+        np.subtract(at_hi, at_lo, forward)
         if finite:
             norms = np.sqrt(np.einsum("ej,ej->e", forward, forward))
             # inf ** -alpha is 0: an edge inside the guard radius gets no weight
             w = np.where(norms >= eps, norms, np.inf) ** -alpha
-            np.multiply(forward, w[:, None], out=forward)
-        np.negative(forward[:m], out=diff[:m])   # exact: w (-d) = -(w d)
-        acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
+            np.multiply(forward, w[:, None], forward)
+        if m:
+            np.negative(mirrored, mirror)   # exact: w (-d) = -(w d)
+        acc = np.bincount(bins, weights, minlength=n_bins).reshape(acc_shape)
+        np.matmul(tt[:, :3, :3].transpose(0, 2, 1), acc, rotated)
         dp = neg_xi @ pp
-        dp[:, :3, :] += tt[:, :3, :3].transpose(0, 2, 1) @ acc
+        np.add(dp, update, dp)
         return dp
 
     return rhs
@@ -461,6 +495,9 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             )
         lyap[k] = v
 
+    # the half and full step exponentials as one stack: one product per step
+    # gives both truths, each bit-equal to its own product
+    e_pair = np.stack((e_half, e_full))
     half = s.dt / 2.0
     sixth = s.dt / 6.0
     # the stages and the update work in place, with the operations of
@@ -473,16 +510,15 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, 0, t_stack, p_stack)
         for step in range(1, n_steps + 1):
-            t_mid = t_stack @ e_half
-            t_next = t_stack @ e_full
+            t_mid, t_next = t_stack @ e_pair
             k1 = rhs(t_stack, p_stack)
-            k2 = rhs(t_mid, np.add(p_stack, np.multiply(half, k1, out=stage), out=stage))
-            k3 = rhs(t_mid, np.add(p_stack, np.multiply(half, k2, out=stage), out=stage))
-            k4 = rhs(t_next, np.add(p_stack, np.multiply(s.dt, k3, out=stage), out=stage))
-            np.add(k1, np.multiply(2.0, k2, out=total), out=total)
-            total += np.multiply(2.0, k3, out=stage)
-            total += k4
-            p_stack += np.multiply(sixth, total, out=total)
+            k2 = rhs(t_mid, np.add(p_stack, np.multiply(half, k1, stage), stage))
+            k3 = rhs(t_mid, np.add(p_stack, np.multiply(half, k2, stage), stage))
+            k4 = rhs(t_next, np.add(p_stack, np.multiply(s.dt, k3, stage), stage))
+            np.add(k1, np.multiply(2.0, k2, total), total)
+            np.add(total, np.multiply(2.0, k3, stage), total)
+            np.add(total, k4, total)
+            np.add(p_stack, np.multiply(sixth, total, total), p_stack)
             t_stack = t_next
             if step % s.stride == 0:
                 record(step // s.stride, step, t_stack, p_stack)

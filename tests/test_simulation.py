@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from framelocal import (
     AuxMatrix,
@@ -28,7 +30,7 @@ from framelocal import (
     run,
     settling_time,
 )
-from framelocal import graphs, simulation
+from framelocal import cli, graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
 from framelocal.graphs import edge_arrays
 from framelocal.scenarios import demo_scenario, square_demo_topology
@@ -278,6 +280,63 @@ def test_run_is_the_full_edge_rk4_bit_for_bit():
         assert trace.truth.tobytes() == truth.tobytes()
         assert trace.aux.tobytes() == aux.tobytes()
         assert trace.lyapunov.tobytes() == v.tobytes()
+
+
+def bundled(name: str) -> Scenario:
+    return cli.load_scenario(cli.bundled_scenario_path(name))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_scenario(Topology(1), seed=91),
+    lambda: make_scenario(Topology.undirected(1, []), seed=92, law=FiniteTime()),
+    lambda: make_scenario(Topology(2, ((1, 2),)), seed=93),
+    lambda: make_scenario(Topology.undirected(2, [(1, 2)]), seed=94),
+    lambda: make_scenario(Topology.undirected(2, [(1, 2)]), seed=95, law=FiniteTime()),
+    lambda: bundled("demo_asymptotic"),
+    lambda: bundled("demo_finite_time"),
+], ids=["one-agent", "one-agent-finite", "directed-pair", "undirected-pair",
+        "undirected-pair-finite", "demo-asymptotic", "demo-finite"])
+def test_run_is_the_full_edge_rk4_at_small_n_and_on_the_demos(make):
+    # an empty gather, a digraph (no mirror rows), one mirrored link and the
+    # shipped demos: truth, aux and V of every step are the oracle's
+    s = dataclasses.replace(make(), stride=1)
+    s = dataclasses.replace(s, t_end=50 * s.dt)
+    assert s.n_steps == 50
+    trace, report = run(s)
+    truth, aux, v = edge_rk4(s, s._p0, report.consensus_state)
+    assert trace.truth.tobytes() == truth.tobytes()
+    assert trace.aux.tobytes() == aux.tobytes()
+    assert trace.lyapunov.tobytes() == v.tobytes()
+
+
+@st.composite
+def kernel_inputs(draw) -> tuple:
+    """(scenario, tt, pp): a random graph over 1 to 6 agents under a law it
+    admits, and states in which some agents repeat an earlier agent's pose
+    and matrix, so a link between them has an aligned difference of exactly 0."""
+    n = draw(st.integers(1, 6))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = [(i, j) for i, j in draw(st.lists(ends, max_size=2 * n)) if i != j]
+    directed = draw(st.booleans())
+    topo = Topology(n, tuple(pairs)) if directed else Topology.undirected(n, pairs)
+    laws = st.just(Asymptotic())
+    if not directed:
+        laws |= st.builds(FiniteTime, st.floats(0.05, 0.95), st.sampled_from([1e-12, 1e-6, 1.0]))
+    law = draw(laws)
+    s = make_scenario(topo, seed=draw(st.integers(0, 2**16)), law=law, t_end=0.1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tt = s._stacks.t0.copy()
+    pp = rng.standard_normal((n, 4, 4)) * 10.0 ** draw(st.integers(-12, 0))
+    for i in range(1, n):
+        twin = draw(st.integers(0, i))
+        tt[i], pp[i] = tt[twin], pp[twin]
+    return s, tt, pp
+
+
+@given(kernel_inputs())
+@example((make_scenario(Topology(1), seed=96), np.eye(4)[None], np.eye(4)[None]))
+def test_kernel_is_the_full_edge_pass_on_random_small_graphs(inputs):
+    assert_kernel_is_the_edge_pass(*inputs)
 
 
 def test_run_and_kernel_write_no_input_and_no_earlier_result():
