@@ -31,7 +31,9 @@ read-only rows of those stacks. Only when a check fails are the agents
 checked again one by one, in order, which names the first bad agent.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
-per-link position errors, V), oracle.json, summary.json, and optionally
+per-link position errors, V), oracle.json (with |det Q_c| as ``det_qc`` and
+whether the bias is well posed, so a run whose errors are all NaN says why),
+summary.json, and optionally
 state.csv with full per-agent state dumps; one walk over ``Trace.blocks()``
 writes both tables. Floats are emitted with 17 significant digits so every
 value round-trips exactly; repeated runs with the same config and seed
@@ -60,6 +62,7 @@ from .simulation import (
     Scenario,
     Trace,
     TraceBlock,
+    WELL_POSED_DET,
     error_link_pairs,
     run,
     settling_time,
@@ -367,6 +370,8 @@ def _oracle_doc(report: OracleReport) -> dict:
         "w1": report.w1.tolist(),
         "consensus_state": report.consensus_state.tolist(),
         "transform_bias": bias,
+        "det_qc": report.det_qc,
+        "well_posed": report.det_qc > WELL_POSED_DET,
         "lambda2": report.lambda2,
         "settling_bound": report.settling_bound,
         "settling_bound_optimistic": report.settling_bound_optimistic,

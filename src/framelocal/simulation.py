@@ -52,9 +52,10 @@ value equal to its sample's alone bit for bit. A run whose trace would
 exceed MAX_TRACE_BYTES, or whose step work n_steps x (n + E + 150) would
 exceed MAX_STEP_WORK, is rejected before anything is allocated.
 
-The module needs only numpy. SciPy serves the closed-form oracle alone
-(``closed_form_aligned``, through ``scipy.linalg.expm``), which imports it on
-its first call, so importing the package or running a scenario never loads it.
+The module needs only numpy, the closed-form oracle included. Its flow
+expm(-L t) is a stochastic matrix, and ``closed_form_aligned`` computes it by
+uniformization: a series of nonnegative terms, then repeated squaring, with
+no cancellation anywhere (see ``_consensus_flow``).
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
 # took 39 us where the mirrored pass took 50 us (loaded box, best of 5 rounds),
 # so the figures above overstate today's cost and the bound errs on the safe side
 MAX_STEP_WORK = 1e10
+# most squarings the closed-form flow may take. Each squaring about doubles
+# the rounding in the flow's row sums, so after s of them they are off by
+# about 2^s u (u = 2^-53; measured up to 8 * 2^s u over random Laplacians of
+# up to 8 agents). The closed-form checks allow 1e-6 on aligned states whose
+# entries reach about 10, a relative 1e-7: at 26 squarings the rounding stays
+# under it (8 * 2^-27 = 6e-8), at 27 it would not. Past the bound the error
+# keeps doubling until the flow is wrong outright (at t = 2^58 a directed
+# 4-ring's entries were off by 1e6)
+MAX_FLOW_SQUARINGS = 26
 
 # estimator start: the seeded draw (None) or an (n, 4, 4) stack
 InitialState = np.ndarray | None
@@ -264,6 +274,7 @@ class OracleReport:
     w1: np.ndarray                    # consensus weights, sum 1
     consensus_state: np.ndarray       # (4, 4) weighted mix of initial aligned states
     transform_bias: Pose | None       # common bias the estimates converge to (None if ill-posed)
+    det_qc: float                     # |det Q_c|, Q_c the rotation block of the consensus state
     lambda2: float | None             # spectral gap, undirected runs only
     settling_bound: float | None      # finite-time bound 2 V0^(a/2) / (kappa a)
     settling_bound_optimistic: float | None   # half of the above
@@ -362,6 +373,7 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
         w1=w1,
         consensus_state=s_c,
         transform_bias=bias,
+        det_qc=det,
         lambda2=spectral.lambda2,
         settling_bound=bound,
         settling_bound_optimistic=optimistic,
@@ -526,25 +538,61 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     return Trace(s, report, truth, aux, lyap), report
 
 
+def _consensus_flow(lap: np.ndarray, t: float) -> np.ndarray:
+    """expm(-L t) by uniformization, for a Laplacian L and a finite t >= 0.
+
+    With c = max(1, largest degree), M = I - L / c is entrywise nonnegative
+    with unit row sums, and expm(-L tau) = e^(-c tau) sum_k (c tau)^k M^k / k!.
+    For tau = t / 2^s <= 1 / c the series is summed until its coefficient
+    (c tau)^k / k!, which bounds every entry of the term, falls below rounding;
+    the result is then squared s times. Every term and product is
+    nonnegative, so nothing cancels. A t that is negative or not finite, or
+    that needs more than MAX_FLOW_SQUARINGS squarings, raises ValueError.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"the consensus flow needs a finite t >= 0, got {t:g}")
+    n = len(lap)
+    c = max(1.0, float(lap.diagonal().max()))
+    ct = c * t
+    if not ct <= 2.0**MAX_FLOW_SQUARINGS:
+        raise ValueError(
+            f"the consensus flow at t = {t:g} is out of reach in finite precision: c t = "
+            f"{ct:g} (c = {c:g}) needs more than {MAX_FLOW_SQUARINGS} squarings, each "
+            f"doubling its rounding; keep c t <= 2^{MAX_FLOW_SQUARINGS}"
+        )
+    squarings = math.ceil(math.log2(ct)) if ct > 1.0 else 0
+    x = ct / 2.0**squarings
+    m = np.eye(n) - lap / c
+    term, total = np.eye(n), np.eye(n)
+    coeff, k = 1.0, 0
+    while coeff >= 2.0**-53:   # the unit roundoff u
+        k += 1
+        coeff *= x / k
+        term = term @ m * (x / k)
+        total += term
+    flow = total * math.exp(-x)
+    for _ in range(squarings):
+        flow = flow @ flow
+    return flow
+
+
 def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = None) -> np.ndarray:
     """Exact (n, 4, 4) aligned states at time t for the asymptotic law.
 
     The aligned states obey the constant-coefficient linear consensus flow
     dS/dt = -L S, agent by agent over the 4x4 blocks, so the solution is
     expm(-L t) applied to the stacked initial aligned states. Serves as the
-    independent oracle for simulated trajectories. A t whose flow is not
-    finite (NaN, infinite, or overflowing) raises ValueError.
+    independent oracle for simulated trajectories. The flow is computed in
+    numpy by uniformization (``_consensus_flow``): a nonnegative series at
+    t / 2^s <= 1 / c, then s squarings, where c = max(1, largest degree). t
+    must be finite and at least 0, and c t at most 2^MAX_FLOW_SQUARINGS,
+    where the squarings' rounding reaches 2^-27; any other t raises
+    ValueError.
     """
     if not isinstance(s.law, Asymptotic):
         raise ValueError("closed form applies to the asymptotic law only")
-    # imported here, its one use, so that a run or a report never loads SciPy
-    import scipy.linalg
-
     t0, p0 = _initial_stacks(s, initial_state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        flow = scipy.linalg.expm(-build_laplacian(s.topo) * t)
-    if not np.isfinite(flow).all():
-        raise ValueError(f"the consensus flow expm(-L t) is not finite at t = {t:g}")
+    flow = _consensus_flow(build_laplacian(s.topo), t)
     return np.einsum("ij,jab->iab", flow, t0 @ p0)
 
 

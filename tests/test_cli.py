@@ -686,6 +686,26 @@ def test_ill_posed_bias_run_writes_no_warning(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "oracle.json").read_text())["transform_bias"] is None
 
 
+def test_oracle_json_names_an_ill_posed_bias(tmp_path):
+    # such a run writes NaN errors and a null bias with exit 0; oracle.json
+    # says why: |det Q_c| is at the rounding level, under WELL_POSED_DET
+    ill_posed = tmp_path / "ill_posed.json"
+    ill_posed.write_text(json.dumps(ill_posed_doc()))
+    configs = {
+        "ill_posed": (ill_posed, False),
+        "demo_asymptotic": (bundled_scenario_path("demo_asymptotic"), True),
+        "demo_finite_time": (bundled_scenario_path("demo_finite_time"), True),
+    }
+    for name, (path, well_posed) in configs.items():
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path), "--t-end", "0.01", "--out", str(out)]) == 0
+        doc = json.loads((out / "oracle.json").read_text())
+        assert doc["well_posed"] is well_posed
+        assert (doc["det_qc"] > simulation.WELL_POSED_DET) is well_posed
+        assert (doc["transform_bias"] is not None) is well_posed
+
+
 def test_non_finite_state_stops_the_run(tmp_path, capsys):
     # RK4 at dt = 3 diverges; the run stops with one error line instead of
     # writing a trace of NaNs with exit code 0

@@ -781,6 +781,75 @@ def test_closed_form_rejects_non_finite_time_or_flow(t):
     assert np.isfinite(closed_form_aligned(s, 1e6)).all()
 
 
+FLOW_TIMES = (0.0, 1e-3, 0.3, 2.0, 10.0, 40.0, 1e3, 1e6)
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+
+
+def flow_tol(lap: np.ndarray, t: float) -> float:
+    """Tolerance of the flow at t: 64 u max(1, c t), c = max(1, largest degree).
+
+    Both the flow and scipy.linalg.expm scale and square, so their rounding
+    grows as 2^s u over s squarings. Over the digraphs and times of the
+    tests below, the gap between them measured at most 8.75 * 2^s u; over
+    20000 random Laplacians like those of ``laplacians()`` with t up to 1e6,
+    the flow's row sums were at most 8 * 2^s u off 1. Since
+    2^s < 2 max(1, c t), this bound is at least 32 * 2^s u and holds both
+    with a margin of more than 3.
+    """
+    c = max(1.0, float(lap.diagonal().max()))
+    return 64.0 * UNIT_ROUNDOFF * max(1.0, c * t)
+
+
+def assert_flow_matches_scipy(lap: np.ndarray):
+    for t in FLOW_TIMES:
+        got = simulation._consensus_flow(lap, t)
+        assert np.abs(got - scipy.linalg.expm(-lap * t)).max() <= flow_tol(lap, t), t
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_consensus_flow_matches_scipy_on_spanning_digraphs(n):
+    assert_flow_matches_scipy(build_laplacian(spanning_digraph(n, 600 + n)))
+
+
+def test_consensus_flow_matches_scipy_on_a_defective_laplacian():
+    # the directed chain 3 -> 2 -> 1: eigenvalue 1 twice with one eigenvector,
+    # so expm(-L t) has a t e^-t entry
+    lap = build_laplacian(Topology(3, ((1, 2), (2, 3))))
+    assert np.linalg.matrix_rank(lap - np.eye(3)) == 2
+    assert_flow_matches_scipy(lap)
+
+
+@st.composite
+def laplacians(draw) -> np.ndarray:
+    """Laplacians of 1 to 8 agents: nonnegative off-diagonal weights, some
+    exactly 0 or 1 (so graphs with and without a spanning tree), rows summing
+    to 0 on the diagonal."""
+    n = draw(st.integers(1, 8))
+    weights = st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.0, 4.0)
+    adj = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(adj, 0.0)
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+@given(laplacians(), st.floats(0.0, 1e3))
+def test_consensus_flow_is_stochastic(lap, t):
+    flow = simulation._consensus_flow(lap, t)
+    assert (flow >= 0.0).all()
+    assert np.abs(flow.sum(axis=1) - 1.0).max() <= flow_tol(lap, t)
+
+
+def test_consensus_flow_at_its_largest_t_is_the_weighted_projector():
+    # past the squaring bound the rounding keeps doubling: at t = 2^58 this
+    # ring's flow was off by 1e6, a finite and wrong answer
+    lap = build_laplacian(Topology(4, ((1, 2), (2, 3), (3, 4), (4, 1))))
+    t = 2.0**simulation.MAX_FLOW_SQUARINGS   # the degree is 1
+    flow = simulation._consensus_flow(lap, t)
+    assert np.abs(flow - 0.25).max() <= flow_tol(lap, t)
+    for beyond in (np.nextafter(t, np.inf), 2.0 * t, 1e300):
+        with pytest.raises(ValueError, match="finite"):
+            simulation._consensus_flow(lap, beyond)
+
+
 def test_simulated_aligned_matches_closed_form():
     s = make_scenario(Topology(3, ((1, 2), (2, 3), (3, 1))), seed=8, dt=1e-3, t_end=1.0, stride=100)
     trace, _ = run(s)
