@@ -24,11 +24,11 @@ true/false or a string where a number is due, and a non-bool "directed".
 Each such value, and a file that cannot be read, decoded as UTF-8 or parsed,
 ends the command with one ``error:`` line naming the file or the section.
 
-The agents are checked as stacks: one pass over the JSON types of all their
-numbers, one ``rotation_check`` over the (n, 3, 3) rotations and one
-``isfinite`` over the (3, n, 3) vectors; the Pose and Twist objects hold
-read-only rows of those stacks. Only when a check fails are the agents
-checked again one by one, in order, which names the first bad agent.
+The agents are checked as stacks: their keys, their JSON shapes and number
+types, one ``rotation_check`` over the (n, 3, 3) rotations and one
+``isfinite`` over the (3, n, 3) vectors, each flagging the agents it fails.
+The first flagged agent alone is checked again, which names it and its
+first fault; the Pose and Twist objects hold read-only rows of the stacks.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json (with |det Q_c| as ``det_qc`` and
@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode
 from .graphs import Topology
-from .se3 import Pose, Rotation, Twist, _prechecked, rotation_check
+from .se3 import Pose, Rotation, Twist, _freeze, _prechecked, rotation_check
 from .simulation import (
     ConfigurationError,
     OracleReport,
@@ -155,11 +156,9 @@ def load_scenario(path) -> Scenario:
 
     g = doc["graph"]
     _require_keys(g, "graph", {"n", "directed", "edges"})
-    if not isinstance(g["directed"], bool):
-        raise ScenarioError(f"graph: directed must be true or false, got {g['directed']!r}")
     with _section("graph"):
-        make = Topology if g["directed"] else Topology.undirected
-        topo = make(g["n"], g["edges"])
+        topo = (Topology.undirected(g["n"], g["edges"]) if g["directed"] is False
+                else Topology(g["n"], g["edges"], g["directed"]))
 
     agents = doc["agents"]
     if not isinstance(agents, list) or len(agents) != topo.n:
@@ -194,58 +193,51 @@ def load_scenario(path) -> Scenario:
 
 _AGENT_FIELDS = ("rotation", "translation", "linear_velocity", "angular_velocity")
 _AGENT_KEYS = frozenset(_AGENT_FIELDS)
+_NUMBER_KINDS = {float: 1, int: 2}   # the JSON numbers by type
 
 
-def _agent_stacks(agents: list) -> tuple | None:
-    """(rotations (n, 3, 3), vectors (3, n, 3)), read-only, of agents that all
-    pass every check of ``_agents_one_by_one``; None if any agent fails one."""
-    try:
-        if any(type(a) is not dict or a.keys() != _AGENT_KEYS for a in agents):
-            return None
-        rotations, *vectors = ([a[key] for a in agents] for key in _AGENT_FIELDS)
-        # the type of every leaf in one flat pass (type(True) is bool, not
-        # int); a leaf at the wrong depth is a list, a string or not iterable
-        types = {type(x) for r in rotations for row in r for x in row}
-        types |= {type(x) for field in vectors for v in field for x in v}
-        if not types <= {int, float}:
-            return None
-        stacks = np.array(rotations, dtype=np.float64), np.array(vectors, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):   # ragged lists, an int beyond float range
-        return None
-    r, v = stacks
-    n = len(agents)
-    if r.shape != (n, 3, 3) or v.shape != (3, n, 3):
-        return None
-    if not (rotation_check(r)[0].all() and np.isfinite(v).all()):
-        return None
-    for a in stacks:
-        a.setflags(write=False)
-    return stacks
+def _number_mask(values: list, shape: tuple) -> np.ndarray:
+    """Which values are nested lists of the given shape whose leaves are JSON
+    numbers (not bools) that a float holds (NaN and inf included)."""
+    if not shape:
+        kinds = np.fromiter(map(_NUMBER_KINDS.get, map(type, values), itertools.repeat(0)), np.int8)
+        ok, ints = kinds > 0, kinds == 2
+        # from 2^1024 - 2^970 up, an int rounds to inf as a float
+        magnitudes = map(abs, itertools.compress(values, ints))
+        ok[ints] = np.fromiter(map((2**1024 - 2**970).__gt__, magnitudes), bool)
+        return ok
+    ok = np.fromiter((type(v) is list and len(v) == shape[0] for v in values), bool, len(values))
+    inner = list(itertools.chain.from_iterable(itertools.compress(values, ok)))
+    ok[ok] = _number_mask(inner, shape[1:]).reshape(-1, shape[0]).all(axis=1)
+    return ok
 
 
-def _agents_one_by_one(agents: list) -> tuple:
-    """(poses, twists), validated agent by agent; a ScenarioError names the
-    first agent that fails and the first check it fails."""
-    poses, twists = [], []
-    for idx, a in enumerate(agents, start=1):
-        where = f"agents[{idx}]"
+def _agents(agents: list) -> tuple:
+    """(poses, twists) of the agents, which hold rows of read-only stacks.
+
+    Each check runs over all agents at once and flags those that fail it;
+    the first flagged agent is then checked alone, which raises a
+    ScenarioError naming it and the first check it fails.
+    """
+    ok = np.fromiter((type(a) is dict and a.keys() == _AGENT_KEYS for a in agents), bool, len(agents))
+    rotations, *vectors = ([a[key] for a in itertools.compress(agents, ok)] for key in _AGENT_FIELDS)
+    vectors = [*itertools.chain(*vectors)]   # the three vector fields, one after another
+    form = _number_mask(rotations, (3, 3)) & _number_mask(vectors, (3,)).reshape(3, -1).all(axis=0)
+    ok[ok] = form
+    r = _freeze([*itertools.compress(rotations, form)]).reshape(-1, 3, 3)
+    vectors = _freeze([*itertools.compress(vectors, np.concatenate((form,) * 3))]).reshape(3, -1, 3)
+    ok[ok] = rotation_check(r)[0] & np.isfinite(vectors).all(axis=(0, 2))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        a, where = agents[k], f"agents[{k + 1}]"
         _require_keys(a, where, _AGENT_KEYS)
         with _section(where):
             for key, value in a.items():
                 _numbers(value, key)
-            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
-            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
-    return poses, twists
-
-
-def _agents(agents: list) -> tuple:
-    """(poses, twists) of the agents, checked as stacks; the objects hold rows
-    of those stacks. An agent list that fails any check is checked again one
-    agent at a time, which raises the error."""
-    stacks = _agent_stacks(agents)
-    if stacks is None:
-        return _agents_one_by_one(agents)
-    r, (p, v, w) = stacks
+            Pose(Rotation(a["rotation"]), a["translation"])
+            Twist(a["linear_velocity"], a["angular_velocity"])
+        raise AssertionError(f"{where} fails a stacked check but none of its own")
+    p, v, w = vectors
     poses = [
         _prechecked(Pose, rotation=_prechecked(Rotation, r=r_i), translation=p_i)
         for r_i, p_i in zip(r, p)

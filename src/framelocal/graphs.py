@@ -47,98 +47,102 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
-def _checked_edges(edges: tuple, n: int, directed: bool) -> tuple:
-    """The distinct edges, sorted, checked one at a time: the first fault raises."""
-    seen = set()
-    for e in edges:
+_PAIR_KINDS = (tuple, list, np.ndarray)
+
+
+def _sorted_distinct(index: np.ndarray) -> np.ndarray:
+    """The distinct columns of a (2, E) index, ascending by row 0, then row 1; read-only."""
+    index = index[:, np.lexsort(index[::-1])]
+    first = np.ones(index.shape[1], dtype=bool)
+    first[1:] = (index[:, 1:] != index[:, :-1]).any(axis=0)
+    index = index[:, first]
+    index.setflags(write=False)
+    return index
+
+
+def _edge_index(edges, n: int) -> np.ndarray:
+    """The (2, E) 0-based receivers and senders of the distinct edges, sorted.
+
+    The edges are checked as one stack, which flags each edge that fails a
+    check; the first flagged edge is then checked alone, which raises its
+    message. An end counts when ``as_int`` would take it and it lies in 1..n;
+    any other end is read as 0, which flags its edge.
+    """
+    edges = tuple(edges) if np.iterable(edges) else (edges,)
+    pair = np.fromiter((isinstance(e, _PAIR_KINDS) and len(e) == 2 for e in edges), bool, len(edges))
+    ends = list(itertools.chain.from_iterable(itertools.compress(edges, pair)))
+    kinds = {k for k in set(map(type, ends))
+             if issubclass(k, (int, np.integer, float)) and not issubclass(k, bool)}
+    ends = [x if type(x) in kinds and 1 <= x <= n and x % 1 == 0 else 0 for x in ends]
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    faults = ~pair
+    faults[pair] = (ends[:, 0] == ends[:, 1]) | (ends == 0).any(axis=1)
+    if faults.any():
+        e = edges[int(np.argmax(faults))]
+        if not (isinstance(e, _PAIR_KINDS) and len(e) == 2):
+            raise ValueError(f"edge {e!r} is not a pair of agents")
         i, j = (as_int(k, "edge end") for k in e)
         if i == j:
             raise ValueError(f"self-loop on agent {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge {e} outside 1..{n}")
-        seen.add((i, j))
-    if not directed:
-        missing = {(j, i) for (i, j) in seen} - seen
-        if missing:
-            raise ValueError(
-                f"undirected graph needs symmetric edges; missing {sorted(missing)}"
-            )
-    return tuple(sorted(seen))
+        raise ValueError(f"edge {e} outside 1..{n}")   # the one check left
+    return _sorted_distinct(ends.T - 1)
 
 
-def _stacked_edges(edges: tuple, n: int, directed: bool) -> tuple | None:
-    """What ``_checked_edges`` returns, checked as one integer stack; None
-    where the stack cannot vouch for the edges, so the per-edge check decides.
-
-    The stack takes pairs of ints (not bools) and of integral floats below
-    2^53, which it holds exactly; an edge (i, j) sorts as the key i (n + 1) + j.
-    """
-    if n >= 2**31:     # the keys would overflow int64
-        return None
-    try:
-        if set(map(len, edges)) - {2}:
-            return None
-    except TypeError:
-        return None
-    ends = list(itertools.chain.from_iterable(edges))
-    kinds = set(map(type, ends))
-    if any(issubclass(k, bool) or not issubclass(k, (int, np.integer, float)) for k in kinds):
-        return None
-    a = np.array(ends).reshape(-1, 2)
-    if a.dtype.kind == "f":
-        if not (np.abs(a) < 2.0**53).all() or (a != np.floor(a)).any():
-            return None
-    elif a.dtype.kind not in "iu":
-        return None
-    if len(a) and (int(a.min()) < 1 or int(a.max()) > n or (a[:, 0] == a[:, 1]).any()):
-        return None
-    a = a.astype(np.int64)
-    keys = np.unique(a[:, 0] * (n + 1) + a[:, 1])     # distinct, ascending
-    i, j = np.divmod(keys, n + 1)
-    if not directed and not np.array_equal(np.sort(j * (n + 1) + i), keys):
-        return None
-    return tuple(zip(i.tolist(), j.tolist()))
-
-
-@dataclass(frozen=True)
 class Topology:
-    """Directed or undirected interaction graph over n agents (integer indices)."""
+    """Directed or undirected interaction graph over n agents (integer indices).
 
-    n: int
-    edges: tuple = ()
-    directed: bool = True
+    It keeps n, ``directed`` (a bool) and ``_edge_index``: its distinct edges
+    as a read-only, sorted (2, E) array of 0-based receivers and senders, from
+    which ``edges`` derives. Immutable; compared and hashed by those three.
+    """
 
-    def __post_init__(self):
-        n = as_int(self.n, "n")
+    def __init__(self, n: int, edges=(), directed: bool = True):
+        if not isinstance(directed, (bool, np.bool_)):
+            raise ValueError(f"directed must be true or false, got {directed!r}")
+        n = as_int(n, "n")
         if n < 1:
             raise ValueError("need at least one agent")
-        object.__setattr__(self, "n", n)
-        edges = tuple(self.edges)
-        stacked = _stacked_edges(edges, n, self.directed)
-        object.__setattr__(
-            self, "edges", _checked_edges(edges, n, self.directed) if stacked is None else stacked
-        )
+        index = _edge_index(edges, n)
+        if not directed and not np.array_equal(_sorted_distinct(index[::-1]), index):
+            pairs = set(zip(*(index + 1).tolist()))
+            missing = sorted({(j, i) for i, j in pairs} - pairs)
+            raise ValueError(f"undirected graph needs symmetric edges; missing {missing}")
+        self.__dict__.update(n=n, directed=bool(directed), _edge_index=index)
+
+    @classmethod
+    def undirected(cls, n: int, pairs) -> "Topology":
+        """Build an undirected topology from one pair per link."""
+        topo = cls(n, pairs)   # checks the pairs; adding the reverses keeps them valid
+        index = np.hstack((topo._edge_index, topo._edge_index[::-1]))
+        topo.__dict__.update(directed=False, _edge_index=_sorted_distinct(index))
+        return topo
+
+    @property
+    def edges(self) -> tuple:
+        """The distinct edges (i, j), 1-based and sorted, as pairs of ints."""
+        return tuple(zip(*(self._edge_index + 1).tolist()))
 
     @functools.cached_property
     def _roots(self) -> tuple:
         return _search_roots(self)
 
     @functools.cached_property
-    def _edge_index(self) -> np.ndarray:
-        """(2, E) receivers and senders of the edges, 0-based and read-only."""
-        index = np.ascontiguousarray(np.array(self.edges, dtype=np.intp).reshape(-1, 2).T) - 1
-        index.setflags(write=False)
-        return index
-
-    @functools.cached_property
     def _links(self) -> tuple:
-        pairs = np.unique(np.sort(self._edge_index, axis=0), axis=1) + 1
+        pairs = _sorted_distinct(np.sort(self._edge_index, axis=0)) + 1
         return tuple(zip(*pairs.tolist()))
 
-    @classmethod
-    def undirected(cls, n: int, pairs) -> "Topology":
-        """Build an undirected topology from one pair per link."""
-        return cls(n, tuple(e for i, j in pairs for e in ((i, j), (j, i))), directed=False)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Topology is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        same = isinstance(other, Topology) and (self.n, self.directed) == (other.n, other.directed)
+        return same and np.array_equal(self._edge_index, other._edge_index)
+
+    def __hash__(self):
+        return hash((self.n, self.directed, self._edge_index.tobytes()))
+
+    def __repr__(self):
+        return f"Topology(n={self.n}, edges={self.edges}, directed={self.directed})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +160,7 @@ class SpectralData:
 
 def edge_arrays(t: Topology) -> tuple:
     """Receivers i and senders j of the edges (i, j), as 0-based index arrays:
-    read-only views of one array built once per topology."""
+    read-only views of the index the topology keeps."""
     return tuple(t._edge_index)
 
 
@@ -203,9 +207,9 @@ def _search_roots(t: Topology) -> tuple:
     """
     flow = [[] for _ in range(t.n)]      # j -> i: who hears j
     heard = [[] for _ in range(t.n)]     # i -> j: whom i hears
-    for i, j in t.edges:
-        flow[j - 1].append(i - 1)
-        heard[i - 1].append(j - 1)
+    for i, j in zip(*t._edge_index.tolist()):
+        flow[j].append(i)
+        heard[i].append(j)
     seen = [False] * t.n
     for k in range(t.n):
         if not seen[k]:

@@ -404,7 +404,7 @@ def _make_rhs(s: Scenario):
     if not s.topo.directed:
         lo, hi = lo[lo < hi], hi[lo < hi]
     f = len(lo)
-    m = len(s.topo.edges) - f   # links mirrored: all of an undirected graph, none of a digraph
+    m = s.topo._edge_index.shape[1] - f   # mirror rows: every link undirected, none directed
     # rows [mirror terms received at hi..., forward terms received at lo...]:
     # each bin sums its senders below it, then above it, so in sorted-edge order
     bins = (12 * np.concatenate((hi[:m], lo))[:, None] + np.arange(12)).ravel()
@@ -470,10 +470,11 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
         )
     # per RK4 step: work per agent and per edge, plus a per-call overhead
     # that dominates at small n
-    work = n_steps * (n + len(s.topo.edges) + 150)
+    n_edges = s.topo._edge_index.shape[1]
+    work = n_steps * (n + n_edges + 150)
     if work > MAX_STEP_WORK:
         raise ConfigurationError(
-            f"integration: {n_steps} steps over {n} agents and {len(s.topo.edges)} edges "
+            f"integration: {n_steps} steps over {n} agents and {n_edges} edges "
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )

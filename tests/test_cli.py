@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -517,6 +518,48 @@ def test_agent_error_line_is_exact(tmp_path, capsys, edit, line):
     assert err == [line]
 
 
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize(
+    "edges, line",
+    [
+        ([[1, 2], [2]], "error: graph: edge [2] is not a pair of agents"),
+        ([[1, 2, 3]], "error: graph: edge [1, 2, 3] is not a pair of agents"),
+        (5, "error: graph: edge 5 is not a pair of agents"),
+        ([1, 2], "error: graph: edge 1 is not a pair of agents"),
+        ([{"a": 1}], "error: graph: edge {'a': 1} is not a pair of agents"),
+        ([[1, 2], [2, 5]], "error: graph: edge [2, 5] outside 1..4"),
+    ],
+    ids=["short-edge", "long-edge", "number-for-edges", "numbers-for-edges", "object-edge",
+         "out-of-range"],
+)
+def test_edge_error_line_is_exact(tmp_path, capsys, edges, line, directed):
+    # malformed edges used to end in Python's unpacking and iteration errors
+    # ("not enough values to unpack", "'int' object is not iterable")
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["graph"].update(
+        edges=edges, directed=directed
+    ))
+    assert code == 1
+    assert err == [line]
+
+
+@pytest.mark.parametrize("directed", ["no", 0, None])
+def test_directed_error_line_is_exact(tmp_path, capsys, directed):
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["graph"].update(directed=directed))
+    assert code == 1
+    assert err == [f"error: graph: directed must be true or false, got {directed!r}"]
+
+
+def test_saved_topology_loads_back(tmp_path):
+    # a numpy bool for directed is stored as a bool, so the saved file is
+    # one the loader takes
+    for flag in (np.True_, np.False_):
+        topo = Topology(4, ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)), flag)
+        path = tmp_path / f"{bool(flag)}.json"
+        save_scenario(dataclasses.replace(demo_scenario(), topo=topo), path)
+        assert json.loads(path.read_text())["graph"]["directed"] is bool(flag)
+        assert load_scenario(path).topo == topo
+
+
 def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
     # a valid file costs the same number of rotation tests at any agent
     # count, and no pose, rotation or twist runs its own checks
@@ -1006,12 +1049,75 @@ def agent_lists(draw) -> list:
     ]
 
 
-@given(agent_lists())
+def agents_one_by_one(agents: list) -> tuple:
+    """Oracle: (poses, twists), validated agent by agent; a ScenarioError
+    names the first agent that fails and the first check it fails."""
+    poses, twists = [], []
+    for idx, a in enumerate(agents, start=1):
+        where = f"agents[{idx}]"
+        cli._require_keys(a, where, cli._AGENT_KEYS)
+        with cli._section(where):
+            for key, value in a.items():
+                cli._numbers(value, key)
+            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
+            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
+    return poses, twists
+
+
+# one fault each, as a new agent built from a valid one
+AGENT_FAULTS = {
+    "missing-key": lambda a: {k: v for k, v in a.items() if k != "translation"},
+    "unknown-key": lambda a: {**a, "bogus": 1},
+    "not-an-object": lambda a: [a],
+    "bool-leaf": lambda a: {**a, "translation": [True, 0, 0]},
+    "string-leaf": lambda a: {**a, "linear_velocity": [0, "1", 0]},
+    "null-leaf": lambda a: {**a, "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, None]]},
+    "ragged-row": lambda a: {**a, "rotation": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+    "fourth-row": lambda a: {**a, "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+    "list-leaf": lambda a: {**a, "translation": [[0], 0, 0]},
+    "number-for-vector": lambda a: {**a, "linear_velocity": 0.0},
+    "long-vector": lambda a: {**a, "angular_velocity": [0, 0, 0, 0]},
+    "nan": lambda a: {**a, "angular_velocity": [float("nan"), 0, 0]},
+    "inf": lambda a: {**a, "translation": [0, float("inf"), 0]},
+    "int-beyond-float": lambda a: {**a, "linear_velocity": [0, -(2**1024), 0]},
+    "not-orthonormal": lambda a: {**a, "rotation": NOT_ORTHONORMAL},
+    "reflection": lambda a: {**a, "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+}
+
+
+@st.composite
+def faulty_agent_lists(draw) -> list:
+    """Agent lists of which none, one or two entries carry a fault, anywhere."""
+    agents = draw(agent_lists())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        k = draw(st.integers(0, len(agents) - 1))
+        agents[k] = AGENT_FAULTS[draw(st.sampled_from(sorted(AGENT_FAULTS)))](agents[k])
+    return agents
+
+
+def agent_at(translation) -> dict:
+    return {"rotation": EXACT_ROTATIONS[0], "translation": translation,
+            "linear_velocity": [0, 0, 0], "angular_velocity": [0, 0, 0]}
+
+
+@given(faulty_agent_lists())
+# the largest int a float holds, rounded to the largest finite float, and the
+# smallest that rounds to inf
+@example([agent_at([2**1024 - 2**970 - 1, 0, 0])])
+@example([agent_at([0, 0, 0]), agent_at([0, -(2**1024 - 2**970), 0])])
 def test_stacked_agents_equal_the_checked_objects(agents):
-    # the objects hold rows of the stacks: each value converts as the
-    # per-agent objects convert it, and is read-only like theirs
+    # valid agents: the objects hold rows of the stacks, each value converted
+    # as the per-agent objects convert it and read-only like theirs; a fault
+    # anywhere: the stacks flag the oracle's first agent, whose own check
+    # raises the oracle's message
+    try:
+        want_poses, want_twists = agents_one_by_one(agents)
+    except ScenarioError as err:
+        with pytest.raises(ScenarioError) as got:
+            cli._agents(agents)
+        assert str(got.value) == str(err)
+        return
     poses, twists = cli._agents(agents)
-    want_poses, want_twists = cli._agents_one_by_one(agents)
     for got, want in zip(poses, want_poses, strict=True):
         assert same_bits(got.rotation.r, want.rotation.r)
         assert same_bits(got.translation, want.translation)
@@ -1019,6 +1125,19 @@ def test_stacked_agents_equal_the_checked_objects(agents):
     for got, want in zip(twists, want_twists, strict=True):
         assert same_bits(got.linear, want.linear) and same_bits(got.angular, want.angular)
         assert not (got.linear.flags.writeable or got.angular.flags.writeable)
+
+
+@pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
+def test_each_agent_fault_is_flagged_at_its_agent(fault):
+    # every fault of the list above, alone on the last of three agents
+    agents = [agent_at([0, 0, 0]) for _ in range(3)]
+    agents[2] = AGENT_FAULTS[fault](agents[2])
+    with pytest.raises(ScenarioError) as want:
+        agents_one_by_one(agents)
+    assert str(want.value).startswith("agents[3]: ")
+    with pytest.raises(ScenarioError) as got:
+        cli._agents(agents)
+    assert str(got.value) == str(want.value)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -352,8 +352,16 @@ def test_topology_validation():
             ((1, 2), (2, 1), (2, 3), (3, 4)), False,
             "undirected graph needs symmetric edges; missing [(3, 2), (4, 3)]",
         ),
+        ([[1, 2], [2]], True, "edge [2] is not a pair of agents"),
+        ([[1, 2, 3]], True, "edge [1, 2, 3] is not a pair of agents"),
+        (5, True, "edge 5 is not a pair of agents"),
+        ([1, 2], True, "edge 1 is not a pair of agents"),
+        ([{"a": 1}], True, "edge {'a': 1} is not a pair of agents"),
+        ([[1, 2], [2, 1], [1, 5, 2]], False, "edge [1, 5, 2] is not a pair of agents"),
     ],
-    ids=["bool-end", "fraction", "self-loop", "out-of-range", "first-fault", "missing-reverse"],
+    ids=["bool-end", "fraction", "self-loop", "out-of-range", "first-fault", "missing-reverse",
+         "short-edge", "long-edge", "number-for-edges", "numbers-for-edges", "object-edge",
+         "undirected-long-edge"],
 )
 def test_topology_names_the_first_faulty_edge(edges, directed, message):
     with pytest.raises(ValueError) as err:
@@ -361,34 +369,120 @@ def test_topology_names_the_first_faulty_edge(edges, directed, message):
     assert str(err.value) == message
 
 
+def checked_edges(edges, n: int, directed: bool) -> tuple:
+    """Oracle: the distinct edges, sorted, checked one at a time; the first fault raises."""
+    seen = set()
+    for e in edges:
+        if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 2):
+            raise ValueError(f"edge {e!r} is not a pair of agents")
+        i, j = (graphs.as_int(k, "edge end") for k in e)
+        if i == j:
+            raise ValueError(f"self-loop on agent {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge {e} outside 1..{n}")
+        seen.add((i, j))
+    if not directed:
+        missing = {(j, i) for (i, j) in seen} - seen
+        if missing:
+            raise ValueError(
+                f"undirected graph needs symmetric edges; missing {sorted(missing)}"
+            )
+    return tuple(sorted(seen))
+
+
 END = st.one_of(
     st.integers(1, 6),
     st.integers(1, 6).map(float),
-    st.sampled_from([-1, 0, 7, 2.5, True, False, np.int64(3), np.float64(2.0)]),
+    st.sampled_from([-1, 0, 7, 2.5, True, False, np.int64(3), np.float64(2.0), float("nan"),
+                     float("inf"), 2**70, "1", None, np.float32(2.0)]),
 )
+# a few entries that are not pairs of ends, between the pairs
+NOT_A_PAIR = st.sampled_from([(), (1,), [2], (1, 2, 3), [1, 2, 2], 1, "12", {"a": 1}, {1: 2, 2: 1}])
+EDGE = st.tuples(END, END) | st.lists(END, min_size=2, max_size=2) | NOT_A_PAIR
 
 
-@given(st.integers(1, 6), st.lists(st.tuples(END, END), max_size=8), st.booleans(), st.booleans())
-@example(4, [(1, 2), (2, 1)], False, False)
-@example(3, [(2, True)], True, False)
-@example(3, [], False, False)
-def test_stacked_edge_check_equals_the_per_edge_one(n, edges, directed, mirror):
-    # valid edges: the stack returns the per-edge result itself; any fault:
-    # it declines, and Topology raises the per-edge check's first message
+@given(st.integers(1, 6), st.lists(st.tuples(END, END), max_size=8), st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 8), EDGE), max_size=2))
+@example(4, [(1, 2), (2, 1)], False, False, [])
+@example(3, [(2, True)], True, False, [])
+@example(3, [], False, False, [])
+@example(3, [(1, 2)], True, False, [(0, (1, 2, 3))])
+def test_stacked_edge_check_equals_the_per_edge_one(n, edges, directed, mirror, inserts):
+    # valid edges: the index holds the per-edge result; any fault: the stack
+    # flags the same first edge, whose own check raises the oracle's message
     if mirror:
         edges += [(j, i) for i, j in edges]
+    for k, e in inserts:
+        edges.insert(min(k, len(edges)), e)
     edges = tuple(edges)
     try:
-        want = graphs._checked_edges(edges, n, directed)
+        want = checked_edges(edges, n, directed)
     except ValueError as err:
-        assert graphs._stacked_edges(edges, n, directed) is None
         with pytest.raises(ValueError) as got:
             Topology(n, edges, directed)
         assert str(got.value) == str(err)
     else:
-        assert graphs._stacked_edges(edges, n, directed) == want
-        got = Topology(n, edges, directed).edges
-        assert got == want and all(type(k) is int for e in got for k in e)
+        got = Topology(n, edges, directed)
+        assert got.edges == want and all(type(k) is int for e in got.edges for k in e)
+        i, j = edge_arrays(got)
+        assert np.array_equal(np.stack((i, j), axis=1) + 1, np.array(want, dtype=np.intp).reshape(-1, 2))
+
+
+@given(st.integers(1, 6), st.lists(EDGE, max_size=8))
+@example(4, [(1, 2), (2, 1), (3, 4)])
+@example(4, [(1, 2), [2, 5]])
+def test_undirected_topology_equals_the_per_edge_check(n, pairs):
+    # the pairs are checked as a digraph's edges, then mirrored
+    try:
+        half = checked_edges(pairs, n, directed=True)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            Topology.undirected(n, pairs)
+        assert str(got.value) == str(err)
+    else:
+        want = checked_edges(half + tuple((j, i) for i, j in half), n, directed=False)
+        got = Topology.undirected(n, pairs)
+        assert got == Topology(n, want, directed=False) and got.edges == want
+
+
+@pytest.mark.parametrize("directed", ["no", 0, 1, None, 1.0, np.int64(1)])
+def test_topology_accepts_only_a_bool_for_directed(directed):
+    # "directed": "no" used to build a digraph that saved "directed": "no",
+    # a file its own loader refuses, and directed=0 an undirected graph
+    with pytest.raises(ValueError) as err:
+        Topology(2, ((1, 2), (2, 1)), directed=directed)
+    assert str(err.value) == f"directed must be true or false, got {directed!r}"
+
+
+def test_topology_stores_directed_as_a_bool():
+    for flag in (True, False, np.True_, np.False_):
+        t = Topology(2, ((1, 2), (2, 1)), directed=flag)
+        assert type(t.directed) is bool and t.directed == bool(flag)
+    assert Topology(2, ((1, 2), (2, 1)), np.False_) == Topology.undirected(2, [(1, 2)])
+
+
+def test_equal_topologies_compare_and_hash_equal():
+    a = Topology(4, ((3, 4), (1, 2), (2, 3), (1, 2)))
+    b = Topology(4.0, [[1, 2], (2.0, np.int64(3)), np.array([3, 4])])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.edges == ((1, 2), (2, 3), (3, 4))
+    assert repr(a) == "Topology(n=4, edges=((1, 2), (2, 3), (3, 4)), directed=True)"
+    u = Topology.undirected(4, [(1, 2), (3, 2), (4, 3)])
+    assert u == Topology(4, ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)), directed=False)
+    assert hash(u) == hash(Topology(4, u.edges, False))
+    assert Topology(5, a.edges) != a and Topology(4, a.edges[:2]) != a and a != a.edges
+    assert Topology(2, ((1, 2), (2, 1))) != Topology.undirected(2, [(1, 2)])
+
+
+def test_topology_is_immutable_and_keeps_its_index():
+    t = square_demo_topology()
+    for name, value in (("n", 5), ("directed", True), ("edges", ()), ("_edge_index", None)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    assert t.edges == ((1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (3, 4), (4, 1), (4, 3))
+    assert not t._edge_index.flags.writeable
+    # the edges are derived from the index on each read; it is the only storage
+    assert set(vars(t)) == {"n", "directed", "_edge_index"}
 
 
 def test_analyze_directed_and_undirected():

@@ -1,4 +1,4 @@
-"""The package exports nothing that only the tests would call."""
+"""The package exports and defines nothing that only the tests would call."""
 
 import ast
 import functools
@@ -35,6 +35,24 @@ def exported_members() -> set:
     }
 
 
+def defined_names() -> set:
+    """(qualified name, name) of every module-level function of the package
+    and every method, classmethod or property its classes define, dunders aside."""
+    found = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, defs):
+                found.add((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                found |= {
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, defs) and not item.name.startswith("__")
+                }
+    return found
+
+
 def loaded_names(tree: ast.AST) -> set:
     """Names read as a variable or an attribute anywhere in tree.
 
@@ -69,4 +87,6 @@ def test_every_export_has_a_caller_outside_the_tests():
         callers |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = sorted(exported_names() - callers)
     unused += sorted(f"{cls}.{m}" for cls, m in exported_members() if m not in callers)
+    # and no function or method the package defines waits for a caller
+    unused += sorted(where for where, name in defined_names() if name not in callers)
     assert unused == []
