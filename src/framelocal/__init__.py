@@ -23,7 +23,6 @@ from .graphs import (
     build_laplacian,
     has_spanning_tree,
     is_connected_undirected,
-    root_agents,
 )
 from .se3 import (
     AuxMatrix,

@@ -64,7 +64,6 @@ from .simulation import (
     Trace,
     TraceBlock,
     WELL_POSED_DET,
-    error_link_pairs,
     run,
     settling_time,
 )
@@ -109,13 +108,11 @@ def _require_keys(section, where: str, allowed: set, optional: frozenset = froze
 
 def _numbers(value, name: str):
     """value, once checked to be a JSON number or nested lists of them."""
-    items = value if type(value) is list else [value]
-    if not set(map(type, items)) <= {int, float}:  # type(True) is bool, not int
-        for v in items:
-            if type(v) is list:
-                _numbers(v, name)
-            elif type(v) not in (int, float):
-                raise ValueError(f"{name}: expected a number, got {v!r}")
+    for v in value if type(value) is list else [value]:
+        if type(v) is list:
+            _numbers(v, name)
+        elif type(v) not in (int, float):  # type(True) is bool, not int
+            raise ValueError(f"{name}: expected a number, got {v!r}")
     return value
 
 
@@ -224,8 +221,13 @@ def _agents(agents: list) -> tuple:
     vectors = [*itertools.chain(*vectors)]   # the three vector fields, one after another
     form = _number_mask(rotations, (3, 3)) & _number_mask(vectors, (3,)).reshape(3, -1).all(axis=0)
     ok[ok] = form
-    r = _freeze([*itertools.compress(rotations, form)]).reshape(-1, 3, 3)
-    vectors = _freeze([*itertools.compress(vectors, np.concatenate((form,) * 3))]).reshape(3, -1, 3)
+    # each stack from one flat pass over its checked numbers, a few times
+    # cheaper than numpy's conversion of the nested lists
+    flat = itertools.chain.from_iterable
+    r = itertools.compress(rotations, form)
+    r = _freeze(np.fromiter(flat(flat(r)), float)).reshape(-1, 3, 3)
+    vectors = itertools.compress(vectors, np.concatenate((form,) * 3))
+    vectors = _freeze(np.fromiter(flat(vectors), float)).reshape(3, -1, 3)
     ok[ok] = rotation_check(r)[0] & np.isfinite(vectors).all(axis=(0, 2))
     if not ok.all():
         k = int(np.argmin(ok))
@@ -319,7 +321,7 @@ def _write_tables(trace: Trace, times: np.ndarray, out: Path, full_state: bool) 
     ``trace.blocks()``; return the last block, whose errors end the summary."""
     n = trace.truth.shape[1]
     cols = ["t", *(f"orient_err_{i}" for i in range(1, n + 1))]
-    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
+    cols += [f"pos_err_{i}_{j}" for i, j in trace.scenario.topo.links]
     cells = [f"{m}_{r}{c}" for m in ("T", "P", "S", "That") for r in range(4) for c in range(4)]
     with contextlib.ExitStack() as stack:
         write_trace = _csv_writer(stack, out / "trace.csv", [*cols, "V"])

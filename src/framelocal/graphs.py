@@ -2,12 +2,14 @@
 
 An edge (i, j) means agent i measures / receives from agent j, so j is a
 neighbor of i and row i of the Laplacian picks up -1 in column j. Agent
-indices are 1-based throughout.
+indices are 1-based, but for a Topology's 0-based ``edge_index``. A
+Topology answers its own graph questions: its ``edge_index``, its
+``roots`` and its ``links`` (the measured links as unordered pairs).
 
 Information flows from j to i along an edge (i, j). The root agents, whose
 information reaches every agent, form the root (source) component of the
 condensation and exist exactly when the graph has a spanning tree. Found
-once per topology in O(n + E) by ``root_agents``, they decide both graph
+once per topology in O(n + E) (``Topology.roots``), they decide both graph
 conditions, and w1 is the left null vector of their Laplacian block (no
 edge enters it), exactly zero on every other agent.
 
@@ -91,9 +93,10 @@ def _edge_index(edges, n: int) -> np.ndarray:
 class Topology:
     """Directed or undirected interaction graph over n agents (integer indices).
 
-    It keeps n, ``directed`` (a bool) and ``_edge_index``: its distinct edges
+    It keeps n, ``directed`` (a bool) and ``edge_index``: its distinct edges
     as a read-only, sorted (2, E) array of 0-based receivers and senders, from
-    which ``edges`` derives. Immutable; compared and hashed by those three.
+    which ``edges`` derives and ``roots`` and ``links`` are found once, on
+    first read. Immutable; compared and hashed by n, ``directed`` and the index.
     """
 
     def __init__(self, n: int, edges=(), directed: bool = True):
@@ -107,39 +110,48 @@ class Topology:
             pairs = set(zip(*(index + 1).tolist()))
             missing = sorted({(j, i) for i, j in pairs} - pairs)
             raise ValueError(f"undirected graph needs symmetric edges; missing {missing}")
-        self.__dict__.update(n=n, directed=bool(directed), _edge_index=index)
+        self.__dict__.update(n=n, directed=bool(directed), edge_index=index)
 
     @classmethod
     def undirected(cls, n: int, pairs) -> "Topology":
-        """Build an undirected topology from one pair per link."""
-        topo = cls(n, pairs)   # checks the pairs; adding the reverses keeps them valid
-        index = np.hstack((topo._edge_index, topo._edge_index[::-1]))
-        topo.__dict__.update(directed=False, _edge_index=_sorted_distinct(index))
-        return topo
+        """The undirected topology of one pair per link: the pairs and their reverses."""
+        pairs = tuple(pairs) if np.iterable(pairs) else (pairs,)
+        # a pair's reverse is faulty only if the pair is, and comes after it,
+        # so an error names the pair as given
+        reverses = tuple(e[::-1] if isinstance(e, _PAIR_KINDS) else e for e in pairs)
+        return cls(n, pairs + reverses, directed=False)
 
     @property
     def edges(self) -> tuple:
         """The distinct edges (i, j), 1-based and sorted, as pairs of ints."""
-        return tuple(zip(*(self._edge_index + 1).tolist()))
+        return tuple(zip(*(self.edge_index + 1).tolist()))
 
     @functools.cached_property
-    def _roots(self) -> tuple:
+    def roots(self) -> tuple:
+        """Agents whose information reaches every agent, ascending; () if none.
+
+        One search per topology, which the graph conditions and ``analyze`` share.
+        """
         return _search_roots(self)
 
     @functools.cached_property
-    def _links(self) -> tuple:
-        pairs = _sorted_distinct(np.sort(self._edge_index, axis=0)) + 1
+    def links(self) -> tuple:
+        """Measured links as unordered pairs (i, j) with i < j, ascending."""
+        pairs = _sorted_distinct(np.sort(self.edge_index, axis=0)) + 1
         return tuple(zip(*pairs.tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Topology is immutable: cannot set {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"Topology is immutable: cannot delete {name!r}")
+
     def __eq__(self, other):
         same = isinstance(other, Topology) and (self.n, self.directed) == (other.n, other.directed)
-        return same and np.array_equal(self._edge_index, other._edge_index)
+        return same and np.array_equal(self.edge_index, other.edge_index)
 
     def __hash__(self):
-        return hash((self.n, self.directed, self._edge_index.tobytes()))
+        return hash((self.n, self.directed, self.edge_index.tobytes()))
 
     def __repr__(self):
         return f"Topology(n={self.n}, edges={self.edges}, directed={self.directed})"
@@ -158,12 +170,6 @@ class SpectralData:
     lambda2: float | None = None
 
 
-def edge_arrays(t: Topology) -> tuple:
-    """Receivers i and senders j of the edges (i, j), as 0-based index arrays:
-    read-only views of the index the topology keeps."""
-    return tuple(t._edge_index)
-
-
 def _laplacian(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Laplacian over n agents of the distinct edges (i[k], j[k]), 0-based."""
     lap = np.zeros((n, n))
@@ -174,7 +180,7 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def build_laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: -1 at (i, j) for each edge, neighbor count on the diagonal."""
-    return _laplacian(t.n, *edge_arrays(t))
+    return _laplacian(t.n, *t.edge_index)
 
 
 def _reach(adj: list, start: int, seen: list) -> list:
@@ -189,17 +195,8 @@ def _reach(adj: list, start: int, seen: list) -> list:
     return found
 
 
-def root_agents(t: Topology) -> tuple:
-    """Agents whose information reaches every agent, ascending; () if none.
-
-    Searched once per topology and kept on it, so the graph conditions and
-    ``analyze`` share one search.
-    """
-    return t._roots
-
-
 def _search_roots(t: Topology) -> tuple:
-    """``root_agents`` by search, O(n + E).
+    """``Topology.roots`` by search, O(n + E).
 
     A search tree that contains a root covers every agent still unseen, so
     the last tree of a search forest starts at a root if there is one; a
@@ -207,7 +204,7 @@ def _search_roots(t: Topology) -> tuple:
     """
     flow = [[] for _ in range(t.n)]      # j -> i: who hears j
     heard = [[] for _ in range(t.n)]     # i -> j: whom i hears
-    for i, j in zip(*t._edge_index.tolist()):
+    for i, j in zip(*t.edge_index.tolist()):
         flow[j].append(i)
         heard[i].append(j)
     seen = [False] * t.n
@@ -222,7 +219,7 @@ def _search_roots(t: Topology) -> tuple:
 
 def has_spanning_tree(t: Topology) -> bool:
     """True when some agent's information can reach every other agent."""
-    return bool(root_agents(t))
+    return bool(t.roots)
 
 
 def is_connected_undirected(t: Topology) -> bool:
@@ -251,7 +248,7 @@ def analyze(t: Topology) -> SpectralData:
     Dense matrices over MAX_DENSE_BYTES are refused (ConfigurationError)
     before any is allocated.
     """
-    roots = root_agents(t)
+    roots = t.roots
     if not roots:
         return SpectralData()
     # a connected undirected graph is all roots and holds its Laplacian and
@@ -272,7 +269,7 @@ def analyze(t: Topology) -> SpectralData:
     rows = np.array(roots) - 1
     index = np.full(t.n, -1)
     index[rows] = np.arange(len(rows))
-    i, j = edge_arrays(t)
+    i, j = t.edge_index
     inner = index[i] >= 0
     w1 = np.zeros(t.n)
     w1[rows] = _root_block_weights(_laplacian(len(rows), index[i[inner]], index[j[inner]]))

@@ -81,7 +81,6 @@ from .graphs import (
     analyze,
     as_int,
     build_laplacian,
-    edge_arrays,
     has_spanning_tree,
     is_connected_undirected,
 )
@@ -217,7 +216,7 @@ class Trace:
         agent matrices (but at least one sample): the one place a trace is
         reconstructed. The errors are NaN throughout if the bias is undefined."""
         k, n = self.aux.shape[:2]
-        links = error_link_pairs(self.scenario.topo)
+        links = self.scenario.topo.links
         bias = self.report.transform_bias
         step = max(1, BLOCK_MATRICES // n)
         for lo in range(0, k, step):
@@ -251,7 +250,7 @@ class Trace:
     @functools.cached_property
     def _errors(self) -> tuple:
         orient = np.empty(self.aux.shape[:2])
-        pos = np.empty((len(self.aux), len(error_link_pairs(self.scenario.topo))))
+        pos = np.empty((len(self.aux), len(self.scenario.topo.links)))
         for block in self.blocks():
             orient[block.samples], pos[block.samples] = block.orient, block.pos
         return orient, pos
@@ -263,7 +262,7 @@ class Trace:
 
     @property
     def position_errors(self) -> np.ndarray:
-        """(k, e) errors over the links of ``error_link_pairs``, in blocks on first access."""
+        """(k, e) errors over the topology's ``links``, in blocks on first access."""
         return self._errors[1]
 
 
@@ -319,12 +318,6 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
         np.where(valid, orient, np.nan),
         np.where(valid[..., i] & valid[..., j], pos, np.nan),
     )
-
-
-def error_link_pairs(topo: Topology) -> tuple:
-    """Measured links as unordered pairs (i, j) with i < j, ascending; derived
-    once per topology and kept on it."""
-    return topo._links
 
 
 def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
@@ -400,11 +393,11 @@ def _make_rhs(s: Scenario):
     aligned rows, the link ends, the edge rows and the rotated sums) are reused.
     """
     n = s.topo.n
-    lo, hi = edge_arrays(s.topo)
+    lo, hi = s.topo.edge_index
     if not s.topo.directed:
         lo, hi = lo[lo < hi], hi[lo < hi]
     f = len(lo)
-    m = s.topo._edge_index.shape[1] - f   # mirror rows: every link undirected, none directed
+    m = s.topo.edge_index.shape[1] - f   # mirror rows: every link undirected, none directed
     # rows [mirror terms received at hi..., forward terms received at lo...]:
     # each bin sums its senders below it, then above it, so in sorted-edge order
     bins = (12 * np.concatenate((hi[:m], lo))[:, None] + np.arange(12)).ravel()
@@ -461,7 +454,7 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     k_samples = n_steps // s.stride + 1
     # times and V, plus per agent truth, aux and an orientation error, plus
     # a position error per link: what the Trace stores and derives once read
-    nbytes = 8 * k_samples * (2 + 33 * n + len(error_link_pairs(s.topo)))
+    nbytes = 8 * k_samples * (2 + 33 * n + len(s.topo.links))
     if nbytes > MAX_TRACE_BYTES:
         raise ConfigurationError(
             f"integration: the trace of {k_samples} samples would take "
@@ -470,7 +463,7 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
         )
     # per RK4 step: work per agent and per edge, plus a per-call overhead
     # that dominates at small n
-    n_edges = s.topo._edge_index.shape[1]
+    n_edges = s.topo.edge_index.shape[1]
     work = n_steps * (n + n_edges + 150)
     if work > MAX_STEP_WORK:
         raise ConfigurationError(

@@ -20,7 +20,6 @@ import numpy as np
 
 from framelocal import EstimatorState, Topology, Twist, estimators, hat3, relative_transform
 from framelocal.estimators import Asymptotic, FiniteTime
-from framelocal.graphs import edge_arrays
 from framelocal.se3 import exp_twists
 from framelocal.simulation import Scenario, _neg_generators
 
@@ -53,7 +52,7 @@ def edge_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
     """The stacked RHS with one gather, difference and weight per directed
     edge (i, j), summed per receiver i over the edges in sorted order."""
     n = s.topo.n
-    src, dst = edge_arrays(s.topo)
+    src, dst = s.topo.edge_index
     bins = (12 * src[:, None] + np.arange(12)).ravel()
     aligned = (tt[:, :3, :] @ pp).reshape(n, 12)
     diff = aligned[dst] - aligned[src]

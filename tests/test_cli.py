@@ -37,7 +37,7 @@ from framelocal.estimators import (
 )
 from framelocal.scenarios import demo_scenario, seeded_rotations
 from framelocal.se3 import Pose, Rotation, Twist
-from framelocal.simulation import Scenario, Trace, error_link_pairs, oracle_report
+from framelocal.simulation import Scenario, Trace, oracle_report
 from conftest import counting_reconstruct, identity_pose, zero_twist
 
 
@@ -848,7 +848,7 @@ def write_trace_csv_oracle(trace: Trace, path):
     n = trace.orientation_errors.shape[1]
     cols = ["t"]
     cols += [f"orient_err_{i}" for i in range(1, n + 1)]
-    cols += [f"pos_err_{i}_{j}" for i, j in error_link_pairs(trace.scenario.topo)]
+    cols += [f"pos_err_{i}_{j}" for i, j in trace.scenario.topo.links]
     cols += ["V"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")

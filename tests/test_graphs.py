@@ -15,10 +15,9 @@ from framelocal import (
     build_laplacian,
     has_spanning_tree,
     is_connected_undirected,
-    root_agents,
 )
 from framelocal import graphs
-from framelocal.graphs import W1_RESIDUAL_TOL, edge_arrays
+from framelocal.graphs import W1_RESIDUAL_TOL
 from framelocal.scenarios import directed_demo_topology, square_demo_topology
 from conftest import spanning_digraph
 from rhs_oracle import neighbors
@@ -83,8 +82,8 @@ def topologies(draw) -> Topology:
 @example(square_demo_topology())
 @example(Topology(3))
 def test_edge_arrays_are_views_of_one_read_only_index(t):
-    i, j = edge_arrays(t)
-    again = edge_arrays(t)
+    i, j = t.edge_index
+    again = t.edge_index
     assert i.base is again[0].base is j.base is again[1].base
     assert not i.flags.writeable and not j.flags.writeable
     with pytest.raises(ValueError):
@@ -211,13 +210,13 @@ def test_fiedler_bounds_rayleigh_quotient():
 
 
 def test_root_agents_by_hand():
-    assert root_agents(directed_demo_topology()) == (2, 3, 4)
-    assert root_agents(Topology(4, ((1, 2), (2, 3), (3, 4)))) == (4,)
-    assert root_agents(square_demo_topology()) == (1, 2, 3, 4)
-    assert root_agents(Topology(1)) == (1,)
-    assert root_agents(Topology(3)) == ()
+    assert directed_demo_topology().roots == (2, 3, 4)
+    assert Topology(4, ((1, 2), (2, 3), (3, 4))).roots == (4,)
+    assert square_demo_topology().roots == (1, 2, 3, 4)
+    assert Topology(1).roots == (1,)
+    assert Topology(3).roots == ()
     # two source components {2} and {4}
-    assert root_agents(Topology(4, ((1, 2), (3, 4)))) == ()
+    assert Topology(4, ((1, 2), (3, 4))).roots == ()
 
 
 @given(topologies())
@@ -229,7 +228,7 @@ def test_root_agents_by_hand():
 @example(directed_demo_topology())
 def test_root_agents_agree_with_per_root_scan(t):
     roots = roots_oracle(t)
-    assert root_agents(t) == roots
+    assert t.roots == roots
     assert has_spanning_tree(t) == bool(roots)
     assert is_connected_undirected(t) == (not t.directed and reaches_all_oracle(t, 1))
 
@@ -237,7 +236,7 @@ def test_root_agents_agree_with_per_root_scan(t):
 def test_analyze_w1_lives_on_the_root_component():
     for n, m, seed in ((10, 1, 1), (10, 3, 2), (10, 5, 3), (12, 12, 4), (7, 2, 5)):
         t = ring_rooted_digraph(n, m, seed)
-        roots = root_agents(t)
+        roots = t.roots
         assert roots == tuple(range(1, m + 1))
         w1 = analyze(t).w1
         assert np.abs(w1 - null_space_oracle(build_laplacian(t))).max() < 1e-9
@@ -265,7 +264,7 @@ def test_analyze_long_directed_chain_is_fast():
 @example(Topology(5, ((1, 2), (2, 1), (3, 1), (4, 3))))
 @example(directed_demo_topology())
 def test_analyze_w1_is_the_weighted_null_vector(t):
-    roots = root_agents(t)
+    roots = t.roots
     w1 = analyze(t).w1
     if not roots:
         assert w1 is None
@@ -424,13 +423,14 @@ def test_stacked_edge_check_equals_the_per_edge_one(n, edges, directed, mirror, 
     else:
         got = Topology(n, edges, directed)
         assert got.edges == want and all(type(k) is int for e in got.edges for k in e)
-        i, j = edge_arrays(got)
+        i, j = got.edge_index
         assert np.array_equal(np.stack((i, j), axis=1) + 1, np.array(want, dtype=np.intp).reshape(-1, 2))
 
 
 @given(st.integers(1, 6), st.lists(EDGE, max_size=8))
 @example(4, [(1, 2), (2, 1), (3, 4)])
 @example(4, [(1, 2), [2, 5]])
+@example(4, [np.array([1, 2]), (3, 2.0)])
 def test_undirected_topology_equals_the_per_edge_check(n, pairs):
     # the pairs are checked as a digraph's edges, then mirrored
     try:
@@ -443,6 +443,7 @@ def test_undirected_topology_equals_the_per_edge_check(n, pairs):
         want = checked_edges(half + tuple((j, i) for i, j in half), n, directed=False)
         got = Topology.undirected(n, pairs)
         assert got == Topology(n, want, directed=False) and got.edges == want
+        assert got == Topology(n, [*pairs, *((j, i) for i, j in pairs)], directed=False)
 
 
 @pytest.mark.parametrize("directed", ["no", 0, 1, None, 1.0, np.int64(1)])
@@ -476,13 +477,23 @@ def test_equal_topologies_compare_and_hash_equal():
 
 def test_topology_is_immutable_and_keeps_its_index():
     t = square_demo_topology()
-    for name, value in (("n", 5), ("directed", True), ("edges", ()), ("_edge_index", None)):
-        with pytest.raises(AttributeError):
-            setattr(t, name, value)
-    assert t.edges == ((1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (3, 4), (4, 1), (4, 3))
-    assert not t._edge_index.flags.writeable
     # the edges are derived from the index on each read; it is the only storage
-    assert set(vars(t)) == {"n", "directed", "_edge_index"}
+    assert set(vars(t)) == {"n", "directed", "edge_index"}
+    assert t.roots == (1, 2, 3, 4) and t.links == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert type(t.roots) is tuple and type(t.links) is tuple
+    assert t.roots is t.roots and t.links is t.links   # found once, then kept
+    names = ("n", "directed", "edges", "edge_index", "roots", "links", "_edge_index")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)   # without edge_index a topology cannot compare or hash
+    assert t.edges == ((1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (3, 4), (4, 1), (4, 3))
+    assert not t.edge_index.flags.writeable
+    with pytest.raises(ValueError):
+        t.edge_index[0, 0] = 1
+    assert t.edge_index.shape == (2, 8) and t.edge_index.dtype == np.intp
+    assert t == square_demo_topology()
 
 
 def test_analyze_directed_and_undirected():

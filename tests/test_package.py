@@ -90,3 +90,39 @@ def test_every_export_has_a_caller_outside_the_tests():
     # and no function or method the package defines waits for a caller
     unused += sorted(where for where, name in defined_names() if name not in callers)
     assert unused == []
+
+
+def private_reads(tree: ast.AST) -> set:
+    """Single-underscore attributes read in tree (obj._name), dunders aside."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    }
+
+
+def own_names(tree: ast.AST) -> set:
+    """Names tree defines: its functions and classes at any depth, and the
+    variables and attributes it assigns."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return found
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # a module's private state is read where it is defined; another module
+    # asks through a public name, so the owner can change its storage alone
+    foreign = sorted(
+        f"{path.stem}: .{attr}"
+        for path in PACKAGE.glob("*.py")
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for attr in private_reads(tree) - own_names(tree)
+    )
+    assert foreign == []

@@ -32,9 +32,8 @@ from framelocal import (
 )
 from framelocal import cli, graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
-from framelocal.graphs import edge_arrays
 from framelocal.scenarios import demo_scenario, square_demo_topology
-from framelocal.simulation import Scenario, _make_rhs, _neg_generators, error_link_pairs
+from framelocal.simulation import Scenario, _make_rhs, _neg_generators
 from conftest import (
     compose,
     counting_reconstruct,
@@ -247,7 +246,7 @@ def ring_with_chords(n: int, links: int, seed: int) -> Topology:
 
 def test_kernel_ring_with_chords_both_laws():
     topo = ring_with_chords(64, 96, seed=42)
-    assert np.bincount(edge_arrays(topo)[0]).max() >= 3
+    assert np.bincount(topo.edge_index[0]).max() >= 3
     for law in (Asymptotic(), FiniteTime(alpha=0.5)):
         s = make_scenario(topo, seed=43, law=law, t_end=0.1)
         assert_average_invariant(s, *kernel_against_oracle(s))
@@ -378,7 +377,7 @@ def test_kernel_single_agent_without_edges():
 
 def edge_norms(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> tuple:
     """(diff, norms): the kernel's aligned edge differences and their norms."""
-    src, dst = edge_arrays(s.topo)
+    src, dst = s.topo.edge_index
     aligned = (tt[:, :3, :] @ pp).reshape(s.topo.n, 12)
     diff = aligned[dst] - aligned[src]
     return diff, np.sqrt(np.einsum("ej,ej->e", diff, diff))
@@ -393,7 +392,7 @@ def masked_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
     live = norms >= s.law.epsilon
     w[live] = norms[live] ** -s.law.alpha
     diff *= w[:, None]
-    src, _ = edge_arrays(s.topo)
+    src, _ = s.topo.edge_index
     bins = (12 * src[:, None] + np.arange(12)).ravel()
     acc = np.bincount(bins, diff.ravel(), minlength=12 * n).reshape(n, 3, 4)
     dp = _neg_generators(s) @ pp
@@ -514,7 +513,7 @@ def test_run_errors_come_from_blocks_after_integration(monkeypatch, block):
         assert counts == [13, 1]  # 4 samples per block, 3 in the last one
     trace, report = run(s)
     r_c = report.transform_bias.rotation.r
-    links = error_link_pairs(s.topo)
+    links = s.topo.links
     assert not np.isnan(trace.orientation_errors).any()
     for k in range(len(trace.times)):
         orient, pos = error_metrics(
@@ -917,7 +916,7 @@ def test_lyapunov_chain_passes_on_finite_run():
     assert check.fraction_passed == 1.0
 
 
-SQUARE_LINKS = error_link_pairs(square_demo_topology())   # (1,2), (1,4), (2,3), (3,4)
+SQUARE_LINKS = square_demo_topology().links   # (1,2), (1,4), (2,3), (3,4)
 
 
 def metrics_of(truth, estimates, r_c, valid=(True,) * 4) -> tuple:
@@ -984,9 +983,9 @@ def test_error_metrics_invalid_agents_missing():
 
 
 def test_error_link_pairs_deduplicates():
-    assert error_link_pairs(square_demo_topology()) == ((1, 2), (1, 4), (2, 3), (3, 4))
-    assert error_link_pairs(Topology(3, ((1, 2), (2, 1), (3, 1)))) == ((1, 2), (1, 3))
-    assert error_link_pairs(Topology(3)) == ()
+    assert square_demo_topology().links == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert Topology(3, ((1, 2), (2, 1), (3, 1))).links == ((1, 2), (1, 3))
+    assert Topology(3).links == ()
 
 
 @pytest.mark.parametrize(
@@ -996,8 +995,8 @@ def test_error_link_pairs_deduplicates():
 )
 def test_error_link_pairs_are_cached_on_the_topology(topo):
     assert any((j, i) in topo.edges for i, j in topo.edges)   # mutual pairs to merge
-    links = error_link_pairs(topo)
-    assert error_link_pairs(topo) is links
+    links = topo.links
+    assert topo.links is links
     # the set-based definition, one tuple per unordered pair
     assert links == tuple(sorted({(min(i, j), max(i, j)) for i, j in topo.edges}))
     assert all(type(k) is int for link in links for k in link)
