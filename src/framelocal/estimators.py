@@ -55,7 +55,9 @@ class FiniteTime:
     continuous. ``epsilon`` is the guard radius below which a neighbor term
     is treated as already at consensus and zeroed; exact equality never
     occurs in floating point, and the discontinuity this introduces is
-    bounded by epsilon^(1-alpha).
+    bounded by epsilon^(1-alpha). A run refuses an epsilon above every
+    initial link distance ||S_j - S_i||_F unless the start has already
+    settled (V0 < SETTLED_V): the guard would zero every weight.
     """
 
     alpha: float = 0.5

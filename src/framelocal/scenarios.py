@@ -1,52 +1,27 @@
 """Bundled demonstration scenarios.
 
-Four agents on screw trajectories: three spin about different body axes
-while translating, the fourth translates without rotating. The directed
-variant runs the asymptotic law on a ring-with-chord digraph; the
-undirected variant runs the finite-time law on a square. Initial
-orientations are reproducible: each is the orthonormalization of a seeded
-random matrix.
+The two files under ``scenarios/`` are the one definition of the demos: four
+agents on screw trajectories, three spinning about different body axes
+while translating and the fourth translating without rotating.
+``demo_asymptotic.json`` runs the asymptotic law on a ring-with-chord
+digraph and ``demo_finite_time.json`` the finite-time law on a square. Their
+initial orientations are ``seeded_rotations(4, DEMO_ROTATION_SEED)``, each
+the orthonormalization of a seeded random matrix. ``demo_scenario`` loads
+one of the files and applies its overrides.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .estimators import Asymptotic, FiniteTime, Law, ReconstructionMode
-from .graphs import Topology
-from .se3 import DegenerateInputError, Pose, Twist, gsop
+from .cli import bundled_scenario_path, load_scenario
+from .estimators import FiniteTime, Law, ReconstructionMode
+from .se3 import DegenerateInputError, Pose, gsop
 from .simulation import Scenario
 
-DEMO_POSITIONS = (
-    (0.0, 0.0, 0.0),
-    (4.0, 0.0, 0.0),
-    (0.0, 0.0, 4.0),
-    (0.0, 4.0, 0.0),
-)
-DEMO_ANGULAR = (
-    (0.3, 0.0, 0.0),
-    (0.0, 0.3, 0.0),
-    (0.0, 0.0, 0.3),
-    (0.0, 0.0, 0.0),
-)
-DEMO_LINEAR = (
-    (1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0),
-    (0.0, 0.0, 1.0),
-    (1.0, 1.0, 0.0),
-)
-
-DEMO_ROTATION_SEED = 2357
-
-
-def directed_demo_topology() -> Topology:
-    """Ring 2<-3<-4<-2 feeding agent 1; an edge (i, j) means i receives from j."""
-    return Topology(4, ((1, 2), (2, 3), (3, 4), (4, 2)), directed=True)
-
-
-def square_demo_topology() -> Topology:
-    """Undirected 4-cycle 1-2-3-4-1."""
-    return Topology.undirected(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+DEMO_ROTATION_SEED = 2357   # the seed of the bundled files' rotations
 
 
 def seeded_rotations(n: int, seed: int) -> tuple:
@@ -61,18 +36,6 @@ def seeded_rotations(n: int, seed: int) -> tuple:
     return tuple(out)
 
 
-def demo_agents(rotation_seed: int = DEMO_ROTATION_SEED) -> tuple:
-    """(poses, twists) of the four demo agents."""
-    rotations = seeded_rotations(4, rotation_seed)
-    poses = tuple(
-        Pose(r, np.array(p)) for r, p in zip(rotations, DEMO_POSITIONS)
-    )
-    twists = tuple(
-        Twist(np.array(v), np.array(w)) for v, w in zip(DEMO_LINEAR, DEMO_ANGULAR)
-    )
-    return poses, twists
-
-
 def demo_scenario(
     law: Law | None = None,
     seed: int = 7,
@@ -84,27 +47,21 @@ def demo_scenario(
 ) -> Scenario:
     """The bundled four-agent scenario under either law.
 
-    Defaults to the asymptotic law on the directed topology with a 10 s
-    horizon; a FiniteTime law switches to the undirected square with a 6 s
-    horizon (comfortably past the settling bound for typical seeds).
+    A FiniteTime law loads ``demo_finite_time.json`` (the undirected square,
+    a 6 s horizon); any other law, or None for the file's asymptotic law,
+    loads ``demo_asymptotic.json`` (the directed ring with a chord, 10 s).
+    t_end=None keeps the file's horizon. Another rotation_seed replaces the
+    initial orientations with ``seeded_rotations(4, rotation_seed)`` and
+    keeps the file's translations and twists.
     """
-    if law is None:
-        law = Asymptotic()
-    if isinstance(law, FiniteTime):
-        topo = square_demo_topology()
-        horizon = 6.0 if t_end is None else t_end
-    else:
-        topo = directed_demo_topology()
-        horizon = 10.0 if t_end is None else t_end
-    poses, twists = demo_agents(rotation_seed)
-    return Scenario(
-        topo=topo,
-        initial_poses=poses,
-        twists=twists,
-        law=law,
-        dt=dt,
-        t_end=horizon,
-        seed=seed,
-        stride=stride,
-        reconstruction=reconstruction,
-    )
+    finite = isinstance(law, FiniteTime)
+    s = load_scenario(bundled_scenario_path("demo_finite_time" if finite else "demo_asymptotic"))
+    changes = {"seed": seed, "dt": dt, "stride": stride, "reconstruction": reconstruction}
+    if law is not None:
+        changes["law"] = law
+    if t_end is not None:
+        changes["t_end"] = t_end
+    if rotation_seed != DEMO_ROTATION_SEED:
+        rotations = seeded_rotations(4, rotation_seed)
+        changes["initial_poses"] = [Pose(r, p.translation) for r, p in zip(rotations, s.initial_poses)]
+    return dataclasses.replace(s, **changes)

@@ -49,8 +49,9 @@ and computing V; a non-finite V stops the run. All else a trace reports is
 derived when read, in one walk over blocks of at most BLOCK_MATRICES agent
 matrices (``Trace.blocks``, the one place a trace is reconstructed), each
 value equal to its sample's alone bit for bit. A run whose trace would
-exceed MAX_TRACE_BYTES, or whose step work n_steps x (n + E + 150) would
-exceed MAX_STEP_WORK, is rejected before anything is allocated.
+exceed MAX_TRACE_BYTES, or whose step work steps x (n + E + 150) would
+exceed MAX_STEP_WORK, is rejected before anything is allocated; the steps
+are those up to the last sample, the last multiple of the stride.
 
 The module needs only numpy, the closed-form oracle included. Its flow
 expm(-L t) is a stochastic matrix, and ``closed_form_aligned`` computes it by
@@ -345,7 +346,12 @@ def _check_preconditions(s: Scenario):
 
 
 def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
-    """Predictions from the initial data: weights, consensus state, bias, bounds."""
+    """Predictions from the initial data: weights, consensus state, bias, bounds.
+
+    Under the finite-time law, an unsettled start (V0 >= SETTLED_V) whose
+    links all lie closer than epsilon raises ConfigurationError: the guard
+    would zero every weight and the law would never act.
+    """
     _check_preconditions(s)
     spectral = analyze(s.topo)
     w1 = spectral.w1
@@ -357,6 +363,19 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     if det > WELL_POSED_DET:
         bias = Pose(gsop(s_c[:3, :3]), s_c[:3, 3])
     v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
+    if isinstance(s.law, FiniteTime) and s.topo.links and v0 >= SETTLED_V:
+        # the kernel weighs an edge only where its aligned difference, over
+        # the top three rows, is at least epsilon: if none is, V never moves
+        src, dst = s.topo.edge_index
+        rows = aligned0[:, :3].reshape(s.topo.n, 12)
+        diff = rows[dst] - rows[src]
+        norms = np.sqrt(np.einsum("ej,ej->e", diff, diff))
+        if not (norms >= s.law.epsilon).any():
+            raise ConfigurationError(
+                f"finite-time law: epsilon = {s.law.epsilon:g} is above every initial link "
+                f"distance ||S_j - S_i||_F (the largest is {norms.max():.4g}), so the guard "
+                "would zero every weight and the law would never act; use a smaller epsilon"
+            )
     bound = optimistic = None
     if isinstance(s.law, FiniteTime) and spectral.lambda2 is not None:
         kappa = (2.0 * spectral.lambda2) ** ((2.0 - s.law.alpha) / 2.0)
@@ -446,12 +465,15 @@ def _make_rhs(s: Scenario):
 def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
-    ``initial_state``, an (n, 4, 4) stack, replaces the seeded estimator
-    initialization (a harness knob; the laws stay local).
+    A trace samples every ``stride``-th step and ends at the last multiple
+    of ``stride`` at or before ``t_end``; the steps after it would not be
+    recorded, so they are not integrated. ``initial_state``, an (n, 4, 4)
+    stack, replaces the seeded estimator initialization (a harness knob;
+    the laws stay local).
     """
     n = s.topo.n
-    n_steps = s.n_steps
-    k_samples = n_steps // s.stride + 1
+    k_samples = s.n_steps // s.stride + 1
+    n_steps = (k_samples - 1) * s.stride
     # times and V, plus per agent truth, aux and an orientation error, plus
     # a position error per link: what the Trace stores and derives once read
     nbytes = 8 * k_samples * (2 + 33 * n + len(s.topo.links))

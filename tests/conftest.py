@@ -18,8 +18,8 @@ from framelocal import (
     gsop,
     has_spanning_tree,
 )
-from framelocal.estimators import Asymptotic
-from framelocal.scenarios import seeded_rotations
+from framelocal.estimators import Asymptotic, FiniteTime
+from framelocal.scenarios import demo_scenario, seeded_rotations
 from framelocal import simulation
 from framelocal.simulation import Scenario
 
@@ -108,6 +108,17 @@ def gram_schmidt_oracle(m: np.ndarray) -> np.ndarray:
     u3 = v3 / np.linalg.norm(v3)
     alpha = np.sign(np.linalg.det(np.column_stack([q1, q2, u3])))
     return np.column_stack([q1, q2, alpha * u3])
+
+
+def directed_demo_topology() -> Topology:
+    """The asymptotic demo's digraph: ring 2<-3<-4<-2 feeding agent 1; an
+    edge (i, j) means i receives from j."""
+    return demo_scenario().topo
+
+
+def square_demo_topology() -> Topology:
+    """The finite-time demo's undirected 4-cycle 1-2-3-4-1."""
+    return demo_scenario(law=FiniteTime()).topo
 
 
 def spanning_digraph(n: int, seed: int) -> Topology:

@@ -35,7 +35,7 @@ from framelocal.estimators import (
     init_aux_stack,
     reconstruct,
 )
-from framelocal.scenarios import demo_scenario, seeded_rotations
+from framelocal.scenarios import DEMO_ROTATION_SEED, demo_scenario, seeded_rotations
 from framelocal.se3 import Pose, Rotation, Twist
 from framelocal.simulation import Scenario, Trace, oracle_report
 from conftest import counting_reconstruct, identity_pose, zero_twist
@@ -57,6 +57,9 @@ def scenarios_equal(a, b) -> bool:
     )
 
 
+BUNDLED = sorted(bundled_scenario_path("demo_asymptotic").parent.glob("*.json"))
+
+
 def test_bundled_asymptotic_matches_builder():
     s = load_scenario(bundled_scenario_path("demo_asymptotic"))
     assert s.topo.n == 4 and s.topo.directed
@@ -68,8 +71,42 @@ def test_bundled_asymptotic_matches_builder():
 def test_bundled_finite_matches_builder():
     s = load_scenario(bundled_scenario_path("demo_finite_time"))
     assert not s.topo.directed
+    assert s.topo == Topology.undirected(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
     assert s.law == FiniteTime(alpha=0.5, epsilon=1e-9)
     assert scenarios_equal(s, demo_scenario(law=FiniteTime(alpha=0.5)))
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_rotations_are_the_seeded_draw(path):
+    s = load_scenario(path)
+    rotations = seeded_rotations(4, DEMO_ROTATION_SEED)
+    for pose, r in zip(s.initial_poses, rotations, strict=True):
+        assert pose.rotation.r.tobytes() == r.r.tobytes()
+
+
+@pytest.mark.parametrize("law", [None, FiniteTime(alpha=0.5)], ids=["asymptotic", "finite"])
+def test_demo_rotation_seed_keeps_translations_and_twists(law):
+    base = demo_scenario(law=law)
+    other = demo_scenario(law=law, rotation_seed=1301)
+    for a, b, r in zip(base.initial_poses, other.initial_poses, seeded_rotations(4, 1301), strict=True):
+        assert b.rotation.r.tobytes() == r.r.tobytes() != a.rotation.r.tobytes()
+        assert b.translation.tobytes() == a.translation.tobytes()
+    for a, b in zip(base.twists, other.twists, strict=True):
+        assert a.linear.tobytes() == b.linear.tobytes()
+        assert a.angular.tobytes() == b.angular.tobytes()
+    assert other.topo == base.topo and other.law == base.law
+    assert (other.dt, other.t_end, other.seed, other.stride, other.reconstruction) == (
+        base.dt, base.t_end, base.seed, base.stride, base.reconstruction
+    )
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_files_are_in_canonical_form(path, tmp_path):
+    # each file is exactly what save_scenario writes for it, so the files
+    # can be regenerated and stay the one definition of the demos
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    save_scenario(load_scenario(path), tmp_path / "saved.json", description=doc["description"])
+    assert (tmp_path / "saved.json").read_bytes() == path.read_bytes()
 
 
 def test_round_trip_exact(tmp_path):
@@ -281,6 +318,49 @@ def test_nan_epsilon_rejected(tmp_path, capsys):
     code, err = run_edited_demo(tmp_path, capsys, lambda d: d["law"].update(epsilon=float("nan")))
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: law:")
+
+
+def test_epsilon_over_every_link_rejected(tmp_path, capsys):
+    # the demo's initial links are 4.76 to 6.85 apart: at epsilon = 1000 the
+    # guard would zero every weight and V would stay at V0 for the whole run
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["law"].update(epsilon=1000))
+    assert code == 1
+    assert err == [
+        "error: finite-time law: epsilon = 1000 is above every initial link distance "
+        "||S_j - S_i||_F (the largest is 6.848), so the guard would zero every weight "
+        "and the law would never act; use a smaller epsilon"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_steps_past_the_last_sample_are_not_integrated(tmp_path, capsys, monkeypatch):
+    # 10000 steps at stride 4096 record steps 0, 4096 and 8192; the 1808
+    # after the last sample are never integrated (four kernel calls a step)
+    calls = [0]
+    make_rhs = simulation._make_rhs
+
+    def counting_rhs(s):
+        rhs = make_rhs(s)
+
+        def counted(tt, pp):
+            calls[0] += 1
+            return rhs(tt, pp)
+
+        return counted
+
+    monkeypatch.setattr(simulation, "_make_rhs", counting_rhs)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+                 "--stride", "4096", "--out", str(out)])
+    assert code == 0 and calls[0] == 4 * 8192
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 3
+    assert json.loads((out / "summary.json").read_text())["final_time"] == 8.192
+    # one step of 10 s at stride 10 records only the start: nothing is integrated
+    calls[0] = 0
+    code = main(["run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+                 "--dt", "10", "--t-end", "10", "--out", str(out)])
+    assert code == 0 and calls[0] == 0
+    assert json.loads((out / "summary.json").read_text())["final_time"] == 0.0
 
 
 @pytest.mark.parametrize("key, value", [("dt", float("nan")), ("t_end", float("inf"))])

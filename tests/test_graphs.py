@@ -18,8 +18,7 @@ from framelocal import (
 )
 from framelocal import graphs
 from framelocal.graphs import W1_RESIDUAL_TOL
-from framelocal.scenarios import directed_demo_topology, square_demo_topology
-from conftest import spanning_digraph
+from conftest import directed_demo_topology, spanning_digraph, square_demo_topology
 from rhs_oracle import neighbors
 
 

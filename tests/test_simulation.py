@@ -32,7 +32,7 @@ from framelocal import (
 )
 from framelocal import cli, graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
-from framelocal.scenarios import demo_scenario, square_demo_topology
+from framelocal.scenarios import demo_scenario
 from framelocal.simulation import Scenario, _make_rhs, _neg_generators
 from conftest import (
     compose,
@@ -43,6 +43,7 @@ from conftest import (
     make_scenario,
     make_twist,
     spanning_digraph,
+    square_demo_topology,
     zero_twist,
 )
 from rhs_oracle import edge_rhs, edge_rk4, hat6, law_rhs, synthesize_measurements
@@ -598,6 +599,41 @@ def test_step_work_bound_checked_before_integration(monkeypatch):
     monkeypatch.setattr(simulation, "MAX_STEP_WORK", 30 * (4 + 8 + 150) - 1)
     with pytest.raises(ConfigurationError, match="integration: 30 steps "):
         run(s)
+
+
+def test_epsilon_over_every_link_refused_before_integration(monkeypatch):
+    s = demo_scenario(law=FiniteTime(epsilon=1000.0))
+    message = r"^finite-time law: epsilon = 1000 .*\(the largest is 6\.848\)"
+    with pytest.raises(ConfigurationError, match=message):
+        oracle_report(s)
+    monkeypatch.setattr(simulation, "_make_rhs", None)
+    with pytest.raises(ConfigurationError, match=message):
+        run(s)
+
+
+def test_epsilon_over_every_link_runs_where_the_law_has_nothing_to_do():
+    law = FiniteTime(epsilon=1000.0)
+    # a single agent has no link
+    run(make_scenario(Topology.undirected(1, []), seed=3, law=law, t_end=0.05))
+    # a start already at consensus: every aligned state equal, V0 = 0
+    s = make_scenario(square_demo_topology(), seed=3, law=law, t_end=0.05)
+    s = dataclasses.replace(s, initial_poses=(identity_pose(),) * 4)
+    p0 = np.repeat(s._p0[:1], 4, axis=0)
+    assert oracle_report(s, p0).v0 == 0.0
+    run(s, p0)
+    # epsilon inside some of the demo's links (4.76 to 6.85 apart)
+    run(demo_scenario(law=FiniteTime(epsilon=5.0), t_end=0.05))
+
+
+def test_steps_after_the_last_sample_change_nothing():
+    # t_end = 0.57 at stride 5 samples steps 0, 5, ..., 55: the same trace,
+    # bit for bit, as t_end = 0.55, which has no steps past its last sample
+    s = make_scenario(square_demo_topology(), seed=8, law=FiniteTime(), dt=1e-2, t_end=0.57, stride=5)
+    whole = dataclasses.replace(s, t_end=0.55)
+    assert (s.n_steps, whole.n_steps) == (57, 55)
+    a, b = run(s)[0], run(whole)[0]
+    for name in ("truth", "aux", "lyapunov", "times"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_trace_shape_and_time_column():
