@@ -19,6 +19,14 @@ bordered matrix, L^T with its last row replaced by ones, is therefore
 nonsingular (1 . w = 1 != 0), and w1 is its solve against e_m. A general
 Laplacian with a repeated zero eigenvalue could make the same solve return
 a plausible w, so it is only ever applied to a root block.
+
+lambda2 of a connected undirected graph is the smallest eigenvalue of L on
+the complement of the ones vector. On a large, sparse graph of small
+diameter, Lanczos finds it without an n x n matrix: L is applied by one
+pass over the edges and the ones vector is projected out at every step.
+A Ritz value is taken only after its Ritz vector's explicit residual
+passes; any other graph, and a run that does not converge, gets a dense
+eigvalsh.
 """
 
 from __future__ import annotations
@@ -31,9 +39,15 @@ import numpy as np
 
 W1_RESIDUAL_TOL = 1e-9     # acceptance residual on w^T L
 # largest set of dense matrices analyze may hold at once: an undirected graph
-# of up to 4096 agents, whose eigvalsh took 0.83 s at 2048 agents and grows
-# as n^3, or a root block of up to 3344
+# of up to 4096 agents that Lanczos does not take, whose eigvalsh grows as
+# n^3, or a root block of up to 3344
 MAX_DENSE_BYTES = 1 << 28
+# lambda2 by Lanczos (see analyze): used from this many agents, where it
+# was measured to beat eigvalsh, for at most this many steps, taking a Ritz
+# value at this relative residual
+LANCZOS_MIN_AGENTS = 512
+LANCZOS_MAX_STEPS = 256
+LANCZOS_TOL = 1e-8
 
 
 class ConfigurationError(ValueError):
@@ -126,12 +140,17 @@ class Topology:
         """The distinct edges (i, j), 1-based and sorted, as pairs of ints."""
         return tuple(zip(*(self.edge_index + 1).tolist()))
 
-    @functools.cached_property
+    @property
     def roots(self) -> tuple:
         """Agents whose information reaches every agent, ascending; () if none.
 
         One search per topology, which the graph conditions and ``analyze`` share.
         """
+        return self._search[0]
+
+    @functools.cached_property
+    def _search(self) -> tuple:
+        """``_search_roots`` of this topology, found on first read and kept."""
         return _search_roots(self)
 
     @functools.cached_property
@@ -183,24 +202,32 @@ def build_laplacian(t: Topology) -> np.ndarray:
     return _laplacian(t.n, *t.edge_index)
 
 
-def _reach(adj: list, start: int, seen: list) -> list:
-    """Agents reachable from start along adj that were not seen yet; marks them seen."""
+def _reach(adj: list, start: int, seen: list) -> tuple:
+    """Agents reachable from start along adj that were not seen yet, breadth
+    first, and the hops from start to the last of them; marks them seen."""
     seen[start] = True
     found = [start]
-    for k in found:             # breadth first: the list grows while it is read
-        for nxt in adj[k]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                found.append(nxt)
-    return found
+    depth, lo = -1, 0
+    while lo < len(found):      # a pass per level
+        depth, hi = depth + 1, len(found)
+        for k in found[lo:hi]:  # the agents depth hops from start
+            for nxt in adj[k]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    found.append(nxt)
+        lo = hi
+    return found, depth
 
 
 def _search_roots(t: Topology) -> tuple:
-    """``Topology.roots`` by search, O(n + E).
+    """(roots, depth): ``Topology.roots`` by search, O(n + E), and the hops
+    along the information flow from agent 1 to the farthest agent it reaches.
 
     A search tree that contains a root covers every agent still unseen, so
     the last tree of a search forest starts at a root if there is one; a
     forward search confirms it, and a backward one collects all the roots.
+    The forest's first tree grows from agent 1; on a connected undirected
+    graph it spans the graph, and its depth is agent 1's eccentricity.
     """
     flow = [[] for _ in range(t.n)]      # j -> i: who hears j
     heard = [[] for _ in range(t.n)]     # i -> j: whom i hears
@@ -208,13 +235,14 @@ def _search_roots(t: Topology) -> tuple:
         flow[j].append(i)
         heard[i].append(j)
     seen = [False] * t.n
-    for k in range(t.n):
+    candidate, depth = 0, _reach(flow, 0, seen)[1]
+    for k in range(1, t.n):
         if not seen[k]:
             candidate = k
             _reach(flow, k, seen)
-    if len(_reach(flow, candidate, [False] * t.n)) < t.n:
-        return ()
-    return tuple(sorted(k + 1 for k in _reach(heard, candidate, [False] * t.n)))
+    if len(_reach(flow, candidate, [False] * t.n)[0]) < t.n:
+        return (), depth
+    return tuple(sorted(k + 1 for k in _reach(heard, candidate, [False] * t.n)[0])), depth
 
 
 def has_spanning_tree(t: Topology) -> bool:
@@ -240,17 +268,104 @@ def _root_block_weights(l: np.ndarray) -> np.ndarray:
     return w
 
 
+def _smallest_ritz_pair(alpha: list, beta: list) -> tuple:
+    """(theta, s): the smallest eigenvalue of the k x k symmetric tridiagonal
+    with diagonal alpha and off-diagonal beta[:-1], and its unit eigenvector.
+
+    alpha and beta hold k Lanczos coefficients each, beta[:-1] nonzero.
+    theta comes from eigvalsh; s solves (T - theta) s = 0 from the last row
+    up, the direction in which a converged Ritz vector's entries grow, so
+    the recurrence stays stable and s[-1] keeps its small relative accuracy.
+    """
+    k = len(alpha)
+    off = beta[:-1]
+    theta = float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))[0])
+    s = [0.0] * (k + 1)         # s[k] = 0 closes the last row
+    s[k - 1] = 1.0
+    for m in range(k - 1, 0, -1):
+        s[m - 1] = ((theta - alpha[m]) * s[m] - beta[m] * s[m + 1]) / beta[m - 1]
+    s = np.array(s[:k])
+    return theta, s / np.linalg.norm(s)
+
+
+def _lanczos_lambda2(t: Topology) -> float | None:
+    """lambda2 of a connected undirected graph by Lanczos on L restricted to
+    the complement of the ones vector; None if it does not converge.
+
+    L is applied by one pass over the edges and the mean is projected out
+    at every step; there is no other reorthogonalisation. The smallest Ritz
+    pair (theta, s) of the k-step tridiagonal is tested on a x1.5 schedule
+    and taken once its residual bound beta_k |s_k| and then the explicit
+    residual ||L x - theta x|| of its Ritz vector x are both at most
+    LANCZOS_TOL * theta * ||x||.
+    """
+    n = t.n
+    i, j = t.edge_index
+    deg = np.bincount(i, minlength=n).astype(float)
+
+    def apply(q):
+        return deg * q - np.bincount(i, q[j], minlength=n)
+
+    basis = np.empty((LANCZOS_MAX_STEPS, n))
+    alpha, beta = [], []
+    q = np.random.default_rng(0).standard_normal(n)
+    q -= q.mean()
+    q /= np.linalg.norm(q)
+    prev, b, check = np.zeros(n), 0.0, 8
+    for k in range(LANCZOS_MAX_STEPS):
+        basis[k] = q
+        w = apply(q) - b * prev
+        a = float(q @ w)
+        w -= a * q
+        w -= w.sum() / n
+        b = float(np.linalg.norm(w))
+        alpha.append(a)
+        beta.append(b)
+        # test on the schedule, at the last step and when the Krylov space
+        # closes (b near 0, as on complete graphs and stars)
+        closed = b <= LANCZOS_TOL * a
+        if k + 1 in (check, LANCZOS_MAX_STEPS) or closed:
+            check = (3 * check + 1) // 2
+            theta, s = _smallest_ritz_pair(alpha, beta)
+            if b * abs(s[-1]) <= LANCZOS_TOL * theta:
+                x = s @ basis[:k + 1]
+                x -= x.mean()
+                residual = np.linalg.norm(apply(x) - theta * x)
+                return theta if residual <= LANCZOS_TOL * theta * np.linalg.norm(x) else None
+            if closed:
+                return None
+        prev, q = q, w / b
+    return None
+
+
 def analyze(t: Topology) -> SpectralData:
     """Whichever spectral quantities the topology supports.
 
     A digraph's w1 comes from its root block alone, without an n x n matrix;
     an undirected connected graph has uniform w1 and, from n = 2, lambda2.
-    Dense matrices over MAX_DENSE_BYTES are refused (ConfigurationError)
-    before any is allocated.
+    lambda2 comes from Lanczos, without an n x n matrix, where it is expected
+    to beat eigvalsh: on a graph of at least LANCZOS_MIN_AGENTS agents, all
+    within LANCZOS_MAX_STEPS / 2 hops of agent 1, whose LANCZOS_MAX_STEPS
+    passes over the E edges cost at most n^3 / 16. Any other graph, and one
+    on which Lanczos does not converge, gets a dense eigvalsh. Dense matrices
+    over MAX_DENSE_BYTES are refused (ConfigurationError) before any is
+    allocated; so is a graph whose Lanczos basis would exceed them.
     """
-    roots = t.roots
+    roots, depth = t._search
     if not roots:
         return SpectralData()
+    # a ring or a path needs about n steps, and a dense graph makes each
+    # step cost up to n^2, so both are left to eigvalsh
+    if (
+        not t.directed
+        and t.n >= LANCZOS_MIN_AGENTS
+        and depth <= LANCZOS_MAX_STEPS // 2
+        and 16 * LANCZOS_MAX_STEPS * t.edge_index.shape[1] <= t.n ** 3
+        and 8 * LANCZOS_MAX_STEPS * t.n <= MAX_DENSE_BYTES
+    ):
+        lam2 = _lanczos_lambda2(t)
+        if lam2 is not None:
+            return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)
     # a connected undirected graph is all roots and holds its Laplacian and
     # the copy eigvalsh makes; a digraph its root block, the bordered matrix
     # and the copy solve makes

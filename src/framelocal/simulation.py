@@ -205,7 +205,9 @@ class Trace:
     @property
     def times(self) -> np.ndarray:
         """(k,) sample times, step * dt (left to right, so bit-equal to it)."""
-        return np.arange(len(self.lyapunov)) * self.scenario.stride * self.scenario.dt
+        k = len(self.lyapunov)
+        # a lone sample is step 0 whatever the stride, which may not fit int64
+        return np.arange(k) * (self.scenario.stride if k > 1 else 0) * self.scenario.dt
 
     @property
     def aligned(self) -> np.ndarray:

@@ -363,6 +363,21 @@ def test_steps_past_the_last_sample_are_not_integrated(tmp_path, capsys, monkeyp
     assert json.loads((out / "summary.json").read_text())["final_time"] == 0.0
 
 
+@pytest.mark.parametrize("stride", [2**63 - 1, 2**63, 10**19, 10**400])
+@pytest.mark.parametrize("via", ["file", "flag"])
+def test_stride_past_int64_records_the_start(tmp_path, capsys, via, stride):
+    # a stride over the horizon records step 0 alone; from 2**63 on it used
+    # to overflow int64 in Trace.times and end in a traceback
+    edit = (lambda d: d["integration"].update(stride=stride)) if via == "file" else (lambda d: None)
+    flags = ("--stride", str(stride)) if via == "flag" else ()
+    code, err = run_edited_demo(tmp_path, capsys, edit, *flags)
+    assert code == 0 and err == []
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["stride"] == stride and summary["final_time"] == 0.0
+
+
 @pytest.mark.parametrize("key, value", [("dt", float("nan")), ("t_end", float("inf"))])
 def test_non_finite_integration_field_rejected(tmp_path, capsys, key, value):
     code, err = run_edited_demo(

@@ -1,6 +1,7 @@
 """Laplacian construction, root agents and spectral quantities against oracles."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from framelocal import (
     is_connected_undirected,
 )
 from framelocal import graphs
-from framelocal.graphs import W1_RESIDUAL_TOL
+from framelocal.graphs import LANCZOS_TOL, W1_RESIDUAL_TOL
 from conftest import directed_demo_topology, spanning_digraph, square_demo_topology
 from rhs_oracle import neighbors
 
@@ -543,3 +544,152 @@ def test_dense_bound_is_inclusive(monkeypatch, t, nbytes):
     monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", nbytes - 1)
     with pytest.raises(ConfigurationError, match="^graph: "):
         analyze(t)
+
+
+# ---------------------------------------------------------------------------
+# lambda2 by Lanczos
+
+
+def ring_with_chords(n: int, seed: int = 1) -> Topology:
+    """The undirected ring 1..n plus n // 2 distinct seeded chords."""
+    rng = np.random.default_rng(seed)
+    links = {tuple(sorted((k, k % n + 1))) for k in range(1, n + 1)}
+    while len(links) < n + n // 2:
+        i, j = sorted(int(x) for x in rng.integers(1, n + 1, 2))
+        if i != j:
+            links.add((i, j))
+    return Topology.undirected(n, sorted(links))
+
+
+def grid(n: int) -> Topology:
+    """A rows x (n / rows) grid, rows the largest power of two up to sqrt(n)."""
+    rows = 2 ** (int(np.log2(n)) // 2)
+    cols = n // rows
+    index = np.arange(n).reshape(rows, cols) + 1
+    pairs = np.concatenate([
+        np.stack((index[:, :-1], index[:, 1:]), -1).reshape(-1, 2),
+        np.stack((index[:-1], index[1:]), -1).reshape(-1, 2),
+    ])
+    return Topology.undirected(n, pairs.tolist())
+
+
+def random_geometric(n: int, seed: int = 1) -> Topology:
+    """Agents linked within twice the connectivity radius of n uniform points
+    in the unit square, redrawn until connected."""
+    rng = np.random.default_rng(seed)
+    radius = 2.0 * np.sqrt(np.log(n) / (np.pi * n))
+    while True:
+        p = rng.random((n, 2))
+        near = np.linalg.norm(p[:, None] - p[None], axis=-1) < radius
+        t = Topology.undirected(n, (np.argwhere(np.triu(near, 1)) + 1).tolist())
+        if t.roots:
+            return t
+
+
+def star(n: int) -> Topology:
+    return Topology.undirected(n, [(1, k) for k in range(2, n + 1)])
+
+
+def complete(n: int) -> Topology:
+    return Topology.undirected(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def dense_lambda2(t: Topology) -> float:
+    return float(np.linalg.eigvalsh(build_laplacian(t))[1])
+
+
+@pytest.mark.parametrize("n", [graphs.LANCZOS_MIN_AGENTS, 1024])
+@pytest.mark.parametrize("family", [ring_with_chords, grid, random_geometric, star])
+def test_lanczos_lambda2_agrees_with_eigvalsh(monkeypatch, family, n):
+    # Lanczos returns theta only once its Ritz vector x, orthogonal to the
+    # ones vector, has ||L x - theta x|| <= LANCZOS_TOL * theta * ||x||, so an
+    # eigenvalue of L lies within LANCZOS_TOL * theta of it
+    t = family(n)
+    exact = dense_lambda2(t)
+    monkeypatch.setattr(graphs, "_laplacian", refuse_allocation)
+    lam2 = analyze(t).lambda2
+    assert abs(lam2 - exact) <= LANCZOS_TOL * lam2
+    assert analyze(t).lambda2 == lam2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ring(graphs.LANCZOS_MIN_AGENTS, directed=False),
+        lambda: Topology.undirected(graphs.LANCZOS_MIN_AGENTS, [(k, k + 1) for k in range(1, graphs.LANCZOS_MIN_AGENTS)]),
+        lambda: ring_with_chords(graphs.LANCZOS_MIN_AGENTS - 1),
+        lambda: complete(graphs.LANCZOS_MIN_AGENTS),
+        square_demo_topology,
+    ],
+    ids=["ring", "path", "below-crossover", "complete", "demo"],
+)
+def test_lambda2_off_the_lanczos_route_is_eigvalsh_bit_for_bit(make):
+    # a ring or a path spans agent 1 in over LANCZOS_MAX_STEPS / 2 hops, a
+    # complete graph has too many edges for the step budget, and the others
+    # are below the crossover
+    t = make()
+    assert analyze(t).lambda2 == dense_lambda2(t)
+
+
+def test_lanczos_that_does_not_converge_falls_back_to_eigvalsh(monkeypatch):
+    # 24 steps leave the ring's chords within reach of agent 1 (12 hops) but
+    # are far too few to converge, so eigvalsh gives the value
+    t = ring_with_chords(graphs.LANCZOS_MIN_AGENTS)
+    returned = []
+    lanczos = graphs._lanczos_lambda2
+
+    def spy(t):
+        returned.append(lanczos(t))
+        return returned[-1]
+
+    monkeypatch.setattr(graphs, "_lanczos_lambda2", spy)
+    monkeypatch.setattr(graphs, "LANCZOS_MAX_STEPS", 24)
+    assert analyze(t).lambda2 == dense_lambda2(t)
+    assert returned == [None]
+
+
+@pytest.mark.parametrize("family, lam2", [(complete, 64.0), (star, 1.0)], ids=["complete", "star"])
+def test_lanczos_stops_when_the_krylov_space_closes(family, lam2):
+    # one step spans the complement of ones on a complete graph, two on a star
+    assert graphs._lanczos_lambda2(family(64)) == pytest.approx(lam2, rel=LANCZOS_TOL)
+
+
+def test_well_connected_graph_past_the_dense_bound_is_analysed(monkeypatch):
+    # two dense 4100 x 4100 matrices would be over MAX_DENSE_BYTES, which
+    # refused this graph before Lanczos; the oracle is ARPACK
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    t = ring_with_chords(4100)
+    assert 16 * t.n**2 > graphs.MAX_DENSE_BYTES
+    monkeypatch.setattr(graphs, "_laplacian", refuse_allocation)
+    lam2 = analyze(t).lambda2
+    i, j = t.edge_index
+    lap = scipy.sparse.csr_matrix((-np.ones(len(i)), (i, j)), shape=(t.n, t.n))
+    lap = lap + scipy.sparse.diags(np.bincount(i, minlength=t.n).astype(float))
+    start = 1.0 + np.arange(t.n) % 7
+    low = np.sort(scipy.sparse.linalg.eigsh(lap, k=2, which="SA", v0=start, return_eigenvectors=False))
+    assert abs(lam2 - low[1]) <= LANCZOS_TOL * lam2
+
+
+def test_lanczos_holds_no_n_by_n_matrix():
+    # the dense path allocates an 8 MiB Laplacian for 1024 agents (and eigvalsh
+    # a copy that tracemalloc does not see); Lanczos keeps 2 MiB of basis
+    t = ring_with_chords(1024)
+    tracemalloc.start()
+    try:
+        analyze(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_search_reports_the_hops_from_agent_one():
+    assert ring(9, directed=False)._search == (tuple(range(1, 10)), 4)
+    assert Topology.undirected(5, [(k, k + 1) for k in range(1, 5)])._search[1] == 4
+    assert star(6)._search[1] == 1
+    assert Topology.undirected(4, [(2, 1), (2, 3), (2, 4)])._search[1] == 2
+    # along the information flow: nobody hears agent 1 on a chain toward 4
+    assert Topology(4, ((1, 2), (2, 3), (3, 4)))._search == ((4,), 0)
+    assert Topology(4, ((2, 1), (3, 2), (4, 3)))._search == ((1,), 3)
