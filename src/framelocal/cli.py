@@ -28,7 +28,7 @@ The agents are checked as stacks: their keys, their JSON shapes and number
 types, one ``rotation_check`` over the (n, 3, 3) rotations and one
 ``isfinite`` over the (3, n, 3) vectors, each flagging the agents it fails.
 The first flagged agent alone is checked again, which names it and its
-first fault; the Pose and Twist objects hold read-only rows of the stacks.
+first fault. The scenario stores the checked stacks, building no agent object.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json (with |det Q_c| as ``det_qc`` and
@@ -56,7 +56,7 @@ import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode
 from .graphs import Topology
-from .se3 import Pose, Rotation, Twist, _freeze, _prechecked, rotation_check
+from .se3 import Pose, Rotation, Twist, rotation_check
 from .simulation import (
     ConfigurationError,
     OracleReport,
@@ -64,6 +64,8 @@ from .simulation import (
     Trace,
     TraceBlock,
     WELL_POSED_DET,
+    _PoseStack,
+    _TwistStack,
     run,
     settling_time,
 )
@@ -177,8 +179,8 @@ def load_scenario(path) -> Scenario:
     with _section("integration"):
         return Scenario(
             topo=topo,
-            initial_poses=tuple(poses),
-            twists=tuple(twists),
+            initial_poses=poses,
+            twists=twists,
             law=law,
             dt=float(_numbers(integ["dt"], "dt")),
             t_end=float(_numbers(integ["t_end"], "t_end")),
@@ -210,7 +212,7 @@ def _number_mask(values: list, shape: tuple) -> np.ndarray:
 
 
 def _agents(agents: list) -> tuple:
-    """(poses, twists) of the agents, which hold rows of read-only stacks.
+    """(poses, twists): the agents as a Scenario stores them, in read-only stacks.
 
     Each check runs over all agents at once and flags those that fail it;
     the first flagged agent is then checked alone, which raises a
@@ -225,9 +227,9 @@ def _agents(agents: list) -> tuple:
     # cheaper than numpy's conversion of the nested lists
     flat = itertools.chain.from_iterable
     r = itertools.compress(rotations, form)
-    r = _freeze(np.fromiter(flat(flat(r)), float)).reshape(-1, 3, 3)
+    r = np.fromiter(flat(flat(r)), float).reshape(-1, 3, 3)
     vectors = itertools.compress(vectors, np.concatenate((form,) * 3))
-    vectors = _freeze(np.fromiter(flat(vectors), float)).reshape(3, -1, 3)
+    vectors = np.fromiter(flat(vectors), float).reshape(3, -1, 3)
     ok[ok] = rotation_check(r)[0] & np.isfinite(vectors).all(axis=(0, 2))
     if not ok.all():
         k = int(np.argmin(ok))
@@ -239,13 +241,9 @@ def _agents(agents: list) -> tuple:
             Pose(Rotation(a["rotation"]), a["translation"])
             Twist(a["linear_velocity"], a["angular_velocity"])
         raise AssertionError(f"{where} fails a stacked check but none of its own")
-    p, v, w = vectors
-    poses = [
-        _prechecked(Pose, rotation=_prechecked(Rotation, r=r_i), translation=p_i)
-        for r_i, p_i in zip(r, p)
-    ]
-    twists = [_prechecked(Twist, linear=v_i, angular=w_i) for v_i, w_i in zip(v, w)]
-    return poses, twists
+    t0 = np.zeros((len(agents), 4, 4))
+    t0[:, :3, :3], t0[:, :3, 3], t0[:, 3, 3] = r, vectors[0], 1.0
+    return _PoseStack(t0), _TwistStack(*vectors[1:])
 
 
 def _parse_law(law_doc: dict):
@@ -264,17 +262,11 @@ def _parse_law(law_doc: dict):
 def save_scenario(s: Scenario, path, description: str = ""):
     """Write a scenario as canonical JSON (exact float round trip)."""
     edges = [[i, j] for i, j in s.topo.edges if s.topo.directed or i < j]
+    (t0,), (linear, angular) = s.initial_poses.arrays, s.twists.arrays
+    rows = t0[:, :3, :3].tolist(), t0[:, :3, 3].tolist(), linear.tolist(), angular.tolist()
     doc = {
         "graph": {"n": s.topo.n, "directed": s.topo.directed, "edges": edges},
-        "agents": [
-            {
-                "rotation": p.rotation.r.tolist(),
-                "translation": p.translation.tolist(),
-                "linear_velocity": tw.linear.tolist(),
-                "angular_velocity": tw.angular.tolist(),
-            }
-            for p, tw in zip(s.initial_poses, s.twists)
-        ],
+        "agents": [dict(zip(_AGENT_FIELDS, agent)) for agent in zip(*rows)],
         "law": (
             {"name": "asymptotic"}
             if isinstance(s.law, Asymptotic)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cli import bundled_scenario_path, load_scenario
 from .estimators import FiniteTime, Law, ReconstructionMode
-from .se3 import DegenerateInputError, Pose, gsop
-from .simulation import Scenario
+from .se3 import DegenerateInputError, gsop
+from .simulation import Scenario, _PoseStack
 
 DEMO_ROTATION_SEED = 2357   # the seed of the bundled files' rotations
 
@@ -62,6 +62,7 @@ def demo_scenario(
     if t_end is not None:
         changes["t_end"] = t_end
     if rotation_seed != DEMO_ROTATION_SEED:
-        rotations = seeded_rotations(4, rotation_seed)
-        changes["initial_poses"] = [Pose(r, p.translation) for r, p in zip(rotations, s.initial_poses)]
+        t0 = s.initial_poses.arrays[0].copy()
+        t0[:, :3, :3] = [r.r for r in seeded_rotations(4, rotation_seed)]
+        changes["initial_poses"] = _PoseStack(t0)
     return dataclasses.replace(s, **changes)

@@ -44,17 +44,6 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
-def _prechecked(cls, **fields):
-    """An instance of cls that holds fields as given, without its __post_init__.
-
-    Only for stacked checks: each array field is a row of a read-only float64
-    stack that has passed the checks __post_init__ would run on it.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product over the last axis by the dot kernel of ``u @ v``, which
     a stacked vector-vector matmul runs item by item, stack-independently."""

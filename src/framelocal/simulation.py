@@ -11,8 +11,8 @@ broadcast product.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
-All of this reads a scenario's cached, read-only arrays: ``_stacks`` (poses,
-twist parts) and ``_p0`` (the seeded estimator draw, made only if used).
+All of this reads a scenario's read-only arrays: the stacks its agents are
+stored as, and ``_p0`` (the seeded estimator draw, made only if used).
 
 Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
@@ -64,6 +64,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ from .graphs import (
     has_spanning_tree,
     is_connected_undirected,
 )
-from .se3 import Pose, exp_twists, gsop, hat3
+from .se3 import Pose, Twist, _freeze, exp_twists, gsop, hat3
 
 WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
@@ -116,19 +117,44 @@ MAX_FLOW_SQUARINGS = 26
 InitialState = np.ndarray | None
 
 
-# t0 (n, 4, 4) initial poses; (n, 3) twist parts
-ScenarioStacks = collections.namedtuple("ScenarioStacks", "t0 linear angular")
 # Trace.blocks(): a slice of samples, their estimates, validity mask and errors
 TraceBlock = collections.namedtuple("TraceBlock", "samples estimates valid orient pos")
 
 
+class _Stack(Sequence):
+    """Read-only (n, ...) arrays read as n objects, each built by ``item`` when read."""
+
+    def __init__(self, *arrays):
+        self.arrays = tuple(map(_freeze, arrays))
+
+    def __len__(self):
+        return len(self.arrays[0])
+
+    def __getitem__(self, k):
+        rows = range(len(self))[k]
+        if isinstance(rows, range):
+            return tuple(map(self.__getitem__, rows))
+        return self.item(*(a[rows] for a in self.arrays))
+
+
+class _PoseStack(_Stack):
+    kind, item, parts = Pose, Pose.from_matrix, ("matrix",)   # t0, (n, 4, 4)
+
+
+class _TwistStack(_Stack):
+    kind, item, parts = Twist, Twist, ("linear", "angular")   # (n, 3) each
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything needed to reproduce one run; ``_stacks`` makes it arrays once."""
+    """Everything needed to reproduce one run. Its agents, given as Pose and
+    Twist objects, are stored as read-only stacks that ``dataclasses.replace``
+    hands on; reading ``initial_poses`` or ``twists`` builds and validates one
+    object per item read."""
 
     topo: Topology
-    initial_poses: tuple
-    twists: tuple
+    initial_poses: Sequence
+    twists: Sequence
     law: Law
     dt: float
     t_end: float
@@ -137,8 +163,18 @@ class Scenario:
     reconstruction: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_poses", tuple(self.initial_poses))
-        object.__setattr__(self, "twists", tuple(self.twists))
+        for name, stack in (("initial_poses", _PoseStack), ("twists", _TwistStack)):
+            items = getattr(self, name)
+            if not isinstance(items, stack):
+                items = list(items)
+                for k, item in enumerate(items, 1):
+                    if not isinstance(item, stack.kind):
+                        got = type(item).__name__
+                        raise ValueError(f"{name}[{k}]: expected a {stack.kind.__name__}, got {got}")
+                items = stack(*([getattr(item, part) for item in items] for part in stack.parts))
+            if len(items) != self.topo.n:
+                raise ValueError(f"{name}: need {self.topo.n} agents, got {len(items)}")
+            object.__setattr__(self, name, items)
         object.__setattr__(self, "reconstruction", ReconstructionMode(self.reconstruction))
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -146,11 +182,6 @@ class Scenario:
             raise ValueError(f"t_end must be finite and at least dt, got {self.t_end}")
         if math.isinf(self.t_end / self.dt):
             raise ValueError(f"t_end / dt overflows, got {self.t_end} / {self.dt}")
-        if len(self.initial_poses) != self.topo.n or len(self.twists) != self.topo.n:
-            raise ValueError(
-                f"need {self.topo.n} poses and twists, got "
-                f"{len(self.initial_poses)} / {len(self.twists)}"
-            )
         object.__setattr__(self, "stride", as_int(self.stride, "stride"))
         if self.stride < 1:
             raise ValueError(f"stride must be a positive integer, got {self.stride}")
@@ -162,19 +193,6 @@ class Scenario:
     def n_steps(self) -> int:
         # the small slack keeps 10 / 1e-3 from rounding down to 9999
         return int(math.floor(self.t_end / self.dt + 1e-9))
-
-    @functools.cached_property
-    def _stacks(self) -> ScenarioStacks:
-        t0 = np.zeros((self.topo.n, 4, 4))   # each Pose.matrix, built at once
-        t0[:, :3, :3] = [p.rotation.r for p in self.initial_poses]
-        t0[:, :3, 3] = [p.translation for p in self.initial_poses]
-        t0[:, 3, 3] = 1.0
-        linear = np.array([tw.linear for tw in self.twists])
-        angular = np.array([tw.angular for tw in self.twists])
-        stacks = ScenarioStacks(t0, linear, angular)
-        for a in stacks:
-            a.setflags(write=False)
-        return stacks
 
     @functools.cached_property
     def _p0(self) -> np.ndarray:
@@ -325,7 +343,7 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
 
 def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
     """(t0, p0): the scenario's poses, and initial_state or else its seeded draw."""
-    t0 = s._stacks.t0
+    (t0,) = s.initial_poses.arrays
     p0 = s._p0 if initial_state is None else np.asarray(initial_state, dtype=np.float64)
     if p0.shape != t0.shape:
         raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
@@ -397,9 +415,9 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
 
 def _neg_generators(s: Scenario) -> np.ndarray:
     """(n, 4, 4) -hat(twist_i) = -[hat3(w_i) v_i; 0 0], negated whole: -0.0 bottom rows."""
+    linear, angular = s.twists.arrays
     xi = np.zeros((s.topo.n, 4, 4))
-    xi[:, :3, :3] = hat3(s._stacks.angular)
-    xi[:, :3, 3] = s._stacks.linear
+    xi[:, :3, :3], xi[:, :3, 3] = hat3(angular), linear
     return -xi
 
 
@@ -497,9 +515,8 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
         )
     # the truth exponentials come as stacks; the bias in oracle_report is the
     # only validated object a run builds, and all else works on arrays
-    twists = s._stacks.linear, s._stacks.angular
-    e_half, half_ok = exp_twists(*twists, s.dt / 2.0)
-    e_full, full_ok = exp_twists(*twists, s.dt)
+    e_half, half_ok = exp_twists(*s.twists.arrays, s.dt / 2.0)
+    e_full, full_ok = exp_twists(*s.twists.arrays, s.dt)
     bad = np.flatnonzero(~(half_ok & full_ok))
     if len(bad):
         raise ConfigurationError(

@@ -657,7 +657,9 @@ def test_saved_topology_loads_back(tmp_path):
 
 def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
     # a valid file costs the same number of rotation tests at any agent
-    # count, and no pose, rotation or twist runs its own checks
+    # count, and no agent's pose, rotation or twist is built on the way from
+    # the file through the oracle and the run back to a file; the one Pose
+    # (and its Rotation) built is the transform bias of the oracle report
     rng = np.random.default_rng(41)
     paths = []
     for n in (4, 64, 512):
@@ -684,9 +686,22 @@ def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
     counts = []
     for path in paths:
         calls.clear()
-        load_scenario(path)
-        counts.append(dict(calls))
-    assert counts[0] == counts[1] == counts[2] == {"rotation_check": 1}
+        s = load_scenario(path)
+        counts.append({"load": dict(calls)})
+        for name, step in (("oracle", oracle_report), ("run", simulation.run),
+                           ("save", lambda s: save_scenario(s, tmp_path / "out.json"))):
+            calls.clear()
+            step(s)
+            counts[-1][name] = dict(calls)
+    bias = {"Rotation": 1, "Pose": 1, "rotation_check": 1}
+    assert counts[0] == counts[1] == counts[2] == {
+        "load": {"rotation_check": 1},
+        "oracle": bias,
+        # the two stacked truth exponentials, and the oracle report
+        "run": {**bias, "rotation_check": 3},
+        "save": {},
+    }
+    assert (tmp_path / "out.json").read_bytes() == paths[-1].read_bytes()
 
 
 def test_oversized_spectral_analysis_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -126,3 +126,16 @@ def test_no_module_reads_another_modules_private_attributes():
         for attr in private_reads(tree) - own_names(tree)
     )
     assert foreign == []
+
+
+def test_no_module_builds_an_object_past_its_checks():
+    # object.__new__ makes an instance without running __init__, and so
+    # without a validated class's __post_init__ checks
+    bypass = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+    assert bypass == []

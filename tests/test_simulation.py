@@ -181,7 +181,7 @@ def test_stacked_rhs_matches_public_operations():
         truth = list(s.initial_poses)
         meas = synthesize_measurements(truth, list(s.twists), topo)
         public = law_rhs(state, meas, topo)
-        t0, p0 = s._stacks.t0, stack_of(state)
+        t0, p0 = s.initial_poses.arrays[0], stack_of(state)
         fast = _make_rhs(s)(t0, p0)
         for i in range(3):
             assert np.abs(fast[i] - public[i]).max() < 1e-12
@@ -203,7 +203,7 @@ def kernel_against_oracle(s: Scenario, state: EstimatorState | None = None) -> t
     """
     if state is None:
         state = init_aux(s.topo.n, s.seed, s.law)
-    t0, p0 = s._stacks.t0, stack_of(state)
+    t0, p0 = s.initial_poses.arrays[0], stack_of(state)
     fast = assert_kernel_is_the_edge_pass(s, t0, p0)
     meas = synthesize_measurements(list(s.initial_poses), list(s.twists), s.topo)
     oracle = np.stack(law_rhs(state, meas, s.topo))
@@ -267,7 +267,7 @@ def test_kernel_is_the_full_edge_pass_bit_for_bit():
             s = make_scenario(topo, seed=70 + k, law=law, t_end=0.1)
             for scale in (1.0, 1e-6, 1e-12):
                 pp = rng.standard_normal((topo.n, 4, 4)) * scale
-                assert_kernel_is_the_edge_pass(s, s._stacks.t0, pp)
+                assert_kernel_is_the_edge_pass(s, s.initial_poses.arrays[0], pp)
 
 
 def test_run_is_the_full_edge_rk4_bit_for_bit():
@@ -326,7 +326,7 @@ def kernel_inputs(draw) -> tuple:
     law = draw(laws)
     s = make_scenario(topo, seed=draw(st.integers(0, 2**16)), law=law, t_end=0.1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tt = s._stacks.t0.copy()
+    tt = s.initial_poses.arrays[0].copy()
     pp = rng.standard_normal((n, 4, 4)) * 10.0 ** draw(st.integers(-12, 0))
     for i in range(1, n):
         twin = draw(st.integers(0, i))
@@ -351,9 +351,9 @@ def test_run_and_kernel_write_no_input_and_no_earlier_result():
     assert state.tobytes() == kept.tobytes()
     # the kernel reuses its edge rows, never the derivative it hands out
     rhs = _make_rhs(s)
-    first = rhs(s._stacks.t0, state)
+    first = rhs(s.initial_poses.arrays[0], state)
     kept = first.copy()
-    rhs(s._stacks.t0 @ s._stacks.t0, 2.0 * state)
+    rhs(s.initial_poses.arrays[0] @ s.initial_poses.arrays[0], 2.0 * state)
     assert first.tobytes() == kept.tobytes()
 
 
@@ -403,7 +403,7 @@ def masked_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
 
 def assert_weights_equal_masked_form(s: Scenario, pp: np.ndarray, eps: float, alpha: float):
     g = dataclasses.replace(s, law=FiniteTime(alpha, float(eps)))
-    tt = g._stacks.t0
+    tt = g.initial_poses.arrays[0]
     assert _make_rhs(g)(tt, pp).tobytes() == masked_rhs(g, tt, pp).tobytes()
 
 
@@ -420,7 +420,7 @@ def test_finite_weights_equal_the_masked_form_at_the_guard():
     pp[2, 0, 0] += 1e-14
     pp[3] = pp[2]
     pp[3, 1, 2] += 1e-9
-    _, norms = edge_norms(s, s._stacks.t0, pp)
+    _, norms = edge_norms(s, s.initial_poses.arrays[0], pp)
     assert (norms == 0).any() and ((0 < norms) & (norms < 1e-13)).any()
     for norm in np.unique(norms[norms > 0]):
         for eps in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, np.inf)):
@@ -434,7 +434,7 @@ def test_finite_weights_equal_the_masked_form_at_the_guard():
         topo = Topology.undirected(12, [(i, i % 12 + 1) for i in range(1, 13)] + [chord])
         s = make_scenario(topo, seed=48 + k, law=FiniteTime(), t_end=0.1)
         pp = rng.standard_normal((12, 4, 4)) * 10.0 ** rng.integers(-12, 1, (12, 1, 1))
-        _, norms = edge_norms(s, s._stacks.t0, pp)
+        _, norms = edge_norms(s, s.initial_poses.arrays[0], pp)
         assert_weights_equal_masked_form(s, pp, np.sort(norms)[len(norms) // 2], rng.uniform(0.05, 0.95))
 
 
@@ -656,7 +656,7 @@ def test_bottom_rows_preserved_bit_exactly():
 
 def test_closed_form_at_zero_is_initial_state():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=4, t_end=0.5)
-    t0, p0 = s._stacks.t0, s._p0
+    t0, p0 = s.initial_poses.arrays[0], s._p0
     for i, block in enumerate(closed_form_aligned(s, 0.0)):
         assert np.abs(block - t0[i] @ p0[i]).max() < 1e-12
 
@@ -671,7 +671,7 @@ def test_closed_form_long_horizon_limit():
 def test_closed_form_two_agent_hand_solution():
     # undirected pair: average plus difference mode decaying at rate 2
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=6, t_end=0.5)
-    t0, p0 = s._stacks.t0, s._p0
+    t0, p0 = s.initial_poses.arrays[0], s._p0
     s0 = [t0[i] @ p0[i] for i in range(2)]
     avg = (s0[0] + s0[1]) / 2.0
     for t in (0.1, 0.7, 2.0):
@@ -682,7 +682,7 @@ def test_closed_form_two_agent_hand_solution():
 
 def kron_closed_form(s, t: float) -> np.ndarray:
     """Oracle: the 4n x 4n flow expm(-(L kron I4) t) on the stacked aligned states."""
-    t0, p0 = s._stacks.t0, s._p0
+    t0, p0 = s.initial_poses.arrays[0], s._p0
     flow = scipy.linalg.expm(-np.kron(build_laplacian(s.topo), np.eye(4)) * t)
     return (flow @ (t0 @ p0).reshape(4 * s.topo.n, 4)).reshape(s.topo.n, 4, 4)
 
@@ -753,28 +753,102 @@ def test_scenario_rejects_an_unknown_reconstruction_mode(mode):
         dataclasses.replace(demo_scenario(t_end=0.05), reconstruction=mode)
 
 
+# a rotation and vectors with -0.0 entries, so byte checks see the signs
+SIGNED_ROTATION = [[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def agent_bytes(x) -> bytes:
+    """The rows an agent object is stored as: its matrix, or its twist parts."""
+    return x.matrix.tobytes() if isinstance(x, Pose) else x.linear.tobytes() + x.angular.tobytes()
+
+
+def count_object_checks(monkeypatch) -> collections.Counter:
+    """Count the checks each Rotation, Pose and Twist runs when it is built."""
+    calls = collections.Counter()
+    for cls in (Rotation, Pose, Twist):
+        def counting(obj, name=cls.__name__, real=cls.__post_init__):
+            calls[name] += 1
+            real(obj)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return calls
+
+
 def test_scenario_stacks_are_read_only():
-    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=11, t_end=0.01)
-    assert s._stacks is s._stacks and s._p0 is s._p0
-    for a in (*s._stacks, s._p0):
+    rng = np.random.default_rng(11)
+    poses = [make_pose(rng), Pose(Rotation(SIGNED_ROTATION), [-0.0, 1.0, 0.0])]
+    twists = [make_twist(rng), Twist([-0.0, 0.0, 1.0], [0.0, -0.0, 0.5])]
+    s = Scenario(topo=Topology(2, ((1, 2), (2, 1))), initial_poses=poses, twists=twists,
+                 law=Asymptotic(), dt=1e-3, t_end=0.01, seed=11)
+    (t0,), (linear, angular) = s.initial_poses.arrays, s.twists.arrays
+    assert t0 is s.initial_poses.arrays[0] and s._p0 is s._p0
+    for a in (t0, linear, angular, s._p0):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-    # t0 is built from the rotations and translations, byte-equal to the matrices
-    assert s._stacks.t0.tobytes() == np.stack([p.matrix for p in s.initial_poses]).tobytes()
-    assert np.array_equal(s._stacks.linear, np.stack([tw.linear for tw in s.twists]))
-    assert np.array_equal(s._stacks.angular, np.stack([tw.angular for tw in s.twists]))
+    # the stacks are byte-equal to the matrices and parts of the objects given
+    assert t0.tobytes() == np.stack([p.matrix for p in poses]).tobytes()
+    assert linear.tobytes() == np.stack([tw.linear for tw in twists]).tobytes()
+    assert angular.tobytes() == np.stack([tw.angular for tw in twists]).tobytes()
     assert np.array_equal(s._p0, simulation.init_aux_stack(2, 11))
 
 
-def test_replaced_scenario_has_a_fresh_cache():
+def test_replaced_scenario_has_a_fresh_cache(monkeypatch):
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
-    first, first_p0 = s._stacks, s._p0
+    first_p0 = s._p0
+    built = count_object_checks(monkeypatch)
     same_seed = dataclasses.replace(s, stride=1)
     other_seed = dataclasses.replace(s, seed=13)
-    assert same_seed._stacks is not first and same_seed._p0 is not first_p0
+    # a scalar field changes: the stacks go along as they are, and no agent
+    # object is built to carry them
+    assert built == {}
+    for r in (same_seed, other_seed):
+        assert r.initial_poses is s.initial_poses and r.twists is s.twists
+    assert same_seed._p0 is not first_p0
     assert np.array_equal(same_seed._p0, first_p0)
     assert np.array_equal(other_seed._p0, simulation.init_aux_stack(2, 13))
     assert not np.array_equal(other_seed._p0, first_p0)
+
+
+def test_agent_sequences_index_like_tuples(monkeypatch):
+    rng = np.random.default_rng(15)
+    given_agents = {
+        "initial_poses": tuple(make_pose(rng) for _ in range(3)),
+        "twists": tuple(make_twist(rng) for _ in range(3)),
+    }
+    s = Scenario(topo=spanning_digraph(3, 15), **given_agents, law=Asymptotic(),
+                 dt=1e-3, t_end=0.01, seed=15)
+    built = count_object_checks(monkeypatch)
+    for field, given in given_agents.items():
+        got = getattr(s, field)
+        assert len(got) == 3
+        for k in range(-3, 3):
+            item = got[k]
+            assert type(item) is type(given[k]) and agent_bytes(item) == agent_bytes(given[k])
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                got[k]
+        for cut in (slice(None, -1), slice(None, None, -1), slice(5, None)):
+            part = got[cut]
+            assert type(part) is tuple
+            assert [*map(agent_bytes, part)] == [*map(agent_bytes, given[cut])]
+        assert [*map(agent_bytes, got)] == [*map(agent_bytes, given)]
+    # each item read builds and checks one object: 6 + (2 + 3 + 0) + 3 per field
+    assert built == {"Pose": 14, "Rotation": 14, "Twist": 14}
+    assert len(s.twists[:-1] + (zero_twist(),)) == 3
+
+
+@pytest.mark.parametrize("field", ["initial_poses", "twists"])
+def test_scenario_rejects_an_agent_that_is_not_an_object(field):
+    # an array in place of a Pose or Twist used to be taken, and run then
+    # failed on it with an AttributeError
+    s = make_scenario(Topology(3, ((1, 2), (2, 3), (3, 1))), seed=16, t_end=0.01)
+    cls, array, other = (("Pose", np.eye(4), s.twists) if field == "initial_poses"
+                         else ("Twist", np.zeros(6), s.initial_poses))
+    items = list(getattr(s, field))
+    items[1] = array
+    for given, k, got in (([array] * 3, 1, "ndarray"), (items, 2, "ndarray"),
+                          (other, 1, type(other[0]).__name__)):
+        with pytest.raises(ValueError, match=rf"^{field}\[{k}\]: expected a {cls}, got {got}$"):
+            dataclasses.replace(s, **{field: given})
 
 
 def test_generator_stack_matches_per_agent_hat6_bytewise():
@@ -1041,7 +1115,7 @@ def test_error_link_pairs_are_cached_on_the_topology(topo):
 def test_oracle_report_fields():
     s = make_scenario(square_demo_topology(), seed=13, law=FiniteTime(alpha=0.5), t_end=1.0)
     rep = oracle_report(s)
-    t0, p0 = s._stacks.t0, s._p0
+    t0, p0 = s.initial_poses.arrays[0], s._p0
     s_c = sum(0.25 * t0[i] @ p0[i] for i in range(4))
     assert np.abs(rep.consensus_state - s_c).max() < 1e-12
     assert np.array_equal(rep.consensus_state[3], [0.0, 0.0, 0.0, 1.0])
