@@ -56,14 +56,13 @@ import numpy as np
 
 from .estimators import Asymptotic, FiniteTime, ReconstructionMode
 from .graphs import Topology
-from .se3 import Pose, Rotation, Twist, rotation_check
+from .se3 import Pose, Rotation, Twist, homogeneous, rotation_check
 from .simulation import (
     ConfigurationError,
     OracleReport,
     Scenario,
     Trace,
     TraceBlock,
-    WELL_POSED_DET,
     _PoseStack,
     _TwistStack,
     run,
@@ -241,9 +240,7 @@ def _agents(agents: list) -> tuple:
             Pose(Rotation(a["rotation"]), a["translation"])
             Twist(a["linear_velocity"], a["angular_velocity"])
         raise AssertionError(f"{where} fails a stacked check but none of its own")
-    t0 = np.zeros((len(agents), 4, 4))
-    t0[:, :3, :3], t0[:, :3, 3], t0[:, 3, 3] = r, vectors[0], 1.0
-    return _PoseStack(t0), _TwistStack(*vectors[1:])
+    return _PoseStack(homogeneous(r, vectors[0])), _TwistStack(*vectors[1:])
 
 
 def _parse_law(law_doc: dict):
@@ -357,7 +354,7 @@ def _oracle_doc(report: OracleReport) -> dict:
         "consensus_state": report.consensus_state.tolist(),
         "transform_bias": bias,
         "det_qc": report.det_qc,
-        "well_posed": report.det_qc > WELL_POSED_DET,
+        "well_posed": report.transform_bias is not None,
         "lambda2": report.lambda2,
         "settling_bound": report.settling_bound,
         "settling_bound_optimistic": report.settling_bound_optimistic,

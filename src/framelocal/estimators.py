@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .se3 import AuxMatrix, gram_schmidt
+from .se3 import AuxMatrix, gram_schmidt, homogeneous
 
 INIT_DET_FLOOR = 1e-6      # redraw threshold on |det Q_i(0)|
 DEFAULT_EPSILON = 1e-9     # guard radius replacing the exact consensus case
@@ -104,10 +104,7 @@ def init_aux_stack(n: int, rng_seed: int) -> np.ndarray:
         raise ValueError("need at least one agent")
     rng = np.random.default_rng(rng_seed)
     draw = rng.uniform(-1.0, 1.0, (n, 12))
-    aux = np.zeros((n, 4, 4))
-    aux[:, :3, :3] = draw[:, :9].reshape(n, 3, 3)
-    aux[:, :3, 3] = draw[:, 9:]
-    aux[:, 3, 3] = 1.0
+    aux = homogeneous(draw[:, :9].reshape(n, 3, 3), draw[:, 9:])
     low = np.flatnonzero(np.abs(np.linalg.det(aux[:, :3, :3])) < INIT_DET_FLOOR)
     if len(low):
         first = int(low[0])
@@ -146,9 +143,6 @@ def reconstruct(
     two_column = ReconstructionMode(mode) is ReconstructionMode.TWO_COLUMN_CROSS
     r_hat_t, valid, _ = gram_schmidt(aux[..., :3, :3], two_column=two_column)
     r_hat = np.swapaxes(r_hat_t, -1, -2)
-    poses = np.zeros(aux.shape)
-    poses[..., :3, :3] = r_hat
-    poses[..., :3, 3:] = -(r_hat @ aux[..., :3, 3:])
-    poses[..., 3, 3] = 1.0
+    poses = homogeneous(r_hat, -(r_hat @ aux[..., :3, 3:])[..., 0])
     return np.where(valid[..., None, None], poses, np.eye(4)), valid
 

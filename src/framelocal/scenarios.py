@@ -7,7 +7,7 @@ while translating and the fourth translating without rotating.
 digraph and ``demo_finite_time.json`` the finite-time law on a square. Their
 initial orientations are ``seeded_rotations(4, DEMO_ROTATION_SEED)``, each
 the orthonormalization of a seeded random matrix. ``demo_scenario`` loads
-one of the files and applies its overrides.
+one of the files and replaces only the values it is given.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import dataclasses
 import numpy as np
 
 from .cli import bundled_scenario_path, load_scenario
-from .estimators import FiniteTime, Law, ReconstructionMode
-from .se3 import DegenerateInputError, gsop
-from .simulation import Scenario, _PoseStack
+from .estimators import FiniteTime, Law
+from .se3 import DegenerateInputError, Pose, gsop
+from .simulation import Scenario
 
 DEMO_ROTATION_SEED = 2357   # the seed of the bundled files' rotations
 
@@ -38,31 +38,27 @@ def seeded_rotations(n: int, seed: int) -> tuple:
 
 def demo_scenario(
     law: Law | None = None,
-    seed: int = 7,
-    dt: float = 1e-3,
+    seed: int | None = None,
+    dt: float | None = None,
     t_end: float | None = None,
-    stride: int = 10,
-    reconstruction: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS,
+    stride: int | None = None,
     rotation_seed: int = DEMO_ROTATION_SEED,
 ) -> Scenario:
     """The bundled four-agent scenario under either law.
 
-    A FiniteTime law loads ``demo_finite_time.json`` (the undirected square,
-    a 6 s horizon); any other law, or None for the file's asymptotic law,
-    loads ``demo_asymptotic.json`` (the directed ring with a chord, 10 s).
-    t_end=None keeps the file's horizon. Another rotation_seed replaces the
-    initial orientations with ``seeded_rotations(4, rotation_seed)`` and
+    A FiniteTime law loads ``demo_finite_time.json`` (the undirected square);
+    any other law, or None for the file's asymptotic law, loads
+    ``demo_asymptotic.json`` (the directed ring with a chord). Each of law,
+    seed, dt, t_end and stride replaces the file's value unless it is None;
+    the reconstruction mode is the file's. Another rotation_seed replaces
+    the initial orientations with ``seeded_rotations(4, rotation_seed)`` and
     keeps the file's translations and twists.
     """
     finite = isinstance(law, FiniteTime)
     s = load_scenario(bundled_scenario_path("demo_finite_time" if finite else "demo_asymptotic"))
-    changes = {"seed": seed, "dt": dt, "stride": stride, "reconstruction": reconstruction}
-    if law is not None:
-        changes["law"] = law
-    if t_end is not None:
-        changes["t_end"] = t_end
+    given = {"law": law, "seed": seed, "dt": dt, "t_end": t_end, "stride": stride}
+    changes = {name: value for name, value in given.items() if value is not None}
     if rotation_seed != DEMO_ROTATION_SEED:
-        t0 = s.initial_poses.arrays[0].copy()
-        t0[:, :3, :3] = [r.r for r in seeded_rotations(4, rotation_seed)]
-        changes["initial_poses"] = _PoseStack(t0)
+        rotations = seeded_rotations(4, rotation_seed)
+        changes["initial_poses"] = [Pose(r, p.translation) for r, p in zip(rotations, s.initial_poses)]
     return dataclasses.replace(s, **changes)

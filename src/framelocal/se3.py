@@ -1,13 +1,14 @@
 """Rigid-body arithmetic on SO(3)/SE(3).
 
-Rotations, poses (4x4 homogeneous transforms), body-frame twists, the
-hat map, the closed-form SE(3) exponential, and Gram-Schmidt
-orthonormalization with a determinant-sign fix so the result is always a
-proper rotation. The exponential and Gram-Schmidt each have one
-implementation over stacks that returns a validity mask (``exp_twists``,
-``gram_schmidt``); ``exp_se3``, ``gsop`` and ``gsop_two_column`` apply
-them to a single item and return validated objects. ``rotation_check`` is
-the one rotation test, shared by ``Rotation`` and ``exp_twists``.
+Rotations, poses (4x4 homogeneous transforms [R p; 0 1], stacks of which
+``homogeneous`` builds), body-frame twists, the hat map, the closed-form
+SE(3) exponential, and Gram-Schmidt orthonormalization with a
+determinant-sign fix so the result is always a proper rotation. The
+exponential and Gram-Schmidt each have one implementation over stacks that
+returns a validity mask (``exp_twists``, ``gram_schmidt``); ``exp_se3``,
+``gsop`` and ``gsop_two_column`` apply them to a single item and return
+validated objects. ``rotation_check`` is the one rotation test, shared by
+``Rotation`` and ``exp_twists``.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -105,10 +106,7 @@ class Pose:
     @property
     def matrix(self) -> np.ndarray:
         """4x4 homogeneous matrix [R p; 0 1]."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.r
-        m[:3, 3] = self.translation
-        return m
+        return homogeneous(self.rotation.r, self.translation)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Pose":
@@ -162,10 +160,14 @@ class AuxMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.q_block
-        m[:3, 3] = self.q_vec
-        return m
+        return homogeneous(self.q_block, self.q_vec)
+
+
+def homogeneous(r, p) -> np.ndarray:
+    """(..., 3, 3) blocks and (..., 3) columns -> (..., 4, 4) matrices [R p; 0 1]."""
+    m = np.zeros(np.shape(r)[:-2] + (4, 4))
+    m[..., :3, :3], m[..., :3, 3], m[..., 3, 3] = r, p, 1.0
+    return m
 
 
 def hat3(w) -> np.ndarray:
@@ -184,13 +186,14 @@ def hat3(w) -> np.ndarray:
 _SMALL_ANGLE = 1e-6
 
 
-def exp_twists(linear, angular, dt: float) -> tuple:
+def exp_twists(linear, angular, dt) -> tuple:
     """Closed-form exponentials of dt times the generators of a twist stack.
 
-    Over (..., 3) linear and angular parts: Rodrigues' formula for the
-    rotation block and the analytic integral matrix V for the translation
-    V (dt * linear); the coefficients switch to their series where the
-    rotation angle theta = ||angular|| * dt is below 1e-6. Returns
+    Over (..., 3) linear and angular parts and a dt that broadcasts against
+    them (a (k, 1, 1) dt over (n, 3) parts gives (k, n, 4, 4)): Rodrigues'
+    formula for the rotation block and the analytic integral matrix V for
+    the translation V (dt * linear); the coefficients switch to their series
+    where the rotation angle theta = ||angular|| * dt is below 1e-6. Returns
     ``(m, valid)``: the (..., 4, 4) matrices, left as computed, and the mask
     of items whose rotation block passes ``rotation_check`` and whose
     translation is finite. An item's result is bit-identical whether it is
@@ -216,12 +219,10 @@ def exp_twists(linear, angular, dt: float) -> tuple:
         a, b, c = (x[..., None, None] for x in (a, b, c))
         k = hat3(phi)
         k2 = k @ k
-        m = np.zeros(phi.shape[:-1] + (4, 4))
-        m[..., :3, :3] = np.eye(3) + a * k + b * k2
         # a stacked matrix-vector matmul runs the kernel of a single V @ rho
         # item by item; a row-by-row _dot would differ from it in the last bit
-        m[..., :3, 3] = ((np.eye(3) + b * k + c * k2) @ rho[..., None])[..., 0]
-        m[..., 3, 3] = 1.0
+        p = ((np.eye(3) + b * k + c * k2) @ rho[..., None])[..., 0]
+        m = homogeneous(np.eye(3) + a * k + b * k2, p)
     valid = rotation_check(m[..., :3, :3])[0] & np.isfinite(m[..., :3, 3]).all(axis=-1)
     return m, valid
 

@@ -4,9 +4,9 @@ A run advances the true poses by the exact exponential of their constant
 body twists (so truth never leaves SE(3)) and integrates the estimator
 matrices with classical RK4 on the raw 4x4 ODE, evaluating the relative
 transforms at the exact stage times. The exponentials over a half and a
-full step come from two stacked calls over all agents (``exp_twists``);
-one that is not a finite rigid motion stops the run before integration.
-Stacked as one pair, they give both stage truths of a step from one
+full step come as one (2, n) pair from one ``exp_twists`` call over both
+step lengths; one that is not a finite rigid motion stops the run before
+integration. The pair gives both stage truths of a step from one
 broadcast product.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
@@ -135,6 +135,9 @@ class _Stack(Sequence):
         if isinstance(rows, range):
             return tuple(map(self.__getitem__, rows))
         return self.item(*(a[rows] for a in self.arrays))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.arrays))})"
 
 
 class _PoseStack(_Stack):
@@ -513,11 +516,11 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )
-    # the truth exponentials come as stacks; the bias in oracle_report is the
-    # only validated object a run builds, and all else works on arrays
-    e_half, half_ok = exp_twists(*s.twists.arrays, s.dt / 2.0)
-    e_full, full_ok = exp_twists(*s.twists.arrays, s.dt)
-    bad = np.flatnonzero(~(half_ok & full_ok))
+    # the truth exponentials over a half and a full step, as one (2, n) pair; the
+    # bias in oracle_report is the only validated object a run builds
+    half = s.dt / 2.0
+    e_pair, ok = exp_twists(*s.twists.arrays, np.array([half, s.dt]).reshape(2, 1, 1))
+    bad = np.flatnonzero(~ok.all(axis=0))
     if len(bad):
         raise ConfigurationError(
             f"integration: the truth exponential of agent {bad[0] + 1} over dt = {s.dt:g} "
@@ -542,10 +545,6 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             )
         lyap[k] = v
 
-    # the half and full step exponentials as one stack: one product per step
-    # gives both truths, each bit-equal to its own product
-    e_pair = np.stack((e_half, e_full))
-    half = s.dt / 2.0
     sixth = s.dt / 6.0
     # the stages and the update work in place, with the operations of
     # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order; p_stack is

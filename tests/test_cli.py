@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -98,6 +99,23 @@ def test_demo_rotation_seed_keeps_translations_and_twists(law):
     assert (other.dt, other.t_end, other.seed, other.stride, other.reconstruction) == (
         base.dt, base.t_end, base.seed, base.stride, base.reconstruction
     )
+
+
+def test_demo_scenario_keeps_a_files_values(tmp_path, monkeypatch):
+    # the bundled file is the one definition of a demo: demo_scenario
+    # replaces only the values it is given, and has no value of its own
+    doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text(encoding="utf-8"))
+    doc["integration"].update(dt=5e-4, seed=11, stride=5)
+    doc["reconstruction"] = "full"
+    copy = tmp_path / "demo_asymptotic.json"
+    copy.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr("framelocal.scenarios.bundled_scenario_path", lambda name: copy)
+    loaded = load_scenario(copy)
+    assert (loaded.dt, loaded.seed, loaded.stride) == (5e-4, 11, 5)
+    assert loaded.reconstruction is ReconstructionMode.FULL_GSOP
+    assert scenarios_equal(demo_scenario(), loaded)
+    assert scenarios_equal(demo_scenario(dt=1e-3), dataclasses.replace(loaded, dt=1e-3))
+    assert "reconstruction" not in inspect.signature(demo_scenario).parameters
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
@@ -697,8 +715,8 @@ def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
     assert counts[0] == counts[1] == counts[2] == {
         "load": {"rotation_check": 1},
         "oracle": bias,
-        # the two stacked truth exponentials, and the oracle report
-        "run": {**bias, "rotation_check": 3},
+        # one stacked call gives both truth exponentials; and the oracle report
+        "run": {**bias, "rotation_check": 2},
         "save": {},
     }
     assert (tmp_path / "out.json").read_bytes() == paths[-1].read_bytes()

@@ -502,6 +502,27 @@ def test_exp_twists_equals_scalar_oracle_bit_for_bit(parts, dt):
         assert np.array_equal(both[1, -1 - i], m[i])
 
 
+def test_exp_twists_over_a_dt_stack_is_each_dt_alone():
+    # a run takes its half and full step exponentials from one call over a
+    # (2, 1, 1) dt; each is byte-equal to the call at its own dt, on a
+    # generic twist, one in the small-angle series and a zero twist
+    rng = np.random.default_rng(22)
+    linear, angular = rng.normal(size=(2, 3, 3))
+    angular[1] *= 1e-7
+    linear[2] = angular[2] = 0.0
+    for dt in (1e-3, 0.7):
+        dts = (dt / 2.0, dt)
+        m, valid = exp_twists(linear, angular, np.array(dts).reshape(2, 1, 1))
+        assert m.shape == (2, 3, 4, 4) and valid.shape == (2, 3) and valid.all()
+        theta = np.linalg.norm(angular[1]) * dt
+        assert theta < _SMALL_ANGLE
+        for k, dt_k in enumerate(dts):
+            alone, alone_valid = exp_twists(linear, angular, dt_k)
+            assert m[k].tobytes() == alone.tobytes()
+            assert np.array_equal(valid[k], alone_valid)
+        assert np.array_equal(m[:, 2], np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
 def test_exp_twists_masks_a_transform_that_is_not_finite():
     # a huge angle overflows inside Rodrigues' formula and a huge speed
     # overflows the translation; neither warns, and a zero twist is exact

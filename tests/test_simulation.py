@@ -836,6 +836,19 @@ def test_agent_sequences_index_like_tuples(monkeypatch):
     assert len(s.twists[:-1] + (zero_twist(),)) == 3
 
 
+def test_scenario_repr_shows_its_agents():
+    # a hypothesis falsifying example prints a scenario by its repr; the
+    # stacks showed as <..._PoseStack object at 0x...>, which told nothing
+    s = demo_scenario()
+    text = repr(s)
+    assert " at 0x" not in text
+    assert f"initial_poses=_PoseStack({s.initial_poses.arrays[0]!r})" in text
+    assert "twists=_TwistStack({!r}, {!r})".format(*s.twists.arrays) in text
+    again = dataclasses.replace(s, initial_poses=list(s.initial_poses), twists=list(s.twists))
+    assert again.initial_poses.arrays[0] is not s.initial_poses.arrays[0]
+    assert repr(again) == text
+
+
 @pytest.mark.parametrize("field", ["initial_poses", "twists"])
 def test_scenario_rejects_an_agent_that_is_not_an_object(field):
     # an array in place of a Pose or Twist used to be taken, and run then
