@@ -21,12 +21,11 @@ Laplacian with a repeated zero eigenvalue could make the same solve return
 a plausible w, so it is only ever applied to a root block.
 
 lambda2 of a connected undirected graph is the smallest eigenvalue of L on
-the complement of the ones vector. On a large, sparse graph of small
-diameter, Lanczos finds it without an n x n matrix: L is applied by one
-pass over the edges and the ones vector is projected out at every step.
-A Ritz value is taken only after its Ritz vector's explicit residual
-passes; any other graph, and a run that does not converge, gets a dense
-eigvalsh.
+the complement of the ones vector. On a large, sparse graph, Lanczos tries
+it without an n x n matrix: L is applied by one pass over the edges and the
+ones vector is projected out at every step. A Ritz value is taken only
+after its Ritz vector's explicit residual passes; any other graph, and a
+run that does not converge within its step budget, gets a dense eigvalsh.
 """
 
 from __future__ import annotations
@@ -140,17 +139,12 @@ class Topology:
         """The distinct edges (i, j), 1-based and sorted, as pairs of ints."""
         return tuple(zip(*(self.edge_index + 1).tolist()))
 
-    @property
+    @functools.cached_property
     def roots(self) -> tuple:
         """Agents whose information reaches every agent, ascending; () if none.
 
         One search per topology, which the graph conditions and ``analyze`` share.
         """
-        return self._search[0]
-
-    @functools.cached_property
-    def _search(self) -> tuple:
-        """``_search_roots`` of this topology, found on first read and kept."""
         return _search_roots(self)
 
     @functools.cached_property
@@ -202,32 +196,25 @@ def build_laplacian(t: Topology) -> np.ndarray:
     return _laplacian(t.n, *t.edge_index)
 
 
-def _reach(adj: list, start: int, seen: list) -> tuple:
+def _reach(adj: list, start: int, seen: list) -> list:
     """Agents reachable from start along adj that were not seen yet, breadth
-    first, and the hops from start to the last of them; marks them seen."""
+    first; marks them seen."""
     seen[start] = True
     found = [start]
-    depth, lo = -1, 0
-    while lo < len(found):      # a pass per level
-        depth, hi = depth + 1, len(found)
-        for k in found[lo:hi]:  # the agents depth hops from start
-            for nxt in adj[k]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    found.append(nxt)
-        lo = hi
-    return found, depth
+    for k in found:
+        for nxt in adj[k]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                found.append(nxt)
+    return found
 
 
 def _search_roots(t: Topology) -> tuple:
-    """(roots, depth): ``Topology.roots`` by search, O(n + E), and the hops
-    along the information flow from agent 1 to the farthest agent it reaches.
+    """``Topology.roots`` by search, O(n + E).
 
     A search tree that contains a root covers every agent still unseen, so
     the last tree of a search forest starts at a root if there is one; a
     forward search confirms it, and a backward one collects all the roots.
-    The forest's first tree grows from agent 1; on a connected undirected
-    graph it spans the graph, and its depth is agent 1's eccentricity.
     """
     flow = [[] for _ in range(t.n)]      # j -> i: who hears j
     heard = [[] for _ in range(t.n)]     # i -> j: whom i hears
@@ -235,14 +222,14 @@ def _search_roots(t: Topology) -> tuple:
         flow[j].append(i)
         heard[i].append(j)
     seen = [False] * t.n
-    candidate, depth = 0, _reach(flow, 0, seen)[1]
-    for k in range(1, t.n):
+    candidate = 0
+    for k in range(t.n):
         if not seen[k]:
             candidate = k
             _reach(flow, k, seen)
-    if len(_reach(flow, candidate, [False] * t.n)[0]) < t.n:
-        return (), depth
-    return tuple(sorted(k + 1 for k in _reach(heard, candidate, [False] * t.n)[0])), depth
+    if len(_reach(flow, candidate, [False] * t.n)) < t.n:
+        return ()
+    return tuple(sorted(k + 1 for k in _reach(heard, candidate, [False] * t.n)))
 
 
 def has_spanning_tree(t: Topology) -> bool:
@@ -343,23 +330,21 @@ def analyze(t: Topology) -> SpectralData:
 
     A digraph's w1 comes from its root block alone, without an n x n matrix;
     an undirected connected graph has uniform w1 and, from n = 2, lambda2.
-    lambda2 comes from Lanczos, without an n x n matrix, where it is expected
-    to beat eigvalsh: on a graph of at least LANCZOS_MIN_AGENTS agents, all
-    within LANCZOS_MAX_STEPS / 2 hops of agent 1, whose LANCZOS_MAX_STEPS
-    passes over the E edges cost at most n^3 / 16. Any other graph, and one
-    on which Lanczos does not converge, gets a dense eigvalsh. Dense matrices
-    over MAX_DENSE_BYTES are refused (ConfigurationError) before any is
+    lambda2 is first tried by Lanczos, without an n x n matrix, on a graph of
+    at least LANCZOS_MIN_AGENTS agents whose LANCZOS_MAX_STEPS passes over
+    the E edges cost at most n^3 / 16 (a dense graph makes each pass cost up
+    to n^2). Its own convergence test decides: a graph on which it does not
+    converge within LANCZOS_MAX_STEPS steps, as a long ring or path does,
+    gets a dense eigvalsh, and so does any other graph. Dense matrices over
+    MAX_DENSE_BYTES are refused (ConfigurationError) before any is
     allocated; so is a graph whose Lanczos basis would exceed them.
     """
-    roots, depth = t._search
+    roots = t.roots
     if not roots:
         return SpectralData()
-    # a ring or a path needs about n steps, and a dense graph makes each
-    # step cost up to n^2, so both are left to eigvalsh
     if (
         not t.directed
         and t.n >= LANCZOS_MIN_AGENTS
-        and depth <= LANCZOS_MAX_STEPS // 2
         and 16 * LANCZOS_MAX_STEPS * t.edge_index.shape[1] <= t.n ** 3
         and 8 * LANCZOS_MAX_STEPS * t.n <= MAX_DENSE_BYTES
     ):

@@ -64,6 +64,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -86,9 +87,9 @@ from .graphs import (
     has_spanning_tree,
     is_connected_undirected,
 )
-from .se3 import Pose, Twist, _freeze, exp_twists, gsop, hat3
+from .se3 import Pose, Rotation, Twist, _freeze, exp_twists, gram_schmidt, hat3
 
-WELL_POSED_DET = 1e-9      # |det Q_c| above this => reconstruction well posed
+WELL_POSED_DET = 1e-9      # |det Q_c| above this, with independent columns => bias well posed
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
@@ -137,7 +138,9 @@ class _Stack(Sequence):
         return self.item(*(a[rows] for a in self.arrays))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self.arrays))})"
+        # every digit and every entry, so eval of the repr gives the stack back
+        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            return f"{type(self).__name__}({', '.join(map(repr, self.arrays))})"
 
 
 class _PoseStack(_Stack):
@@ -166,6 +169,8 @@ class Scenario:
     reconstruction: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS
 
     def __post_init__(self):
+        if not isinstance(self.law, Law):
+            raise ValueError(f"law: expected Asymptotic or FiniteTime, got {type(self.law).__name__}")
         for name, stack in (("initial_poses", _PoseStack), ("twists", _TwistStack)):
             items = getattr(self, name)
             if not isinstance(items, stack):
@@ -359,13 +364,8 @@ def _check_preconditions(s: Scenario):
             raise ConfigurationError(
                 "asymptotic law requires an interaction graph with a spanning tree"
             )
-    elif isinstance(s.law, FiniteTime):
-        if not is_connected_undirected(s.topo):
-            raise ConfigurationError(
-                "finite-time law requires a connected undirected interaction graph"
-            )
-    else:
-        raise ConfigurationError(f"unknown law {s.law!r}")
+    elif not is_connected_undirected(s.topo):
+        raise ConfigurationError("finite-time law requires a connected undirected interaction graph")
 
 
 def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
@@ -382,9 +382,10 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     aligned0 = t0 @ p0
     s_c = np.einsum("n,nij->ij", w1, aligned0)
     det = abs(float(np.linalg.det(s_c[:3, :3])))
-    bias = None
-    if det > WELL_POSED_DET:
-        bias = Pose(gsop(s_c[:3, :3]), s_c[:3, 3])
+    # a large determinant does not make every column independent: one
+    # scaled far below the others fails Gram-Schmidt, and the bias is None
+    q, independent, _ = gram_schmidt(s_c[:3, :3])
+    bias = Pose(Rotation(q), s_c[:3, 3]) if det > WELL_POSED_DET and independent else None
     v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
     if isinstance(s.law, FiniteTime) and s.topo.links and v0 >= SETTLED_V:
         # the kernel weighs an edge only where its aligned difference, over

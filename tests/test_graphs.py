@@ -1,5 +1,6 @@
 """Laplacian construction, root agents and spectral quantities against oracles."""
 
+import functools
 import time
 import tracemalloc
 
@@ -561,9 +562,9 @@ def ring_with_chords(n: int, seed: int = 1) -> Topology:
     return Topology.undirected(n, sorted(links))
 
 
-def grid(n: int) -> Topology:
-    """A rows x (n / rows) grid, rows the largest power of two up to sqrt(n)."""
-    rows = 2 ** (int(np.log2(n)) // 2)
+def grid(n: int, rows: int | None = None) -> Topology:
+    """A rows x (n / rows) grid, rows by default the largest power of two up to sqrt(n)."""
+    rows = rows or 2 ** (int(np.log2(n)) // 2)
     cols = n // rows
     index = np.arange(n).reshape(rows, cols) + 1
     pairs = np.concatenate([
@@ -586,6 +587,10 @@ def random_geometric(n: int, seed: int = 1) -> Topology:
             return t
 
 
+def path(n: int) -> Topology:
+    return Topology.undirected(n, [(k, k + 1) for k in range(1, n)])
+
+
 def star(n: int) -> Topology:
     return Topology.undirected(n, [(1, k) for k in range(2, n + 1)])
 
@@ -598,13 +603,25 @@ def dense_lambda2(t: Topology) -> float:
     return float(np.linalg.eigvalsh(build_laplacian(t))[1])
 
 
-@pytest.mark.parametrize("n", [graphs.LANCZOS_MIN_AGENTS, 1024])
-@pytest.mark.parametrize("family", [ring_with_chords, grid, random_geometric, star])
-def test_lanczos_lambda2_agrees_with_eigvalsh(monkeypatch, family, n):
+LANCZOS_CASES = {
+    **{
+        f"{family.__name__}-{n}": functools.partial(family, n)
+        for family in (ring_with_chords, grid, random_geometric, star)
+        for n in (graphs.LANCZOS_MIN_AGENTS, 1024)
+    },
+    # agent 1 is 256 and 134 hops from the farthest agent: far from agent 1
+    # does not mean slow to converge
+    "ring-512": functools.partial(ring, graphs.LANCZOS_MIN_AGENTS, directed=False),
+    "grid-8x128": functools.partial(grid, 1024, rows=8),
+}
+
+
+@pytest.mark.parametrize("make", LANCZOS_CASES.values(), ids=LANCZOS_CASES.keys())
+def test_lanczos_lambda2_agrees_with_eigvalsh(monkeypatch, make):
     # Lanczos returns theta only once its Ritz vector x, orthogonal to the
     # ones vector, has ||L x - theta x|| <= LANCZOS_TOL * theta * ||x||, so an
     # eigenvalue of L lies within LANCZOS_TOL * theta of it
-    t = family(n)
+    t = make()
     exact = dense_lambda2(t)
     monkeypatch.setattr(graphs, "_laplacian", refuse_allocation)
     lam2 = analyze(t).lambda2
@@ -615,16 +632,15 @@ def test_lanczos_lambda2_agrees_with_eigvalsh(monkeypatch, family, n):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: ring(graphs.LANCZOS_MIN_AGENTS, directed=False),
-        lambda: Topology.undirected(graphs.LANCZOS_MIN_AGENTS, [(k, k + 1) for k in range(1, graphs.LANCZOS_MIN_AGENTS)]),
+        lambda: path(graphs.LANCZOS_MIN_AGENTS),
         lambda: ring_with_chords(graphs.LANCZOS_MIN_AGENTS - 1),
         lambda: complete(graphs.LANCZOS_MIN_AGENTS),
         square_demo_topology,
     ],
-    ids=["ring", "path", "below-crossover", "complete", "demo"],
+    ids=["path", "below-crossover", "complete", "demo"],
 )
 def test_lambda2_off_the_lanczos_route_is_eigvalsh_bit_for_bit(make):
-    # a ring or a path spans agent 1 in over LANCZOS_MAX_STEPS / 2 hops, a
+    # Lanczos does not converge on a path within LANCZOS_MAX_STEPS, a
     # complete graph has too many edges for the step budget, and the others
     # are below the crossover
     t = make()
@@ -632,9 +648,8 @@ def test_lambda2_off_the_lanczos_route_is_eigvalsh_bit_for_bit(make):
 
 
 def test_lanczos_that_does_not_converge_falls_back_to_eigvalsh(monkeypatch):
-    # 24 steps leave the ring's chords within reach of agent 1 (12 hops) but
-    # are far too few to converge, so eigvalsh gives the value
-    t = ring_with_chords(graphs.LANCZOS_MIN_AGENTS)
+    # a path does not converge within the step budget, nor a ring with
+    # chords within 24 steps, so eigvalsh gives both values
     returned = []
     lanczos = graphs._lanczos_lambda2
 
@@ -643,9 +658,12 @@ def test_lanczos_that_does_not_converge_falls_back_to_eigvalsh(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(graphs, "_lanczos_lambda2", spy)
-    monkeypatch.setattr(graphs, "LANCZOS_MAX_STEPS", 24)
+    t = path(graphs.LANCZOS_MIN_AGENTS)
     assert analyze(t).lambda2 == dense_lambda2(t)
-    assert returned == [None]
+    monkeypatch.setattr(graphs, "LANCZOS_MAX_STEPS", 24)
+    t = ring_with_chords(graphs.LANCZOS_MIN_AGENTS)
+    assert analyze(t).lambda2 == dense_lambda2(t)
+    assert returned == [None, None]
 
 
 @pytest.mark.parametrize("family, lam2", [(complete, 64.0), (star, 1.0)], ids=["complete", "star"])
@@ -685,11 +703,8 @@ def test_lanczos_holds_no_n_by_n_matrix():
     assert peak < 4 * 2**20
 
 
-def test_search_reports_the_hops_from_agent_one():
-    assert ring(9, directed=False)._search == (tuple(range(1, 10)), 4)
-    assert Topology.undirected(5, [(k, k + 1) for k in range(1, 5)])._search[1] == 4
-    assert star(6)._search[1] == 1
-    assert Topology.undirected(4, [(2, 1), (2, 3), (2, 4)])._search[1] == 2
+def test_search_finds_the_roots():
+    assert ring(9, directed=False).roots == tuple(range(1, 10))
     # along the information flow: nobody hears agent 1 on a chain toward 4
-    assert Topology(4, ((1, 2), (2, 3), (3, 4)))._search == ((4,), 0)
-    assert Topology(4, ((2, 1), (3, 2), (4, 3)))._search == ((1,), 3)
+    assert Topology(4, ((1, 2), (2, 3), (3, 4))).roots == (4,)
+    assert Topology(4, ((2, 1), (3, 2), (4, 3))).roots == (1,)

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -129,6 +130,28 @@ def test_run_rejects_root_free_digraph():
     s = make_scenario(Topology(4, ((1, 2), (2, 1), (3, 4), (4, 3))), seed=1, t_end=0.1)
     with pytest.raises(ConfigurationError, match="spanning tree"):
         run(s)
+
+
+@pytest.mark.parametrize("law", ["finite", None])
+def test_scenario_rejects_a_law_that_is_not_one(law):
+    # a string was taken, and save_scenario then failed on law.alpha
+    with pytest.raises(ValueError, match=f"^law: expected Asymptotic or FiniteTime, got {type(law).__name__}$"):
+        dataclasses.replace(demo_scenario(), law=law)
+
+
+def test_bias_of_a_consensus_with_a_tiny_column_is_undefined():
+    # det Q_c = 1e-11 * 1e6 * 1e6 = 10 passes WELL_POSED_DET, but the first
+    # column fails Gram-Schmidt: the report used to raise DegenerateInputError
+    s = dataclasses.replace(demo_scenario(), t_end=0.1)
+    aligned = np.tile(np.eye(4), (s.topo.n, 1, 1))
+    aligned[:, :3, :3] = np.diag([1e-11, 1e6, 1e6])
+    state = np.linalg.inv(s.initial_poses.arrays[0]) @ aligned
+    report = oracle_report(s, initial_state=state)
+    assert report.transform_bias is None
+    assert report.det_qc == pytest.approx(10.0, rel=1e-9)
+    trace, _ = run(s, initial_state=state)
+    assert np.isnan(trace.orientation_errors).all()
+    assert np.isnan(trace.position_errors).all()
 
 
 def test_run_rejects_directed_topology_for_finite_law():
@@ -842,11 +865,24 @@ def test_scenario_repr_shows_its_agents():
     s = demo_scenario()
     text = repr(s)
     assert " at 0x" not in text
-    assert f"initial_poses=_PoseStack({s.initial_poses.arrays[0]!r})" in text
-    assert "twists=_TwistStack({!r}, {!r})".format(*s.twists.arrays) in text
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        assert f"initial_poses=_PoseStack({s.initial_poses.arrays[0]!r})" in text
+        assert "twists=_TwistStack({!r}, {!r})".format(*s.twists.arrays) in text
     again = dataclasses.replace(s, initial_poses=list(s.initial_poses), twists=list(s.twists))
     assert again.initial_poses.arrays[0] is not s.initial_poses.arrays[0]
     assert repr(again) == text
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_stack_repr_evaluates_to_the_same_bytes(n):
+    # every digit and every entry is printed, -0.0 included, so a falsifying
+    # example printed by its repr can be replayed
+    s = make_scenario(Topology(n, [(k, k % n + 1) for k in range(1, n + 1)]), seed=n, t_end=0.01)
+    poses = s.initial_poses.arrays[0].copy()
+    poses[0, 3, :3] = -0.0
+    for stack in (simulation._PoseStack(poses), s.twists):
+        again = eval(repr(stack), {"array": np.array, type(stack).__name__: type(stack)})
+        assert [a.tobytes() for a in again.arrays] == [a.tobytes() for a in stack.arrays]
 
 
 @pytest.mark.parametrize("field", ["initial_poses", "twists"])
