@@ -6,8 +6,8 @@ matrices with classical RK4 on the raw 4x4 ODE, evaluating the relative
 transforms at the exact stage times. The exponentials over a half and a
 full step come as one (2, n) pair from one ``exp_twists`` call over both
 step lengths; one that is not a finite rigid motion stops the run before
-integration. The pair gives both stage truths of a step from one
-broadcast product.
+integration. Two products with it write both stage truths of a step in
+place.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
@@ -37,15 +37,30 @@ transforms literally.
 
 At small n a step costs about its count of numpy calls, so the kernel and
 the loop make as few, and as cheap, as the arithmetic allows, all in its
-original order. One clipped ``take`` per stage gathers both ends of every
-link into a reused buffer, and one subtraction of its halves fills the
-forward rows. The mirror negation is skipped where there are no mirror
-rows (every digraph). Products land in reused buffers, and the rotated
-sums reach the derivative by one contiguous add of a whole (n, 4, 4)
-stack, not a strided add into its top rows. Ufunc outputs are passed
-positionally. The step loop does its RK4 stage and update arithmetic in
-place in two reused buffers, and records each sample by copying the stacks
-and computing V; a non-finite V stops the run. All else a trace reports is
+original order. A truth lives in one of three truth slots, (n, 8, 4) stacks
+[T; -hat(twist)] that hold the truth now, at the half step and at the full
+step; they rotate from step to step, and the truth products write T into
+them in place. One product of a slot with the estimator stack then gives
+both the aligned rows T P and the generator term -hat(twist) P, where two
+products were needed before. Its values are those of the two: the BLAS
+gives each output row the same bits whatever the row count of its stack,
+which a test checks. Each slot's R^T view is taken once, not once per
+stage. One clipped ``take`` per stage gathers both ends of every link into
+a reused buffer, and one subtraction of its halves fills the forward rows.
+The mirror negation is skipped where there are no mirror rows (every
+digraph). Products land in reused buffers, and the rotated sums reach the
+derivative by one contiguous add of a whole (n, 4, 4) stack, not a strided
+add into its top rows. Ufunc outputs are passed positionally, and the
+ufuncs are bound locally. The step loop does its RK4 stage and update
+arithmetic in place, writes the four stage derivatives into reused buffers,
+and records each sample by copying the stacks and computing V; a non-finite
+V stops the run. Under the asymptotic law on a digraph a step makes 43
+numpy calls and views where two products per stage made 60; an undirected
+graph adds 4 (the mirror negations) and the finite-time law 28 (the
+weights). At n + E = 12 (the undirected square demo) a step took about 31
+us where it took 38 under the asymptotic law, and 58 where it took 66 under
+the finite-time law (median of five interleaved rounds, each the best of 7
+runs of 2000 steps, on a loaded 2-core box). All else a trace reports is
 derived when read, in one walk over blocks of at most BLOCK_MATRICES agent
 matrices (``Trace.blocks``, the one place a trace is reconstructed), each
 value equal to its sample's alone bit for bit. A run whose trace would
@@ -100,9 +115,12 @@ MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
 # about 150 units, so this is at most about 47 minutes. On the same box under
 # load (best of 15 runs) the mirrored pass took 103 and 918 us where the full
 # one took 100 and 1238 us: the per-unit cost fell by about 30 % and the
-# overhead held. The current step makes fewer numpy calls: at n + E = 12 it
-# took 39 us where the mirrored pass took 50 us (loaded box, best of 5 rounds),
-# so the figures above overstate today's cost and the bound errs on the safe side
+# overhead held. Later steps made fewer numpy calls: at n + E = 12 one took
+# 39 us where the mirrored pass took 50 us (loaded box, best of 5 rounds), and
+# one product per stage for T P and -hat(twist) P then took the asymptotic law
+# from 38 to 31 us and the finite-time law from 66 to 58 us (the undirected
+# square demo, median of five interleaved rounds of best-of-7 runs). So the
+# figures above overstate today's cost and the bound errs on the safe side
 MAX_STEP_WORK = 1e10
 # most squarings the closed-form flow may take. Each squaring about doubles
 # the rounding in the flow's row sums, so after s of them they are off by
@@ -350,11 +368,27 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
 
 
 def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
-    """(t0, p0): the scenario's poses, and initial_state or else its seeded draw."""
+    """(t0, p0): the scenario's poses, and initial_state or else its seeded draw.
+
+    A given state must be an (n, 4, 4) stack of finite matrices whose bottom
+    rows are exactly (0, 0, 0, 1) (-0.0 compares equal); the kernel never
+    reads the bottom rows, so a wrong one would pass through a whole run.
+    """
     (t0,) = s.initial_poses.arrays
-    p0 = s._p0 if initial_state is None else np.asarray(initial_state, dtype=np.float64)
+    if initial_state is None:
+        return t0, s._p0
+    p0 = np.asarray(initial_state, dtype=np.float64)
     if p0.shape != t0.shape:
         raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
+    finite = np.isfinite(p0).all(axis=(1, 2))
+    bad = np.flatnonzero(~(finite & (p0[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1)))
+    if len(bad):
+        k = bad[0]
+        what = f"has bottom row {p0[k, 3].tolist()}" if finite[k] else "is not finite"
+        raise ValueError(
+            f"initial state: the matrix of agent {k + 1} {what}; "
+            "need finite entries and a bottom row of (0, 0, 0, 1)"
+        )
     return t0, p0
 
 
@@ -425,15 +459,23 @@ def _neg_generators(s: Scenario) -> np.ndarray:
     return -xi
 
 
-def _make_rhs(s: Scenario):
-    """Stacked RHS over (n, 4, 4) truth and estimator states, both laws.
+def _make_rhs(s: Scenario) -> tuple:
+    """(truths, rhs): three truth slots and the stacked RHS over them, both laws.
 
-    dP_i = -hat(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i), summed over the
-    edges (i, j) with S = T P in its top three rows, flattened to 12 columns.
-    Each undirected link is computed once and mirrored by negation, in rows
-    that keep the sorted-edge summation order (see the module docstring).
-    The returned derivative is a new array; only the working buffers (the
-    aligned rows, the link ends, the edge rows and the rotated sums) are reused.
+    ``truths`` is (3, n, 8, 4): slot k holds a truth stack T in its top four
+    rows, which the caller writes, and -hat(twist_i) in its bottom four,
+    written here. ``rhs(k, pp, out)`` writes into ``out`` and returns
+
+        dP_i = -hat(twist_i) P_i + R_i^T sum_j w_ij (S_j - S_i),
+
+    summed over the edges (i, j) with S = T P in its top three rows,
+    flattened to 12 columns, T the truth in slot k and pp an (n, 4, 4)
+    estimator stack. One product of slot k with pp gives both S and
+    -hat(twist_i) P_i. Each undirected link is computed once and mirrored by
+    negation, in rows that keep the sorted-edge summation order (see the
+    module docstring). The kernel writes only ``out`` and its own working
+    buffers (the slot product, the link ends, the edge rows and the rotated
+    sums); it reads pp and the slots.
     """
     n = s.topo.n
     lo, hi = s.topo.edge_index
@@ -447,43 +489,48 @@ def _make_rhs(s: Scenario):
     diff = np.empty((m + f, 12))
     weights, mirror, forward = diff.ravel(), diff[:m], diff[m:]
     mirrored = forward[:m]   # the forward rows whose links have a mirror row
-    # the top three rows of every S_i, written in place, read as 12 columns
-    aligned = np.empty((n, 3, 4))
-    aligned_rows = aligned.reshape(n, 12)
+    truths = np.empty((3, n, 8, 4))
+    truths[:, :, 4:, :] = _neg_generators(s)
+    slots = tuple(truths)
+    rt = tuple(slot[:, :3, :3].transpose(0, 2, 1) for slot in slots)   # R^T of each slot
+    # [T P; -hat(twist) P]: rows 0-2 of each agent's 8 are the top three rows
+    # of S_i, read as the first 12 of its 32 entries
+    prod = np.empty((n, 8, 4))
+    aligned_rows, generated = prod.reshape(n, 32)[:, :12], prod[:, 4:, :]
     # both ends of every link in one gather; the indices are in range by
     # construction, and "clip" lets take write into ends directly (under
     # "raise" it buffers the output)
     ends_index = np.concatenate((hi, lo))
     ends = np.empty((2 * f, 12))
     at_hi, at_lo = ends[:f], ends[f:]
+    gather = aligned_rows.take
     n_bins, acc_shape = 12 * n, (n, 3, 4)
     # R_i^T times the summed terms, written into the top rows of a stack whose
     # bottom row is -0.0: x + (-0.0) is x for every x, +0.0 included, so one
     # contiguous add of the whole stack leaves the bottom row as it was
     update = np.full((n, 4, 4), -0.0)
     rotated = update[:, :3, :]
-    neg_xi = _neg_generators(s)
     finite = isinstance(s.law, FiniteTime)
     alpha, eps = (s.law.alpha, s.law.epsilon) if finite else (0.0, 0.0)
+    add, matmul, subtract, negative, bincount = np.add, np.matmul, np.subtract, np.negative, np.bincount
+    multiply, sqrt, einsum, where, inf = np.multiply, np.sqrt, np.einsum, np.where, np.inf
 
-    def rhs(tt, pp):
-        np.matmul(tt[:, :3, :], pp, aligned)
-        aligned_rows.take(ends_index, 0, ends, "clip")
-        np.subtract(at_hi, at_lo, forward)
+    def rhs(k, pp, out):
+        matmul(slots[k], pp, prod)
+        gather(ends_index, 0, ends, "clip")
+        subtract(at_hi, at_lo, forward)
         if finite:
-            norms = np.sqrt(np.einsum("ej,ej->e", forward, forward))
+            norms = sqrt(einsum("ej,ej->e", forward, forward))
             # inf ** -alpha is 0: an edge inside the guard radius gets no weight
-            w = np.where(norms >= eps, norms, np.inf) ** -alpha
-            np.multiply(forward, w[:, None], forward)
+            w = where(norms >= eps, norms, inf) ** -alpha
+            multiply(forward, w[:, None], forward)
         if m:
-            np.negative(mirrored, mirror)   # exact: w (-d) = -(w d)
-        acc = np.bincount(bins, weights, minlength=n_bins).reshape(acc_shape)
-        np.matmul(tt[:, :3, :3].transpose(0, 2, 1), acc, rotated)
-        dp = neg_xi @ pp
-        np.add(dp, update, dp)
-        return dp
+            negative(mirrored, mirror)   # exact: w (-d) = -(w d)
+        acc = bincount(bins, weights, minlength=n_bins).reshape(acc_shape)
+        matmul(rt[k], acc, rotated)
+        return add(generated, update, out)
 
-    return rhs
+    return truths, rhs
 
 
 def run(s: Scenario, initial_state: InitialState = None) -> tuple:
@@ -492,8 +539,8 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     A trace samples every ``stride``-th step and ends at the last multiple
     of ``stride`` at or before ``t_end``; the steps after it would not be
     recorded, so they are not integrated. ``initial_state``, an (n, 4, 4)
-    stack, replaces the seeded estimator initialization (a harness knob;
-    the laws stay local).
+    stack of finite matrices with bottom rows (0, 0, 0, 1), replaces the
+    seeded estimator initialization (a harness knob; the laws stay local).
     """
     n = s.topo.n
     k_samples = s.n_steps // s.stride + 1
@@ -527,9 +574,12 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"integration: the truth exponential of agent {bad[0] + 1} over dt = {s.dt:g} "
             "is not a finite rigid motion; use a smaller dt"
         )
-    t_stack, p_stack = _initial_stacks(s, initial_state)
-    report = oracle_report(s, p_stack)
-    rhs = _make_rhs(s)
+    e_half, e_full = e_pair
+    t0, p_stack = _initial_stacks(s, initial_state)
+    report = oracle_report(s, initial_state)
+    truths, rhs = _make_rhs(s)
+    tops = tuple(slot[:, :4, :] for slot in truths)   # the truth T of each slot
+    tops[0][...] = t0
 
     truth = np.zeros((k_samples, n, 4, 4))
     aux = np.zeros((k_samples, n, 4, 4))
@@ -546,29 +596,34 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             )
         lyap[k] = v
 
-    sixth = s.dt / 6.0
+    dt, sixth, stride = s.dt, s.dt / 6.0, s.stride
+    add, multiply, matmul = np.add, np.multiply, np.matmul
     # the stages and the update work in place, with the operations of
     # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order; p_stack is
     # a copy, so neither the scenario's draw nor a caller's state is written
     p_stack = p_stack.copy()
-    stage, total = np.empty_like(p_stack), np.empty_like(p_stack)
+    stage, total, k1, k2, k3, k4 = np.empty((6, n, 4, 4))
+    # the truth now, at the half step and at the full step: slots that rotate,
+    # the full step's becoming the next step's now
+    now, mid, nxt = 0, 1, 2
     # a diverging state shows as a non-finite V at the next sample, not as
     # numpy overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, 0, t_stack, p_stack)
+        record(0, 0, tops[now], p_stack)
         for step in range(1, n_steps + 1):
-            t_mid, t_next = t_stack @ e_pair
-            k1 = rhs(t_stack, p_stack)
-            k2 = rhs(t_mid, np.add(p_stack, np.multiply(half, k1, stage), stage))
-            k3 = rhs(t_mid, np.add(p_stack, np.multiply(half, k2, stage), stage))
-            k4 = rhs(t_next, np.add(p_stack, np.multiply(s.dt, k3, stage), stage))
-            np.add(k1, np.multiply(2.0, k2, total), total)
-            np.add(total, np.multiply(2.0, k3, stage), total)
-            np.add(total, k4, total)
-            np.add(p_stack, np.multiply(sixth, total, total), p_stack)
-            t_stack = t_next
-            if step % s.stride == 0:
-                record(step // s.stride, step, t_stack, p_stack)
+            matmul(tops[now], e_half, tops[mid])
+            matmul(tops[now], e_full, tops[nxt])
+            rhs(now, p_stack, k1)
+            rhs(mid, add(p_stack, multiply(half, k1, stage), stage), k2)
+            rhs(mid, add(p_stack, multiply(half, k2, stage), stage), k3)
+            rhs(nxt, add(p_stack, multiply(dt, k3, stage), stage), k4)
+            add(k1, multiply(2.0, k2, total), total)
+            add(total, multiply(2.0, k3, stage), total)
+            add(total, k4, total)
+            add(p_stack, multiply(sixth, total, total), p_stack)
+            now, mid, nxt = nxt, now, mid
+            if step % stride == 0:
+                record(step // stride, step, tops[now], p_stack)
 
     return Trace(s, report, truth, aux, lyap), report
 

@@ -358,13 +358,13 @@ def test_steps_past_the_last_sample_are_not_integrated(tmp_path, capsys, monkeyp
     make_rhs = simulation._make_rhs
 
     def counting_rhs(s):
-        rhs = make_rhs(s)
+        truths, rhs = make_rhs(s)
 
-        def counted(tt, pp):
+        def counted(k, pp, out):
             calls[0] += 1
-            return rhs(tt, pp)
+            return rhs(k, pp, out)
 
-        return counted
+        return truths, counted
 
     monkeypatch.setattr(simulation, "_make_rhs", counting_rhs)
     out = tmp_path / "out"

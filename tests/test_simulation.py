@@ -57,6 +57,18 @@ def propagate_truth(pose: Pose, twist: Twist, dt: float) -> Pose:
     return compose(pose, exp_se3(twist, dt))
 
 
+def kernel(s: Scenario):
+    """The stacked kernel of s as a function of (tt, pp): tt goes into the
+    first truth slot, and each call returns a new derivative."""
+    truths, rhs = _make_rhs(s)
+
+    def call(tt, pp):
+        truths[0, :, :4] = tt
+        return rhs(0, pp, np.empty(pp.shape))
+
+    return call
+
+
 def stack_of(state: EstimatorState) -> np.ndarray:
     """The (n, 4, 4) stack of an estimator state's matrices."""
     return np.stack([a.matrix for a in state.aux])
@@ -205,14 +217,14 @@ def test_stacked_rhs_matches_public_operations():
         meas = synthesize_measurements(truth, list(s.twists), topo)
         public = law_rhs(state, meas, topo)
         t0, p0 = s.initial_poses.arrays[0], stack_of(state)
-        fast = _make_rhs(s)(t0, p0)
+        fast = kernel(s)(t0, p0)
         for i in range(3):
             assert np.abs(fast[i] - public[i]).max() < 1e-12
 
 
 def assert_kernel_is_the_edge_pass(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
     """The mirrored kernel's derivative, asserted byte-equal to the full-edge pass."""
-    fast = _make_rhs(s)(tt, pp)
+    fast = kernel(s)(tt, pp)
     assert fast.tobytes() == edge_rhs(s, tt, pp).tobytes()
     return fast
 
@@ -363,21 +375,46 @@ def test_kernel_is_the_full_edge_pass_on_random_small_graphs(inputs):
     assert_kernel_is_the_edge_pass(*inputs)
 
 
+@pytest.mark.parametrize("n", [1, 4, 33])
+def test_one_stacked_product_gives_each_row_block_bit_for_bit(n):
+    # the kernel takes T P and -hat(twist) P from one product of the stacked
+    # [T; -hat(twist)] with P: exact only if the BLAS gives each output row
+    # the same bits whatever the row count of its stack, zeros and -0.0 included
+    rng = np.random.default_rng(57 + n)
+    for _ in range(100):
+        a, row, b, p = (
+            rng.standard_normal((n, rows, 4)) * 10.0 ** rng.integers(-8, 9, (n, rows, 4))
+            for rows in (3, 1, 4, 4)
+        )
+        for x in (a, b, p):
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+        stacked = np.concatenate((a, row, b), axis=1) @ p
+        assert stacked[:, :3].tobytes() == (a @ p).tobytes()
+        assert stacked[:, 4:].tobytes() == (b @ p).tobytes()
+
+
 def test_run_and_kernel_write_no_input_and_no_earlier_result():
     s = make_scenario(ring_with_chords(8, 12, seed=54), seed=55, law=FiniteTime(), t_end=0.05)
     p0 = s._p0.copy()
     run(s)
     assert np.array_equal(s._p0, p0)
     state = simulation.init_aux_stack(8, 56)
-    kept = state.copy()
+    kept_state = state.copy()
     run(s, state)
-    assert state.tobytes() == kept.tobytes()
-    # the kernel reuses its edge rows, never the derivative it hands out
-    rhs = _make_rhs(s)
-    first = rhs(s.initial_poses.arrays[0], state)
+    assert state.tobytes() == kept_state.tobytes()
+    # the kernel reuses its edge rows, never a derivative it handed out,
+    # and reads its estimator stack and truth slots without writing them
+    truths, rhs = _make_rhs(s)
+    truths[0, :, :4] = s.initial_poses.arrays[0]
+    truths[1, :, :4] = truths[0, :, :4] @ truths[0, :, :4]
+    kept_truths = truths.copy()
+    first = rhs(0, state, np.empty_like(state))
     kept = first.copy()
-    rhs(s.initial_poses.arrays[0] @ s.initial_poses.arrays[0], 2.0 * state)
+    rhs(1, 2.0 * state, np.empty_like(state))
     assert first.tobytes() == kept.tobytes()
+    assert state.tobytes() == kept_state.tobytes()
+    assert truths.tobytes() == kept_truths.tobytes()
 
 
 def test_kernel_finite_pair_at_consensus():
@@ -427,7 +464,7 @@ def masked_rhs(s: Scenario, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
 def assert_weights_equal_masked_form(s: Scenario, pp: np.ndarray, eps: float, alpha: float):
     g = dataclasses.replace(s, law=FiniteTime(alpha, float(eps)))
     tt = g.initial_poses.arrays[0]
-    assert _make_rhs(g)(tt, pp).tobytes() == masked_rhs(g, tt, pp).tobytes()
+    assert kernel(g)(tt, pp).tobytes() == masked_rhs(g, tt, pp).tobytes()
 
 
 def test_finite_weights_equal_the_masked_form_at_the_guard():
@@ -924,6 +961,32 @@ def test_initial_state_as_objects_or_stack():
         run(s, stack[:1])
 
 
+def test_a_given_initial_state_is_finite_with_bottom_rows_0001():
+    # a bottom row of (0, 0, 1, 1) used to run to the end and return a trace
+    # off SE(3), and a NaN was blamed on dt after a warning from det
+    s = make_scenario(Topology(3, ((1, 2), (2, 3), (3, 1))), seed=13, t_end=0.01)
+    good = simulation.init_aux_stack(3, 14)
+    bent, nan = good.copy(), good.copy()
+    bent[2, 3, 2] = 1.0
+    nan[1, 0, 0] = np.nan
+    cases = (
+        (bent, r"^initial state: the matrix of agent 3 has bottom row \[0\.0, 0\.0, 1\.0, 1\.0\]"),
+        (nan, "^initial state: the matrix of agent 2 is not finite"),
+    )
+    for state, message in cases:
+        for call in (run, oracle_report, lambda s, p: closed_form_aligned(s, 0.5, p)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message) as raised:
+                    call(s, state)
+            assert type(raised.value) is ValueError
+    # -0.0 compares equal to 0.0, so bottom rows of (-0, -0, -0, 1) pass
+    signed = good.copy()
+    signed[:, 3, :3] = -0.0
+    trace, _ = run(s, signed)
+    assert trace.aux[0].tobytes() == signed.tobytes()
+
+
 def test_closed_form_rejects_finite_time_law():
     s = make_scenario(square_demo_topology(), seed=7, law=FiniteTime(), t_end=0.5)
     with pytest.raises(ValueError):
@@ -1016,6 +1079,23 @@ def test_simulated_aligned_matches_closed_form():
         oracle = closed_form_aligned(s, float(t))
         for i in range(3):
             assert np.abs(trace.aligned[k, i] - oracle[i]).max() < 1e-8
+
+
+def test_rk4_is_of_order_four_against_the_closed_form():
+    # the asymptotic demo over t <= 2, compared at the multiples of 0.04:
+    # each halving of dt divides the largest deviation by about 2^4 (measured
+    # 16.1-16.5; rounding sits four decades below the finest deviation)
+    deviations = []
+    for dt in (4e-2, 2e-2, 1e-2, 5e-3):
+        s = demo_scenario(dt=dt, t_end=2.0, stride=round(0.04 / dt))
+        trace, _ = run(s)
+        assert len(trace.times) == 51
+        deviations.append(max(
+            np.abs(aligned - closed_form_aligned(s, float(t))).max()
+            for aligned, t in zip(trace.aligned, trace.times)
+        ))
+    ratios = np.array(deviations[:-1]) / deviations[1:]
+    assert ((14.0 <= ratios) & (ratios <= 18.0)).all(), (deviations, ratios)
 
 
 def test_consensus_at_start_stays_put():
