@@ -21,7 +21,9 @@ An edge [i, j] means agent i measures and receives from agent j (j is a
 neighbor of i). For undirected graphs each link is listed once; the loader
 adds the reversed pair. Unknown keys anywhere are rejected, and so are
 true/false or a string where a number is due, and a non-bool "directed".
-Each such value, and a file that cannot be read, decoded as UTF-8 or parsed,
+Every refused input is a ``ConfigurationError``: such a value, a file that
+cannot be read, decoded as UTF-8 or parsed, a bad flag, and what ``run``
+refuses (a law's graph condition, a size bound, a start too large). Each
 ends the command with one ``error:`` line naming the file or the section.
 
 The agents are checked as stacks: their keys, their JSON shapes and number
@@ -70,10 +72,6 @@ from .simulation import (
 )
 
 
-class ScenarioError(ValueError):
-    """A scenario file failed to parse or validate."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """CLI inputs for one run: scenario path plus optional overrides."""
@@ -98,13 +96,13 @@ def bundled_scenario_path(name: str) -> Path:
 
 def _require_keys(section, where: str, allowed: set, optional: frozenset = frozenset()):
     if not isinstance(section, dict):
-        raise ScenarioError(f"{where}: expected an object")
+        raise ConfigurationError(f"{where}: expected an object")
     unknown = set(section) - allowed
     if unknown:
-        raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
     missing = allowed - optional - set(section)
     if missing:
-        raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
+        raise ConfigurationError(f"{where}: missing key(s) {sorted(missing)}")
 
 
 def _numbers(value, name: str):
@@ -118,26 +116,26 @@ def _numbers(value, name: str):
 
 
 def _read_json(path: Path):
-    """The JSON document in path; any failure to read or parse it is a ScenarioError."""
+    """The JSON document in path; any failure to read or parse it is a ConfigurationError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
-        raise ScenarioError(f"{path}: {e.strerror or e}") from e
+        raise ConfigurationError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
+        raise ConfigurationError(f"{path}:{e.lineno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:
         # bytes that are not UTF-8, an integer literal over Python's digit
         # limit, or nesting deeper than the parser's recursion limit
-        raise ScenarioError(f"{path}: {e}") from e
+        raise ConfigurationError(f"{path}: {e}") from e
 
 
 @contextlib.contextmanager
 def _section(where: str):
-    """Turn a bad value raised inside the block into one ScenarioError for where."""
+    """Turn a bad value raised inside the block into one ConfigurationError for where."""
     try:
         yield
     except (ValueError, TypeError, OverflowError) as e:
-        raise ScenarioError(f"{where}: {e}") from e
+        raise ConfigurationError(f"{where}: {e}") from e
 
 
 def load_scenario(path) -> Scenario:
@@ -145,12 +143,12 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     doc = _read_json(path)
     if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
+        raise ConfigurationError(f"{path}: top level must be an object")
 
     sections = {"description", "graph", "agents", "law", "integration", "reconstruction"}
     _require_keys(doc, str(path), sections, optional={"description"})
     if not isinstance(doc.get("description", ""), str):
-        raise ScenarioError("description: expected a string")
+        raise ConfigurationError("description: expected a string")
 
     g = doc["graph"]
     _require_keys(g, "graph", {"n", "directed", "edges"})
@@ -160,7 +158,7 @@ def load_scenario(path) -> Scenario:
 
     agents = doc["agents"]
     if not isinstance(agents, list) or len(agents) != topo.n:
-        raise ScenarioError(f"agents: expected a list of {topo.n} entries")
+        raise ConfigurationError(f"agents: expected a list of {topo.n} entries")
     poses, twists = _agents(agents)
 
     law_doc = doc["law"]
@@ -173,7 +171,7 @@ def load_scenario(path) -> Scenario:
 
     mode = doc["reconstruction"]
     if mode not in [m.value for m in ReconstructionMode]:  # Scenario takes the value
-        raise ScenarioError(f"reconstruction: expected 'full' or 'twocol', got {mode!r}")
+        raise ConfigurationError(f"reconstruction: expected 'full' or 'twocol', got {mode!r}")
 
     with _section("integration"):
         return Scenario(
@@ -215,7 +213,7 @@ def _agents(agents: list) -> tuple:
 
     Each check runs over all agents at once and flags those that fail it;
     the first flagged agent is then checked alone, which raises a
-    ScenarioError naming it and the first check it fails.
+    ConfigurationError naming it and the first check it fails.
     """
     ok = np.fromiter((type(a) is dict and a.keys() == _AGENT_KEYS for a in agents), bool, len(agents))
     rotations, *vectors = ([a[key] for a in itertools.compress(agents, ok)] for key in _AGENT_FIELDS)
@@ -290,7 +288,7 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
         changes["reconstruction"] = cfg.mode
     finite = cfg.law == "finite" if cfg.law else isinstance(s.law, FiniteTime)
     if cfg.alpha is not None and not finite:
-        raise ScenarioError("alpha only applies to the finite-time law")
+        raise ConfigurationError("alpha only applies to the finite-time law")
     with _section("override"):
         if cfg.law is not None or cfg.alpha is not None:
             base = s.law if isinstance(s.law, FiniteTime) else FiniteTime()
@@ -300,9 +298,10 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
 
 
 def _json_max(row: np.ndarray) -> float | None:
-    """The largest number in row, or None if it holds none (empty or all NaN)."""
+    """The largest number in row, or None if that is not finite (empty, all NaN
+    or an overflowed inf, none of which JSON holds)."""
     top = float(np.fmax.reduce(row, initial=np.nan))   # no all-NaN warning, unlike nanmax
-    return None if np.isnan(top) else top
+    return top if np.isfinite(top) else None
 
 
 def _write_tables(trace: Trace, times: np.ndarray, out: Path, full_state: bool) -> TraceBlock:
@@ -387,7 +386,7 @@ def _summary_doc(trace: Trace, final_time: float, last: TraceBlock) -> dict:
 
 def _write_json(doc: dict, path: Path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -395,7 +394,7 @@ def run_and_emit(cfg: RunConfig) -> int:
     """Run one scenario and write trace.csv / oracle.json / summary.json."""
     try:
         trace, report = run(apply_overrides(load_scenario(cfg.scenario_path), cfg))
-    except (ScenarioError, ConfigurationError) as e:
+    except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = Path(cfg.out_dir)
@@ -417,7 +416,7 @@ def _fmt(x, digits=4) -> str:
 
 
 def _report_row(path: Path) -> str:
-    """The table row of one summary.json; a file it cannot tabulate is a ScenarioError."""
+    """The table row of one summary.json; a file it cannot tabulate is a ConfigurationError."""
     doc = _read_json(path)
     try:
         if doc["lambda2"] is not None:
@@ -432,16 +431,16 @@ def _report_row(path: Path) -> str:
             f"{_fmt(doc['final_max_position_error']):>10}"
         )
     except KeyError as e:
-        raise ScenarioError(f"{path}: missing key {e}") from e
+        raise ConfigurationError(f"{path}: missing key {e}") from e
     except (TypeError, ValueError, OverflowError) as e:
-        raise ScenarioError(f"{path}: not a summary file ({e})") from e
+        raise ConfigurationError(f"{path}: not a summary file ({e})") from e
 
 
 def report(paths) -> int:
     """Print a comparison table for one or more summary.json files."""
     try:
         rows = [_report_row(Path(p)) for p in paths]
-    except ScenarioError as e:
+    except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

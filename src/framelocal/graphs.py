@@ -50,7 +50,8 @@ LANCZOS_TOL = 1e-8
 
 
 class ConfigurationError(ValueError):
-    """A scenario violates a precondition of the requested law, or a size bound."""
+    """A refused input: a scenario or summary file, a flag, a law's graph
+    condition or a size bound."""
 
 
 def as_int(value, name: str) -> int:

@@ -35,38 +35,35 @@ the same bit for bit. The test suite pins the kernel to that full-edge pass
 (bit for bit) and to a per-agent oracle that applies the measured relative
 transforms literally.
 
-At small n a step costs about its count of numpy calls, so the kernel and
-the loop make as few, and as cheap, as the arithmetic allows, all in its
-original order. A truth lives in one of three truth slots, (n, 8, 4) stacks
-[T; -hat(twist)] that hold the truth now, at the half step and at the full
-step; they rotate from step to step, and the truth products write T into
-them in place. One product of a slot with the estimator stack then gives
-both the aligned rows T P and the generator term -hat(twist) P, where two
-products were needed before. Its values are those of the two: the BLAS
+A step makes as few, and as cheap, numpy calls as the arithmetic allows,
+all in the arithmetic's original order. A truth lives in one of three
+truth slots, (n, 8, 4) stacks [T; -hat(twist)] that hold the truth now, at
+the half step and at the full step; they rotate from step to step, and the
+truth products write T into them in place. One product of a slot with the
+estimator stack gives both the aligned rows T P and the generator term
+-hat(twist) P, with the values of the two separate products: the BLAS
 gives each output row the same bits whatever the row count of its stack,
-which a test checks. Each slot's R^T view is taken once, not once per
-stage. One clipped ``take`` per stage gathers both ends of every link into
-a reused buffer, and one subtraction of its halves fills the forward rows.
-The mirror negation is skipped where there are no mirror rows (every
-digraph). Products land in reused buffers, and the rotated sums reach the
-derivative by one contiguous add of a whole (n, 4, 4) stack, not a strided
-add into its top rows. Ufunc outputs are passed positionally, and the
-ufuncs are bound locally. The step loop does its RK4 stage and update
-arithmetic in place, writes the four stage derivatives into reused buffers,
-and records each sample by copying the stacks and computing V; a non-finite
-V stops the run. Under the asymptotic law on a digraph a step makes 43
-numpy calls and views where two products per stage made 60; an undirected
-graph adds 4 (the mirror negations) and the finite-time law 28 (the
-weights). At n + E = 12 (the undirected square demo) a step took about 31
-us where it took 38 under the asymptotic law, and 58 where it took 66 under
-the finite-time law (median of five interleaved rounds, each the best of 7
-runs of 2000 steps, on a loaded 2-core box). All else a trace reports is
-derived when read, in one walk over blocks of at most BLOCK_MATRICES agent
-matrices (``Trace.blocks``, the one place a trace is reconstructed), each
-value equal to its sample's alone bit for bit. A run whose trace would
-exceed MAX_TRACE_BYTES, or whose step work steps x (n + E + 150) would
-exceed MAX_STEP_WORK, is rejected before anything is allocated; the steps
-are those up to the last sample, the last multiple of the stride.
+which a test checks. Each slot's R^T view is taken once. One clipped
+``take`` per stage gathers both ends of every link into a reused buffer,
+and one subtraction of its halves fills the forward rows. The mirror
+negation is skipped where there are no mirror rows (every digraph).
+Products land in reused buffers, and the rotated sums reach the
+derivative by one contiguous add of a whole (n, 4, 4) stack whose bottom
+row is -0.0. Ufunc outputs are passed positionally, and the ufuncs are
+bound locally. The step loop does its RK4 stage and update arithmetic in
+place, writes the four stage derivatives into reused buffers, and records
+each sample by copying the stacks and computing V; a non-finite V stops
+the run. Under the asymptotic law on a digraph a step makes 43 numpy calls
+and views; an undirected graph adds 4 (the mirror negations) and the
+finite-time law 28 (the weights).
+
+All else a trace reports is derived when read, in one walk over blocks of
+at most BLOCK_MATRICES agent matrices (``Trace.blocks``, the one place a
+trace is reconstructed), each value equal to its sample's alone bit for
+bit. A run whose trace would exceed MAX_TRACE_BYTES, or whose step work
+steps x (n + E + 150) would exceed MAX_STEP_WORK, is rejected before
+anything is allocated; the steps are those up to the last sample, the last
+multiple of the stride.
 
 The module needs only numpy, the closed-form oracle included. Its flow
 expm(-L t) is a stochastic matrix, and ``closed_form_aligned`` computes it by
@@ -109,18 +106,10 @@ SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
 MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
-# largest step work a run may start. Measured on earlier kernels: on an idle
-# 2-core Xeon, RK4 with a pass over all edges took 43 us per step at n + E = 12
-# and 617 us at 2048, i.e. about 0.28 us per unit with a per-step overhead of
-# about 150 units, so this is at most about 47 minutes. On the same box under
-# load (best of 15 runs) the mirrored pass took 103 and 918 us where the full
-# one took 100 and 1238 us: the per-unit cost fell by about 30 % and the
-# overhead held. Later steps made fewer numpy calls: at n + E = 12 one took
-# 39 us where the mirrored pass took 50 us (loaded box, best of 5 rounds), and
-# one product per stage for T P and -hat(twist) P then took the asymptotic law
-# from 38 to 31 us and the finite-time law from 66 to 58 us (the undirected
-# square demo, median of five interleaved rounds of best-of-7 runs). So the
-# figures above overstate today's cost and the bound errs on the safe side
+# largest step work a run may start. On an idle 2-core Xeon a step cost
+# about 0.28 us per unit of n + E with a per-step overhead of about 150
+# units, so this is at most about 47 minutes. The kernel's step costs less
+# than that calibration, so the bound errs on the safe side
 MAX_STEP_WORK = 1e10
 # most squarings the closed-form flow may take. Each squaring about doubles
 # the rounding in the flow's row sums, so after s of them they are off by
@@ -261,19 +250,16 @@ class Trace:
     def blocks(self):
         """A TraceBlock per block of consecutive samples, each at most BLOCK_MATRICES
         agent matrices (but at least one sample): the one place a trace is
-        reconstructed. The errors are NaN throughout if the bias is undefined."""
+        reconstructed. An undefined bias is a NaN R_c, which makes every error NaN."""
         k, n = self.aux.shape[:2]
         links = self.scenario.topo.links
         bias = self.report.transform_bias
+        r_c = np.full((3, 3), np.nan) if bias is None else bias.rotation.r
         step = max(1, BLOCK_MATRICES // n)
         for lo in range(0, k, step):
             b = slice(lo, min(lo + step, k))
             estimates, valid = reconstruct(self.aux[b], self.scenario.reconstruction)
-            if bias is None:
-                orient = np.full(valid.shape, np.nan)
-                pos = np.full((len(valid), len(links)), np.nan)
-            else:
-                orient, pos = error_metrics(self.truth[b], estimates, valid, bias.rotation.r, links)
+            orient, pos = error_metrics(self.truth[b], estimates, valid, r_c, links)
             yield TraceBlock(b, estimates, valid, orient, pos)
 
     @functools.cached_property
@@ -322,7 +308,7 @@ class OracleReport:
     transform_bias: Pose | None       # common bias the estimates converge to (None if ill-posed)
     det_qc: float                     # |det Q_c|, Q_c the rotation block of the consensus state
     lambda2: float | None             # spectral gap, undirected runs only
-    settling_bound: float | None      # finite-time bound 2 V0^(a/2) / (kappa a)
+    settling_bound: float | None      # finite-time bound 2 V0^(a/2) / (kappa a), if finite
     settling_bound_optimistic: float | None   # half of the above
     v0: float
 
@@ -405,9 +391,11 @@ def _check_preconditions(s: Scenario):
 def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
     """Predictions from the initial data: weights, consensus state, bias, bounds.
 
-    Under the finite-time law, an unsettled start (V0 >= SETTLED_V) whose
-    links all lie closer than epsilon raises ConfigurationError: the guard
-    would zero every weight and the law would never act.
+    A start whose V0 is not finite raises ConfigurationError: its aligned
+    states are too large for any run. Under the finite-time law, an
+    unsettled start (V0 >= SETTLED_V) whose links all lie closer than
+    epsilon raises it too: the guard would zero every weight and the law
+    would never act. A settling bound too large for a float is None.
     """
     _check_preconditions(s)
     spectral = analyze(s.topo)
@@ -415,12 +403,18 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     t0, p0 = _initial_stacks(s, initial_state)
     aligned0 = t0 @ p0
     s_c = np.einsum("n,nij->ij", w1, aligned0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
+    if not math.isfinite(v0):
+        raise ConfigurationError(
+            "initial state: the aligned states T_i P_i are too large: "
+            "V0 = 1/2 sum_i ||T_i P_i - S_c||_F^2 is not finite"
+        )
     det = abs(float(np.linalg.det(s_c[:3, :3])))
     # a large determinant does not make every column independent: one
     # scaled far below the others fails Gram-Schmidt, and the bias is None
     q, independent, _ = gram_schmidt(s_c[:3, :3])
     bias = Pose(Rotation(q), s_c[:3, 3]) if det > WELL_POSED_DET and independent else None
-    v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
     if isinstance(s.law, FiniteTime) and s.topo.links and v0 >= SETTLED_V:
         # the kernel weighs an edge only where its aligned difference, over
         # the top three rows, is at least epsilon: if none is, V never moves
@@ -437,8 +431,10 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     bound = optimistic = None
     if isinstance(s.law, FiniteTime) and spectral.lambda2 is not None:
         kappa = (2.0 * spectral.lambda2) ** ((2.0 - s.law.alpha) / 2.0)
-        bound = 2.0 * v0 ** (s.law.alpha / 2.0) / (kappa * s.law.alpha)
-        optimistic = bound / 2.0
+        rate = kappa * s.law.alpha
+        bound = 2.0 * v0 ** (s.law.alpha / 2.0) / rate if rate else math.inf
+        # near alpha = 0 the bound overflows, or rate rounds to 0: no bound then
+        bound, optimistic = (bound, bound / 2.0) if math.isfinite(bound) else (None, None)
     return OracleReport(
         w1=w1,
         consensus_state=s_c,

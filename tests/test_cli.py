@@ -17,10 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framelocal import Topology, cli, graphs, se3, simulation
+from framelocal import ConfigurationError, Topology, cli, graphs, se3, simulation
 from framelocal.cli import (
     RunConfig,
-    ScenarioError,
     _write_tables,
     bundled_scenario_path,
     load_scenario,
@@ -140,7 +139,7 @@ def test_zero_dt_rejected(tmp_path):
     doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text())
     doc["integration"]["dt"] = 0.0
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="dt"):
+    with pytest.raises(ConfigurationError, match="dt"):
         load_scenario(path)
 
 
@@ -149,7 +148,7 @@ def test_unknown_key_rejected(tmp_path):
     doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text())
     doc["graph"]["weights"] = [1, 2, 3]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="unknown key"):
+    with pytest.raises(ConfigurationError, match="unknown key"):
         load_scenario(path)
 
 
@@ -158,7 +157,7 @@ def test_missing_key_rejected(tmp_path):
     doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text())
     del doc["agents"][0]["translation"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="missing key"):
+    with pytest.raises(ConfigurationError, match="missing key"):
         load_scenario(path)
 
 
@@ -167,7 +166,7 @@ def test_invalid_rotation_rejected(tmp_path):
     doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text())
     doc["agents"][0]["rotation"] = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="agents\\[1\\]"):
+    with pytest.raises(ConfigurationError, match="agents\\[1\\]"):
         load_scenario(path)
 
 
@@ -176,14 +175,14 @@ def test_alpha_on_asymptotic_law_rejected(tmp_path):
     doc = json.loads(bundled_scenario_path("demo_asymptotic").read_text())
     doc["law"]["alpha"] = 0.5
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="alpha"):
+    with pytest.raises(ConfigurationError, match="alpha"):
         load_scenario(path)
 
 
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "graph": [,]\n}')
-    with pytest.raises(ScenarioError, match=":2"):
+    with pytest.raises(ConfigurationError, match=":2"):
         load_scenario(path)
 
 
@@ -875,6 +874,12 @@ def test_oracle_json_names_an_ill_posed_bias(tmp_path):
         assert doc["well_posed"] is well_posed
         assert (doc["det_qc"] > simulation.WELL_POSED_DET) is well_posed
         assert (doc["transform_bias"] is not None) is well_posed
+        if not well_posed:
+            # every error cell of every row, between t and V, reads nan
+            lines = (out / "trace.csv").read_text().splitlines()
+            header, *rows = (line.split(",") for line in lines)
+            assert header[1:-1] == ["orient_err_1", "orient_err_2", "pos_err_1_2"]
+            assert rows and all(row[1:-1] == ["nan"] * 3 for row in rows)
 
 
 def test_non_finite_state_stops_the_run(tmp_path, capsys):
@@ -891,6 +896,58 @@ def test_non_finite_state_stops_the_run(tmp_path, capsys):
     assert code == 1 and len(err) == 1
     assert err[0].startswith("error: integration: ") and "at step 1000 " in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_start_too_large_for_v0_is_one_error_line_not_blamed_on_dt(tmp_path, capsys):
+    # a translation of 1e160 is finite, but V0 overflows: the run printed
+    # numpy's overflow warning and then an error asking for a smaller dt
+    code, err = run_edited_demo(
+        tmp_path, capsys, lambda d: d["agents"][0].update(translation=[1e160, 0.0, 0.0])
+    )
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: initial state: ") and "too large" in err[0]
+    assert "dt" not in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def strict_json(path: Path):
+    """The document in path, parsed by a reader that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_settling_bound_too_large_for_a_float_is_null(tmp_path, capsys):
+    # at alpha = 1e-310 the bound 2 V0^(a/2) / (kappa a) overflows: both
+    # JSON files held Infinity, which a strict parser refuses
+    flags = ("--alpha", "1e-310", "--t-end", "0.05")
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: None, *flags)
+    assert code == 0 and err == []
+    out = tmp_path / "out"
+    for name in ("oracle.json", "summary.json"):
+        doc = strict_json(out / name)
+        assert doc["settling_bound"] is None and doc["settling_bound_optimistic"] is None
+    assert strict_json(out / "summary.json")["alpha"] == 1e-310
+    assert report([str(out / "summary.json")]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row[:2] == ["out", "finite"] and row[5] == "-"
+
+
+def test_final_error_past_the_largest_float_is_null(tmp_path, capsys):
+    # at a translation of 1.45e154 V0 is finite, but a squared link distance
+    # overflows, so the position errors read inf (numpy warns, ignored here):
+    # summary.json held Infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, err = run_edited_demo(
+            tmp_path, capsys, lambda d: d["agents"][0].update(translation=[1.45e154, 0.0, 0.0]),
+            "--t-end", "0.01",
+        )
+    assert code == 0 and err == []
+    assert "inf" in (tmp_path / "out" / "trace.csv").read_text()
+    summary = strict_json(tmp_path / "out" / "summary.json")
+    assert summary["final_max_position_error"] is None
+    assert summary["final_max_orientation_error"] < math.inf
 
 
 def test_runaway_twist_stops_the_run(tmp_path, capsys):
@@ -1178,7 +1235,7 @@ def agent_lists(draw) -> list:
 
 
 def agents_one_by_one(agents: list) -> tuple:
-    """Oracle: (poses, twists), validated agent by agent; a ScenarioError
+    """Oracle: (poses, twists), validated agent by agent; a ConfigurationError
     names the first agent that fails and the first check it fails."""
     poses, twists = [], []
     for idx, a in enumerate(agents, start=1):
@@ -1240,8 +1297,8 @@ def test_stacked_agents_equal_the_checked_objects(agents):
     # raises the oracle's message
     try:
         want_poses, want_twists = agents_one_by_one(agents)
-    except ScenarioError as err:
-        with pytest.raises(ScenarioError) as got:
+    except ConfigurationError as err:
+        with pytest.raises(ConfigurationError) as got:
             cli._agents(agents)
         assert str(got.value) == str(err)
         return
@@ -1260,10 +1317,10 @@ def test_each_agent_fault_is_flagged_at_its_agent(fault):
     # every fault of the list above, alone on the last of three agents
     agents = [agent_at([0, 0, 0]) for _ in range(3)]
     agents[2] = AGENT_FAULTS[fault](agents[2])
-    with pytest.raises(ScenarioError) as want:
+    with pytest.raises(ConfigurationError) as want:
         agents_one_by_one(agents)
     assert str(want.value).startswith("agents[3]: ")
-    with pytest.raises(ScenarioError) as got:
+    with pytest.raises(ConfigurationError) as got:
         cli._agents(agents)
     assert str(got.value) == str(want.value)
 

@@ -1,5 +1,6 @@
 """Importing the package, running scenarios, reporting and the closed-form
-oracle never load SciPy; the package needs numpy alone.
+oracle never load SciPy; the package needs numpy alone. A run or report
+that succeeds writes nothing to stderr, not even a warning.
 
 Each check runs in a fresh interpreter, because the test suite itself
 imports scipy.linalg, so this process's sys.modules says nothing about
@@ -43,17 +44,18 @@ sys.stdout.buffer.write(flow.tobytes())
 
 
 def fresh_python(code: str, cwd: Path) -> bytes:
-    """Standard output of code run by a new interpreter that imports framelocal from src."""
+    """Standard output of code run by a new interpreter that imports framelocal
+    from src, with warnings as errors; a run that succeeds leaves stderr empty."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "error", "-c", code],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         timeout=300,
         check=False,
     )
-    assert done.returncode == 0, done.stderr.decode()
+    assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
     return done.stdout
 
 

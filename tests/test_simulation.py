@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import math
 import sys
 import warnings
 
@@ -1259,6 +1260,40 @@ def test_oracle_report_fields():
 
     assert np.abs(rep.transform_bias.rotation.r - gsop(s_c[:3, :3]).r).max() < 1e-12
     assert np.allclose(rep.transform_bias.translation, s_c[:3, 3])
+
+
+def test_oracle_report_refuses_a_start_too_large_for_v0(monkeypatch):
+    # a finite translation of 1e160 squares past the largest float: V0 used
+    # to overflow with a numpy warning, and run then blamed dt at step 0
+    s = demo_scenario(law=FiniteTime())
+    poses = list(s.initial_poses)
+    poses[0] = Pose(poses[0].rotation, [1e160, 0.0, 0.0])
+    s = dataclasses.replace(s, initial_poses=poses)
+    monkeypatch.setattr(simulation, "_make_rhs", None)
+    message = "^initial state: .* too large: V0 .* not finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for oracle in (oracle_report, run):
+            with pytest.raises(ConfigurationError, match=message):
+                oracle(s)
+
+
+def test_settling_bound_past_the_largest_float_is_none():
+    # at alpha = 1e-310 the bound overflows to inf; on a 7-agent path
+    # (lambda2 = 0.198) kappa alpha rounds to 0 at the smallest alpha, which
+    # raised ZeroDivisionError
+    path = Topology.undirected(7, [(k, k + 1) for k in range(1, 7)])
+    cases = (
+        (demo_scenario(law=FiniteTime(alpha=1e-310)), 1e-310),
+        (make_scenario(path, seed=5, law=FiniteTime(alpha=5e-324), t_end=0.1), 5e-324),
+    )
+    rates = []
+    for s, alpha in cases:
+        rep = oracle_report(s)
+        assert rep.settling_bound is None and rep.settling_bound_optimistic is None
+        rates.append((2.0 * rep.lambda2) ** ((2.0 - alpha) / 2.0) * alpha)
+    # V0^(alpha / 2) is 1 at these alphas: 2 / rate is the bound
+    assert 2.0 / rates[0] == math.inf and rates[1] == 0.0
 
 
 def test_settling_time_none_before_settling():
