@@ -26,11 +26,12 @@ cannot be read, decoded as UTF-8 or parsed, a bad flag, and what ``run``
 refuses (a law's graph condition, a size bound, a start too large). Each
 ends the command with one ``error:`` line naming the file or the section.
 
-The agents are checked as stacks: their keys, their JSON shapes and number
-types, one ``rotation_check`` over the (n, 3, 3) rotations and one
-``isfinite`` over the (3, n, 3) vectors, each flagging the agents it fails.
-The first flagged agent alone is checked again, which names it and its
-first fault. The scenario stores the checked stacks, building no agent object.
+The agents are checked in one pass over all of them: their keys, their JSON
+shapes and number types, one ``rotation_check`` over the (n, 3, 3) rotations
+and one ``isfinite`` over the (3, n, 3) vectors. A valid list becomes the
+scenario's stacks and builds no agent object. Only when the pass fails are
+the agents checked one by one, in order, which names the first faulty agent
+and its first fault.
 
 Outputs of ``framelocal run``: trace.csv (t, per-agent orientation errors,
 per-link position errors, V), oracle.json (with |det Q_c| as ``det_qc`` and
@@ -49,6 +50,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -189,56 +191,46 @@ def load_scenario(path) -> Scenario:
 
 _AGENT_FIELDS = ("rotation", "translation", "linear_velocity", "angular_velocity")
 _AGENT_KEYS = frozenset(_AGENT_FIELDS)
-_NUMBER_KINDS = {float: 1, int: 2}   # the JSON numbers by type
 
 
-def _number_mask(values: list, shape: tuple) -> np.ndarray:
-    """Which values are nested lists of the given shape whose leaves are JSON
-    numbers (not bools) that a float holds (NaN and inf included)."""
-    if not shape:
-        kinds = np.fromiter(map(_NUMBER_KINDS.get, map(type, values), itertools.repeat(0)), np.int8)
-        ok, ints = kinds > 0, kinds == 2
-        # from 2^1024 - 2^970 up, an int rounds to inf as a float
-        magnitudes = map(abs, itertools.compress(values, ints))
-        ok[ints] = np.fromiter(map((2**1024 - 2**970).__gt__, magnitudes), bool)
-        return ok
-    ok = np.fromiter((type(v) is list and len(v) == shape[0] for v in values), bool, len(values))
-    inner = list(itertools.chain.from_iterable(itertools.compress(values, ok)))
-    ok[ok] = _number_mask(inner, shape[1:]).reshape(-1, shape[0]).all(axis=1)
-    return ok
+def _floats(values: list, *shape: int) -> np.ndarray:
+    """values, lists nested to shape with JSON numbers as leaves, as one
+    (len(values), *shape) float array. Any other value raises ValueError, and
+    an int too large for a float raises OverflowError."""
+    for length in shape:
+        if set(map(type, values)) != {list} or set(map(len, values)) != {length}:
+            raise ValueError(f"expected lists of {length} entries")
+        values = [*itertools.chain.from_iterable(values)]
+    if not set(map(type, values)) <= {int, float}:   # type(True) is bool, not int
+        raise ValueError("expected numbers")
+    return np.fromiter(values, float, len(values)).reshape(-1, *shape)
 
 
 def _agents(agents: list) -> tuple:
-    """(poses, twists): the agents as a Scenario stores them, in read-only stacks.
+    """(poses, twists): the agents as a Scenario takes them.
 
-    Each check runs over all agents at once and flags those that fail it;
-    the first flagged agent is then checked alone, which raises a
-    ConfigurationError naming it and the first check it fails.
+    One pass over all agents checks them and fills read-only stacks. Only if
+    it fails are they checked one by one, in order, so the first faulty agent
+    raises a ConfigurationError naming it and its first fault.
     """
-    ok = np.fromiter((type(a) is dict and a.keys() == _AGENT_KEYS for a in agents), bool, len(agents))
-    rotations, *vectors = ([a[key] for a in itertools.compress(agents, ok)] for key in _AGENT_FIELDS)
-    vectors = [*itertools.chain(*vectors)]   # the three vector fields, one after another
-    form = _number_mask(rotations, (3, 3)) & _number_mask(vectors, (3,)).reshape(3, -1).all(axis=0)
-    ok[ok] = form
-    # each stack from one flat pass over its checked numbers, a few times
-    # cheaper than numpy's conversion of the nested lists
-    flat = itertools.chain.from_iterable
-    r = itertools.compress(rotations, form)
-    r = np.fromiter(flat(flat(r)), float).reshape(-1, 3, 3)
-    vectors = itertools.compress(vectors, np.concatenate((form,) * 3))
-    vectors = np.fromiter(flat(vectors), float).reshape(3, -1, 3)
-    ok[ok] = rotation_check(r)[0] & np.isfinite(vectors).all(axis=(0, 2))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        a, where = agents[k], f"agents[{k + 1}]"
+    with contextlib.suppress(KeyError, ValueError, OverflowError):   # the checks below say why
+        if set(map(type, agents)) == {dict} and set(map(len, agents)) == {len(_AGENT_KEYS)}:
+            # four keys each, so an unknown key shows as a missing one: a KeyError
+            rotations, *vectors = zip(*map(operator.itemgetter(*_AGENT_FIELDS), agents))
+            r = _floats(rotations, 3, 3)
+            v = _floats(sum(vectors, ()), 3).reshape(3, -1, 3)
+            if rotation_check(r)[0].all() and np.isfinite(v).all():
+                return _PoseStack(homogeneous(r, v[0])), _TwistStack(*v[1:])
+    poses, twists = [], []
+    for k, a in enumerate(agents, start=1):
+        where = f"agents[{k}]"
         _require_keys(a, where, _AGENT_KEYS)
         with _section(where):
             for key, value in a.items():
                 _numbers(value, key)
-            Pose(Rotation(a["rotation"]), a["translation"])
-            Twist(a["linear_velocity"], a["angular_velocity"])
-        raise AssertionError(f"{where} fails a stacked check but none of its own")
-    return _PoseStack(homogeneous(r, vectors[0])), _TwistStack(*vectors[1:])
+            poses.append(Pose(Rotation(a["rotation"]), a["translation"]))
+            twists.append(Twist(a["linear_velocity"], a["angular_velocity"]))
+    return poses, twists
 
 
 def _parse_law(law_doc: dict):

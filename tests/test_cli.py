@@ -1265,6 +1265,8 @@ AGENT_FAULTS = {
     "nan": lambda a: {**a, "angular_velocity": [float("nan"), 0, 0]},
     "inf": lambda a: {**a, "translation": [0, float("inf"), 0]},
     "int-beyond-float": lambda a: {**a, "linear_velocity": [0, -(2**1024), 0]},
+    "int-beyond-float-in-rotation":
+        lambda a: {**a, "rotation": [[1, 0, 0], [0, -(2**1024), 0], [0, 0, 1]]},
     "not-orthonormal": lambda a: {**a, "rotation": NOT_ORTHONORMAL},
     "reflection": lambda a: {**a, "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
 }
@@ -1312,14 +1314,24 @@ def test_stacked_agents_equal_the_checked_objects(agents):
         assert not (got.linear.flags.writeable or got.angular.flags.writeable)
 
 
-@pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
-def test_each_agent_fault_is_flagged_at_its_agent(fault):
-    # every fault of the list above, alone on the last of three agents
+FAULT_NAMES = sorted(AGENT_FAULTS)
+
+
+@pytest.mark.parametrize("fault, first", [
+    *(pytest.param(fault, False, id=fault) for fault in FAULT_NAMES),
+    *(pytest.param(fault, True, id=f"{fault}-first") for fault in FAULT_NAMES),
+])
+def test_each_agent_fault_is_flagged_at_its_agent(fault, first):
+    # every fault of the list above, alone on the last of three agents, or on
+    # the first of three with the fault before it in the list on the third
     agents = [agent_at([0, 0, 0]) for _ in range(3)]
+    if first:
+        agents[0] = AGENT_FAULTS[fault](agents[0])
+        fault = FAULT_NAMES[FAULT_NAMES.index(fault) - 1]
     agents[2] = AGENT_FAULTS[fault](agents[2])
     with pytest.raises(ConfigurationError) as want:
         agents_one_by_one(agents)
-    assert str(want.value).startswith("agents[3]: ")
+    assert str(want.value).startswith("agents[1]: " if first else "agents[3]: ")
     with pytest.raises(ConfigurationError) as got:
         cli._agents(agents)
     assert str(got.value) == str(want.value)

@@ -162,3 +162,27 @@ def test_no_module_builds_an_object_past_its_checks():
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     )
     assert bypass == []
+
+
+# what the package may raise: a refused value (ValueError and the package's
+# subclasses of it) and Topology's refusal to be changed
+RAISABLE = {"ValueError", "ConfigurationError", "DegenerateInputError", "AttributeError"}
+
+
+def raised_name(node: ast.Raise) -> str | None:
+    """The class a raise statement names, as in `raise Name(...)` or `raise Name`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_every_failure_takes_one_path():
+    # every raise is a refused value, so each failure ends in one error line,
+    # never in an internal-error traceback; nor does an assert stand in for one
+    strays = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Raise) and raised_name(node) not in RAISABLE)
+    )
+    assert strays == []
