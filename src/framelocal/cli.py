@@ -23,7 +23,7 @@ adds the reversed pair. Unknown keys anywhere are rejected, and so are
 true/false or a string where a number is due, and a non-bool "directed".
 Every refused input is a ``ConfigurationError``: such a value, a file that
 cannot be read, decoded as UTF-8 or parsed, a bad flag, and what ``run``
-refuses (a law's graph condition, a size bound, a start too large). Each
+refuses (a law's graph condition, a size or magnitude bound). Each
 ends the command with one ``error:`` line naming the file or the section.
 
 The agents are checked in one pass over all of them: their keys, their JSON
@@ -290,10 +290,9 @@ def apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
 
 
 def _json_max(row: np.ndarray) -> float | None:
-    """The largest number in row, or None if that is not finite (empty, all NaN
-    or an overflowed inf, none of which JSON holds)."""
+    """The largest number in row, or None if it has none (empty or all NaN)."""
     top = float(np.fmax.reduce(row, initial=np.nan))   # no all-NaN warning, unlike nanmax
-    return top if np.isfinite(top) else None
+    return None if np.isnan(top) else top
 
 
 def _write_tables(trace: Trace, times: np.ndarray, out: Path, full_state: bool) -> TraceBlock:

@@ -4,11 +4,11 @@ Rotations, poses (4x4 homogeneous transforms [R p; 0 1], stacks of which
 ``homogeneous`` builds), body-frame twists, the hat map, the closed-form
 SE(3) exponential, and Gram-Schmidt orthonormalization with a
 determinant-sign fix so the result is always a proper rotation. The
-exponential and Gram-Schmidt each have one implementation over stacks that
-returns a validity mask (``exp_twists``, ``gram_schmidt``); ``exp_se3``,
-``gsop`` and ``gsop_two_column`` apply them to a single item and return
-validated objects. ``rotation_check`` is the one rotation test, shared by
-``Rotation`` and ``exp_twists``.
+exponential and Gram-Schmidt each have one implementation over stacks
+(``exp_twists``; ``gram_schmidt``, which also returns a validity mask);
+``exp_se3``, ``gsop`` and ``gsop_two_column`` apply them to a single item
+and return validated objects. ``rotation_check`` is the one rotation test,
+shared by ``Rotation`` and the scenario loader.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -186,7 +186,7 @@ def hat3(w) -> np.ndarray:
 _SMALL_ANGLE = 1e-6
 
 
-def exp_twists(linear, angular, dt) -> tuple:
+def exp_twists(linear, angular, dt) -> np.ndarray:
     """Closed-form exponentials of dt times the generators of a twist stack.
 
     Over (..., 3) linear and angular parts and a dt that broadcasts against
@@ -194,17 +194,16 @@ def exp_twists(linear, angular, dt) -> tuple:
     formula for the rotation block and the analytic integral matrix V for
     the translation V (dt * linear); the coefficients switch to their series
     where the rotation angle theta = ||angular|| * dt is below 1e-6. Returns
-    ``(m, valid)``: the (..., 4, 4) matrices, left as computed, and the mask
-    of items whose rotation block passes ``rotation_check`` and whose
-    translation is finite. An item's result is bit-identical whether it is
-    alone or in any stack.
+    the (..., 4, 4) matrices, unchecked: exact rigid motions while theta^3
+    and dt * linear are finite (a run's ``oracle_report`` bounds both). An
+    item's result is bit-identical whether it is alone or in any stack.
     """
     linear = np.asarray(linear, dtype=np.float64)
     angular = np.asarray(angular, dtype=np.float64)
     if angular.shape[-1:] != (3,) or linear.shape != angular.shape:
         raise ValueError(f"expected two (..., 3) stacks, got {linear.shape} and {angular.shape}")
-    # the branch an item does not take may divide 0 by 0 (theta = 0), and a
-    # huge twist overflows; both end in the mask, not in a warning
+    # the branch an item does not take may divide 0 by 0 (theta = 0) or
+    # overflow (theta^4 past about 1e77)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi = angular * dt
         rho = linear * dt
@@ -222,16 +221,13 @@ def exp_twists(linear, angular, dt) -> tuple:
         # a stacked matrix-vector matmul runs the kernel of a single V @ rho
         # item by item; a row-by-row _dot would differ from it in the last bit
         p = ((np.eye(3) + b * k + c * k2) @ rho[..., None])[..., 0]
-        m = homogeneous(np.eye(3) + a * k + b * k2, p)
-    valid = rotation_check(m[..., :3, :3])[0] & np.isfinite(m[..., :3, 3]).all(axis=-1)
-    return m, valid
+        return homogeneous(np.eye(3) + a * k + b * k2, p)
 
 
 def exp_se3(t: Twist, dt: float) -> Pose:
     """``exp_twists`` of one twist (dt times its generator), validated as a
     Pose (ValueError where it is not a finite rigid transform)."""
-    m, _ = exp_twists(t.linear[None], t.angular[None], dt)
-    return Pose.from_matrix(m[0])
+    return Pose.from_matrix(exp_twists(t.linear[None], t.angular[None], dt)[0])
 
 
 def inverse(a: Pose) -> Pose:

@@ -4,10 +4,9 @@ A run advances the true poses by the exact exponential of their constant
 body twists (so truth never leaves SE(3)) and integrates the estimator
 matrices with classical RK4 on the raw 4x4 ODE, evaluating the relative
 transforms at the exact stage times. The exponentials over a half and a
-full step come as one (2, n) pair from one ``exp_twists`` call over both
-step lengths; one that is not a finite rigid motion stops the run before
-integration. Two products with it write both stage truths of a step in
-place.
+full step come as one (2, n) pair from one ``exp_twists`` call, made once
+the start has passed the magnitude bound (MAX_MAGNITUDE). Two products
+with it write both stage truths of a step in place.
 Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
@@ -111,6 +110,12 @@ MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
 # units, so this is at most about 47 minutes. The kernel's step costs less
 # than that calibration, so the bound errs on the safe side
 MAX_STEP_WORK = 1e10
+# largest magnitude M of a start: per agent, ||p(0)|| + ||v|| t_end (which
+# bounds ||p(t)||), each entry of S(0) = T P(0) (S(t) keeps their range under
+# both laws) and a step's angle ||w|| dt. A run forms sums of products of at
+# most three of these: det Q_c <= (sqrt(3) M)^3 ~ 5e300, 2 V <= 48 n M^2 and
+# Rodrigues' theta^3 stay far below the largest float, 1.8e308, at any n
+MAX_MAGNITUDE = 1e100
 # most squarings the closed-form flow may take. Each squaring about doubles
 # the rounding in the flow's row sums, so after s of them they are off by
 # about 2^s u (u = 2^-53; measured up to 8 * 2^s u over random Laplacians of
@@ -391,25 +396,31 @@ def _check_preconditions(s: Scenario):
 def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
     """Predictions from the initial data: weights, consensus state, bias, bounds.
 
-    A start whose V0 is not finite raises ConfigurationError: its aligned
-    states are too large for any run. Under the finite-time law, an
-    unsettled start (V0 >= SETTLED_V) whose links all lie closer than
-    epsilon raises it too: the guard would zero every weight and the law
-    would never act. A settling bound too large for a float is None.
+    A start past MAX_MAGNITUDE raises ConfigurationError naming the agent,
+    the quantity and the limit. Under the finite-time law, an unsettled
+    start (V0 >= SETTLED_V) whose links all lie closer than epsilon raises
+    it too: the guard would zero every weight and the law would never act.
+    A settling bound too large for a float is None.
     """
     _check_preconditions(s)
     spectral = analyze(s.topo)
     w1 = spectral.w1
     t0, p0 = _initial_stacks(s, initial_state)
-    aligned0 = t0 @ p0
+    with np.errstate(over="ignore", invalid="ignore"):   # a value that overflows fails below
+        aligned0 = t0 @ p0
+        p, v, w = (np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2]) for x in (t0[:, :3, 3], *s.twists.arrays))
+        reach, angle = np.maximum(p + v * s.t_end, abs(aligned0).max(axis=(1, 2))), w * s.dt
+    for values, text in (
+        (reach, "initial state: agent {} is too large: max(||p(0)|| + ||v|| t_end, |T P(0)|) = "
+                "{}, over the limit {:g}"),
+        (angle, "integration: agent {} turns by ||w|| dt = {} in one step, over the limit {:g}; "
+                "use a smaller dt"),
+    ):
+        if not (values <= MAX_MAGNITUDE).all():   # NaN compares false
+            k = np.argmin(values <= MAX_MAGNITUDE)
+            raise ConfigurationError(text.format(k + 1, float(values[k]), MAX_MAGNITUDE))
     s_c = np.einsum("n,nij->ij", w1, aligned0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
-    if not math.isfinite(v0):
-        raise ConfigurationError(
-            "initial state: the aligned states T_i P_i are too large: "
-            "V0 = 1/2 sum_i ||T_i P_i - S_c||_F^2 is not finite"
-        )
+    v0 = 0.5 * float(np.sum((aligned0 - s_c) ** 2))
     det = abs(float(np.linalg.det(s_c[:3, :3])))
     # a large determinant does not make every column independent: one
     # scaled far below the others fails Gram-Schmidt, and the bias is None
@@ -560,19 +571,12 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )
+    report = oracle_report(s, initial_state)
+    t0, p_stack = _initial_stacks(s, initial_state)
     # the truth exponentials over a half and a full step, as one (2, n) pair; the
     # bias in oracle_report is the only validated object a run builds
     half = s.dt / 2.0
-    e_pair, ok = exp_twists(*s.twists.arrays, np.array([half, s.dt]).reshape(2, 1, 1))
-    bad = np.flatnonzero(~ok.all(axis=0))
-    if len(bad):
-        raise ConfigurationError(
-            f"integration: the truth exponential of agent {bad[0] + 1} over dt = {s.dt:g} "
-            "is not a finite rigid motion; use a smaller dt"
-        )
-    e_half, e_full = e_pair
-    t0, p_stack = _initial_stacks(s, initial_state)
-    report = oracle_report(s, initial_state)
+    e_half, e_full = exp_twists(*s.twists.arrays, np.array([half, s.dt]).reshape(2, 1, 1))
     truths, rhs = _make_rhs(s)
     tops = tuple(slot[:, :4, :] for slot in truths)   # the truth T of each slot
     tops[0][...] = t0

@@ -70,8 +70,8 @@ def edge_rk4(s: Scenario, p0: np.ndarray, consensus_state: np.ndarray) -> tuple:
     fresh arrays for each stage, the truth advanced by exact exponentials."""
     (t,), twists = s.initial_poses.arrays, s.twists.arrays
     p = np.array(p0)
-    e_half, _ = exp_twists(*twists, s.dt / 2.0)
-    e_full, _ = exp_twists(*twists, s.dt)
+    e_half = exp_twists(*twists, s.dt / 2.0)
+    e_full = exp_twists(*twists, s.dt)
     half, sixth = s.dt / 2.0, s.dt / 6.0
     truth, aux, v = [t], [p], [0.5 * float(np.sum((t @ p - consensus_state) ** 2))]
     for _ in range(s.n_steps):

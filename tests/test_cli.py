@@ -714,8 +714,8 @@ def test_load_checks_agents_as_stacks(tmp_path, monkeypatch):
     assert counts[0] == counts[1] == counts[2] == {
         "load": {"rotation_check": 1},
         "oracle": bias,
-        # one stacked call gives both truth exponentials; and the oracle report
-        "run": {**bias, "rotation_check": 2},
+        # the oracle report's bias; the truth exponentials are not checked
+        "run": bias,
         "save": {},
     }
     assert (tmp_path / "out.json").read_bytes() == paths[-1].read_bytes()
@@ -933,21 +933,46 @@ def test_settling_bound_too_large_for_a_float_is_null(tmp_path, capsys):
     assert row[:2] == ["out", "finite"] and row[5] == "-"
 
 
-def test_final_error_past_the_largest_float_is_null(tmp_path, capsys):
-    # at a translation of 1.45e154 V0 is finite, but a squared link distance
-    # overflows, so the position errors read inf (numpy warns, ignored here):
-    # summary.json held Infinity
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, err = run_edited_demo(
-            tmp_path, capsys, lambda d: d["agents"][0].update(translation=[1.45e154, 0.0, 0.0]),
-            "--t-end", "0.01",
-        )
+@pytest.mark.parametrize(
+    "field, value",
+    [("translation", 1.45e154), ("translation", 1.3e154), ("linear_velocity", 1e156)],
+    ids=["translation-1.45e154", "translation-1.3e154", "linear-velocity-1e156"],
+)
+def test_start_past_the_magnitude_bound_is_one_error_line(tmp_path, capsys, field, value):
+    # at a translation of 1.45e154, or a linear velocity of 1e156, V0 was
+    # finite but a squared link distance overflowed: numpy warned, the run
+    # exited 0 and trace.csv held inf. 1.3e154 ran clean, its squared link
+    # distance 6 % below the largest float; all three now fail the bound
+    # before anything is integrated
+    code, err = run_edited_demo(
+        tmp_path, capsys, lambda d: d["agents"][0].update({field: [value, 0.0, 0.0]}),
+        "--t-end", "0.01",
+    )
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: initial state: agent 1 is too large: ")
+    assert err[0].endswith(f", over the limit {simulation.MAX_MAGNITUDE:g}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_admitted_translation_runs_finite(tmp_path, capsys):
+    # agent 1 at the bound itself runs, and every number it writes is finite;
+    # one float further out is refused
+    limit = simulation.MAX_MAGNITUDE
+
+    def at(x):
+        return lambda d: d["agents"][0].update(translation=[x, 0.0, 0.0])
+
+    code, err = run_edited_demo(tmp_path, capsys, at(np.nextafter(limit, math.inf)))
+    assert code == 1 and len(err) == 1 and "too large" in err[0]
+    code, err = run_edited_demo(tmp_path, capsys, at(limit), "--t-end", "0.05", "--full-state")
     assert code == 0 and err == []
-    assert "inf" in (tmp_path / "out" / "trace.csv").read_text()
-    summary = strict_json(tmp_path / "out" / "summary.json")
-    assert summary["final_max_position_error"] is None
-    assert summary["final_max_orientation_error"] < math.inf
+    out = tmp_path / "out"
+    for name in ("trace.csv", "state.csv"):
+        table = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert table.shape[0] > 0 and np.isfinite(table).all(), name
+    oracle, summary = (strict_json(out / name) for name in ("oracle.json", "summary.json"))
+    assert oracle["well_posed"] and limit**2 / 4 < oracle["v0"] < limit**2
+    assert 0.0 < summary["final_max_position_error"] < math.inf
 
 
 def test_runaway_twist_stops_the_run(tmp_path, capsys):

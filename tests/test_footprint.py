@@ -1,6 +1,7 @@
 """Importing the package, running scenarios, reporting and the closed-form
 oracle never load SciPy; the package needs numpy alone. A run or report
-that succeeds writes nothing to stderr, not even a warning.
+that succeeds writes nothing to stderr, not even a warning, and a refused
+start writes one ``error:`` line and no traceback.
 
 Each check runs in a fresh interpreter, because the test suite itself
 imports scipy.linalg, so this process's sys.modules says nothing about
@@ -43,11 +44,22 @@ sys.stdout.buffer.write(flow.tobytes())
 """
 
 
-def fresh_python(code: str, cwd: Path) -> bytes:
-    """Standard output of code run by a new interpreter that imports framelocal
-    from src, with warnings as errors; a run that succeeds leaves stderr empty."""
+REFUSED_START = """
+import json, sys
+from framelocal import cli
+doc = json.loads(cli.bundled_scenario_path("demo_finite_time").read_text())
+doc["agents"][0]["translation"] = [1.45e154, 0.0, 0.0]
+with open("edited.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh)
+sys.exit(cli.main(["run", "--config", "edited.json", "--out", "out"]))
+"""
+
+
+def fresh_process(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that imports framelocal from src, with
+    warnings as errors."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
@@ -55,6 +67,12 @@ def fresh_python(code: str, cwd: Path) -> bytes:
         timeout=300,
         check=False,
     )
+
+
+def fresh_python(code: str, cwd: Path) -> bytes:
+    """Standard output of code run by ``fresh_process``; a run that succeeds
+    leaves stderr empty."""
+    done = fresh_process(code, cwd)
     assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
     return done.stdout
 
@@ -70,3 +88,12 @@ def test_closed_form_never_loads_scipy_and_matches_in_process(tmp_path):
     s = load_scenario(bundled_scenario_path("demo_asymptotic"))
     expected = closed_form_aligned(s, CLOSED_FORM_T).tobytes()
     assert fresh_python(CLOSED_FORM, tmp_path) == expected
+
+
+def test_refused_start_is_one_error_line_with_warnings_as_errors(tmp_path):
+    # agent 1 at 1.45e154 overflowed a squared link distance: numpy's warning
+    # became a traceback under -W error. The magnitude bound refuses it first
+    done = fresh_process(REFUSED_START, tmp_path)
+    err = done.stderr.decode().splitlines()
+    assert done.returncode == 1 and len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()

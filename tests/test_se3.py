@@ -27,6 +27,7 @@ from framelocal.se3 import (
     gram_schmidt,
     rotation_check,
 )
+from framelocal.simulation import MAX_MAGNITUDE
 from conftest import (
     blocks,
     compose,
@@ -488,15 +489,15 @@ LINEAR = arrays(np.float64, 3, elements=st.floats(-5.0, 5.0))
 def test_exp_twists_equals_scalar_oracle_bit_for_bit(parts, dt):
     angular = np.stack([axis / np.linalg.norm(axis) * angle / dt for axis, angle, _ in parts])
     linear = np.stack([v for _, _, v in parts])
-    m, valid = exp_twists(linear, angular, dt)
-    assert m.shape == (len(parts), 4, 4) and valid.all()
+    m = exp_twists(linear, angular, dt)
+    assert m.shape == (len(parts), 4, 4)
     # a stack of stacks, in two orders
-    both, _ = exp_twists(np.stack([linear, linear[::-1]]), np.stack([angular, angular[::-1]]), dt)
+    both = exp_twists(np.stack([linear, linear[::-1]]), np.stack([angular, angular[::-1]]), dt)
     for i in range(len(parts)):
         tw = Twist(linear[i], angular[i])
         assert np.array_equal(m[i], exp_se3_oracle(tw, dt))
-        assert np.array_equal(exp_twists(linear[i], angular[i], dt)[0], m[i])
-        assert np.array_equal(exp_twists(linear[i:], angular[i:], dt)[0][0], m[i])
+        assert np.array_equal(exp_twists(linear[i], angular[i], dt), m[i])
+        assert np.array_equal(exp_twists(linear[i:], angular[i:], dt)[0], m[i])
         assert np.array_equal(exp_se3(tw, dt).matrix, m[i])
         assert np.array_equal(both[0, i], m[i])
         assert np.array_equal(both[1, -1 - i], m[i])
@@ -512,29 +513,44 @@ def test_exp_twists_over_a_dt_stack_is_each_dt_alone():
     linear[2] = angular[2] = 0.0
     for dt in (1e-3, 0.7):
         dts = (dt / 2.0, dt)
-        m, valid = exp_twists(linear, angular, np.array(dts).reshape(2, 1, 1))
-        assert m.shape == (2, 3, 4, 4) and valid.shape == (2, 3) and valid.all()
+        m = exp_twists(linear, angular, np.array(dts).reshape(2, 1, 1))
+        assert m.shape == (2, 3, 4, 4)
         theta = np.linalg.norm(angular[1]) * dt
         assert theta < _SMALL_ANGLE
         for k, dt_k in enumerate(dts):
-            alone, alone_valid = exp_twists(linear, angular, dt_k)
-            assert m[k].tobytes() == alone.tobytes()
-            assert np.array_equal(valid[k], alone_valid)
+            assert m[k].tobytes() == exp_twists(linear, angular, dt_k).tobytes()
         assert np.array_equal(m[:, 2], np.broadcast_to(np.eye(4), (2, 4, 4)))
 
 
-def test_exp_twists_masks_a_transform_that_is_not_finite():
+def test_exp_se3_refuses_a_transform_that_is_not_finite():
     # a huge angle overflows inside Rodrigues' formula and a huge speed
-    # overflows the translation; neither warns, and a zero twist is exact
+    # overflows the translation; exp_twists returns both as computed, without
+    # a warning, exp_se3 refuses both, and a zero twist is exact
     angular = np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     linear = np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    m, valid = exp_twists(linear, angular, 10.0)
-    assert valid.tolist() == [False, False, True]
+    m = exp_twists(linear, angular, 10.0)
+    assert not np.isfinite(m[0, :3, :3]).all() and not np.isfinite(m[1, :3, 3]).all()
     assert np.array_equal(m[2], np.eye(4))
     with pytest.raises(ValueError, match="non-finite"):
         exp_se3(Twist(linear[0], angular[0]), 10.0)
     with pytest.raises(ValueError, match="non-finite"):
         exp_se3(Twist(linear[1], angular[1]), 10.0)
+
+
+def test_exp_twists_up_to_the_magnitude_bound_is_exact():
+    # a run admits a turn of up to MAX_MAGNITUDE per step. There theta^3 is
+    # still finite, so every Rodrigues coefficient is right: the rotation
+    # passes the rotation test, and the translation V (dt * linear) is its
+    # part along the axis, the rest turning through a full circle many times
+    rng = np.random.default_rng(27)
+    axes = rng.normal(size=(64, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    linear = rng.normal(size=(64, 3))
+    along = np.sum(linear * axes, axis=1)[:, None] * axes
+    for theta in (1e50, 1e77, 1e99, MAX_MAGNITUDE):
+        m = exp_twists(linear, axes * theta, 1.0)
+        assert rotation_check(m[:, :3, :3])[0].all()
+        assert np.abs(m[:, :3, 3] - along).max() < 1e-14 * np.abs(linear).max()
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), blocks((3, 3)))

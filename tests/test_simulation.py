@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelocal import (
@@ -34,7 +35,7 @@ from framelocal import (
 )
 from framelocal import cli, graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
-from framelocal.scenarios import demo_scenario
+from framelocal.scenarios import demo_scenario, seeded_rotations
 from framelocal.simulation import Scenario, _make_rhs, _neg_generators
 from conftest import (
     compose,
@@ -1270,12 +1271,76 @@ def test_oracle_report_refuses_a_start_too_large_for_v0(monkeypatch):
     poses[0] = Pose(poses[0].rotation, [1e160, 0.0, 0.0])
     s = dataclasses.replace(s, initial_poses=poses)
     monkeypatch.setattr(simulation, "_make_rhs", None)
-    message = "^initial state: .* too large: V0 .* not finite$"
+    message = r"^initial state: agent 1 is too large: .* = 1e\+160, over the limit 1e\+100$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for oracle in (oracle_report, run):
             with pytest.raises(ConfigurationError, match=message):
                 oracle(s)
+
+
+SCALED_PARTS = ("translations", "linear velocities", "angular velocities", "initial state")
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SCALED_PARTS), st.floats(90.0, 160.0))
+@example("translations", 99.39).via("translations of 9.8e99, just inside the bound")
+@example("initial state", 99.0).via("a determinant of Q_c of 1.8e295")
+def test_a_scaled_start_is_refused_or_runs_finite(part, exponent):
+    # the finite demo over 10 steps with one part scaled by 10^exponent, from
+    # below MAX_MAGNITUDE to past the square root of the largest float:
+    # either oracle_report refuses it, or the run, its blocks and its JSON
+    # documents hold only finite numbers, without a numpy warning. A turn of
+    # up to MAX_MAGNITUDE per step may also make RK4 diverge; run refuses that
+    s = demo_scenario(law=FiniteTime(), t_end=0.01, stride=5)
+    factor, state = 10.0**exponent, None
+    if part == "translations":
+        poses = [Pose(p.rotation, p.translation * factor) for p in s.initial_poses]
+        s = dataclasses.replace(s, initial_poses=poses)
+    elif part == "initial state":
+        state = s._p0.copy()
+        state[:, :3] *= factor
+    else:
+        scale = (1.0, factor) if part == "angular velocities" else (factor, 1.0)
+        twists = [Twist(*(x * k for x, k in zip(pair, scale))) for pair in zip(*s.twists.arrays)]
+        s = dataclasses.replace(s, twists=twists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = oracle_report(s, state)
+        except ConfigurationError as e:
+            assert str(e).startswith(("initial state: agent ", "integration: agent "))
+            assert str(e).endswith(("over the limit 1e+100", "over the limit 1e+100; use a smaller dt"))
+            return
+        try:
+            trace, _ = run(s, state)
+        except ConfigurationError as e:
+            assert part == "angular velocities" and "estimator state is not finite" in str(e)
+            return
+        for array in (trace.truth, trace.aux, trace.lyapunov):
+            assert np.isfinite(array).all()
+        for block in trace.blocks():
+            assert block.valid.all()
+            for array in (block.estimates, block.orient, block.pos):
+                assert np.isfinite(array).all()
+        docs = cli._oracle_doc(report), cli._summary_doc(trace, float(trace.times[-1]), block)
+        for doc in docs:
+            json.dumps(doc, allow_nan=False)
+    assert report.v0 < math.inf and report.det_qc < math.inf
+
+
+def test_no_perfbench_sized_start_is_refused():
+    # 2048 agents at the benchmark's ranges (|p| <= 5, |v| and |w| <= 1) over
+    # a long horizon pass the bound by about 98 orders of magnitude
+    n = 2048
+    rng = np.random.default_rng(2048)
+    poses = [Pose(r, p) for r, p in zip(seeded_rotations(n, 2048), rng.uniform(-5.0, 5.0, (n, 3)))]
+    twists = [Twist(v, w) for v, w in rng.uniform(-1.0, 1.0, (n, 2, 3))]
+    ring = Topology(n, [(k, k % n + 1) for k in range(1, n + 1)])
+    s = Scenario(topo=ring, initial_poses=poses, twists=twists, law=Asymptotic(), dt=1e-3,
+                 t_end=1000.0, seed=1)
+    report = oracle_report(s)
+    assert report.v0 < 1e6 and report.transform_bias is not None
 
 
 def test_settling_bound_past_the_largest_float_is_none():
