@@ -4,7 +4,8 @@ An edge (i, j) means agent i measures / receives from agent j, so j is a
 neighbor of i and row i of the Laplacian picks up -1 in column j. Agent
 indices are 1-based, but for a Topology's 0-based ``edge_index``. A
 Topology answers its own graph questions: its ``edge_index``, its
-``roots`` and its ``links`` (the measured links as unordered pairs).
+``roots`` and its ``links`` (the measured links as unordered pairs). It
+takes pairs of ints in one pass and walks any other edges one by one.
 
 Information flows from j to i along an edge (i, j). The root agents, whose
 information reaches every agent, form the root (source) component of the
@@ -63,9 +64,6 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
-_PAIR_KINDS = (tuple, list, np.ndarray)
-
-
 def _sorted_distinct(index: np.ndarray) -> np.ndarray:
     """The distinct columns of a (2, E) index, ascending by row 0, then row 1; read-only."""
     index = index[:, np.lexsort(index[::-1])]
@@ -79,29 +77,29 @@ def _sorted_distinct(index: np.ndarray) -> np.ndarray:
 def _edge_index(edges, n: int) -> np.ndarray:
     """The (2, E) 0-based receivers and senders of the distinct edges, sorted.
 
-    The edges are checked as one stack, which flags each edge that fails a
-    check; the first flagged edge is then checked alone, which raises its
-    message. An end counts when ``as_int`` would take it and it lies in 1..n;
-    any other end is read as 0, which flags its edge.
+    An ndarray is read as lists. Pairs of Python ints in 1..n without a
+    self-loop are taken in one pass; any other edges are walked one by one,
+    in order, so the first faulty edge raises its message.
     """
+    edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
     edges = tuple(edges) if np.iterable(edges) else (edges,)
-    pair = np.fromiter((isinstance(e, _PAIR_KINDS) and len(e) == 2 for e in edges), bool, len(edges))
-    ends = list(itertools.chain.from_iterable(itertools.compress(edges, pair)))
-    kinds = {k for k in set(map(type, ends))
-             if issubclass(k, (int, np.integer, float)) and not issubclass(k, bool)}
-    ends = [x if type(x) in kinds and 1 <= x <= n and x % 1 == 0 else 0 for x in ends]
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-    faults = ~pair
-    faults[pair] = (ends[:, 0] == ends[:, 1]) | (ends == 0).any(axis=1)
-    if faults.any():
-        e = edges[int(np.argmax(faults))]
-        if not (isinstance(e, _PAIR_KINDS) and len(e) == 2):
+    if set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) == {2}:
+        ends = [*itertools.chain.from_iterable(edges)]
+        if set(map(type, ends)) == {int} and 1 <= min(ends) and max(ends) <= n:
+            index = np.array(ends, dtype=np.intp).reshape(-1, 2).T - 1
+            if not (index[0] == index[1]).any():
+                return _sorted_distinct(index)
+    index = []
+    for e in edges:
+        if not (isinstance(e, (tuple, list, np.ndarray)) and len(e) == 2):
             raise ValueError(f"edge {e!r} is not a pair of agents")
         i, j = (as_int(k, "edge end") for k in e)
         if i == j:
             raise ValueError(f"self-loop on agent {i}")
-        raise ValueError(f"edge {e} outside 1..{n}")   # the one check left
-    return _sorted_distinct(ends.T - 1)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge {e} outside 1..{n}")
+        index.append((i - 1, j - 1))
+    return _sorted_distinct(np.array(index, dtype=np.intp).reshape(-1, 2).T)
 
 
 class Topology:
@@ -129,10 +127,11 @@ class Topology:
     @classmethod
     def undirected(cls, n: int, pairs) -> "Topology":
         """The undirected topology of one pair per link: the pairs and their reverses."""
+        pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else pairs
         pairs = tuple(pairs) if np.iterable(pairs) else (pairs,)
         # a pair's reverse is faulty only if the pair is, and comes after it,
         # so an error names the pair as given
-        reverses = tuple(e[::-1] if isinstance(e, _PAIR_KINDS) else e for e in pairs)
+        reverses = tuple(e[::-1] if isinstance(e, (tuple, list, np.ndarray)) else e for e in pairs)
         return cls(n, pairs + reverses, directed=False)
 
     @property

@@ -540,6 +540,11 @@ def _make_rhs(s: Scenario) -> tuple:
     return truths, rhs
 
 
+def _count(k: int) -> str:
+    """A step or sample count for an error line: in full up to 16 digits, else to 3."""
+    return f"{k}" if k < 10**16 else f"{k:.3g}"
+
+
 def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
@@ -557,7 +562,7 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     nbytes = 8 * k_samples * (2 + 33 * n + len(s.topo.links))
     if nbytes > MAX_TRACE_BYTES:
         raise ConfigurationError(
-            f"integration: the trace of {k_samples} samples would take "
+            f"integration: the trace of {_count(k_samples)} samples would take "
             f"{nbytes / 2**30:.3g} GiB, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
             "use a larger stride"
         )
@@ -567,7 +572,7 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     work = n_steps * (n + n_edges + 150)
     if work > MAX_STEP_WORK:
         raise ConfigurationError(
-            f"integration: {n_steps} steps over {n} agents and {n_edges} edges "
+            f"integration: {_count(n_steps)} steps over {n} agents and {n_edges} edges "
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )

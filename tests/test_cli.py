@@ -1039,6 +1039,29 @@ def test_step_work_rejected_before_integration(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-end", "1e300"],
+         "error: integration: the trace of 1e+302 samples would take 1.03e+296 GiB, "
+         "over the 1 GiB limit; use a larger stride"),
+        (["--t-end", "1e300", "--stride", str(10**300)],
+         "error: integration: 1e+303 steps over 4 agents and 4 edges predict 1.58e+305 "
+         "units of step work, over the 1e+10 limit; use a larger dt or a smaller t_end"),
+    ],
+    ids=["trace-bound", "step-work-bound"],
+)
+def test_size_bound_past_16_digits_prints_its_count_to_3(tmp_path, capsys, flags, message):
+    # a count of about 300 digits prints as 3 significant ones, on one short line
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+        *flags, "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and err == [message] and len(err[0]) < 160
+
+
 def test_step_count_overflow_rejected(tmp_path, capsys):
     capsys.readouterr()
     code = main([

@@ -369,6 +369,38 @@ def test_topology_names_the_first_faulty_edge(edges, directed, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Topology(4, np.array([[1, 5]])), "edge [1, 5] outside 1..4"),
+        (lambda: Topology(4, np.array([[1, 2], [2, 1.5]])), "edge end must be an integer, got 1.5"),
+        (lambda: Topology(4, np.array([[True, False]])), "edge end must be an integer, got True"),
+        (lambda: Topology(4, np.array([1, 2])), "edge 1 is not a pair of agents"),
+        (lambda: Topology.undirected(4, np.array([[1, 2], [3, 5]])), "edge [3, 5] outside 1..4"),
+    ],
+    ids=["out-of-range", "fraction", "bool", "flat", "undirected-out-of-range"],
+)
+def test_ndarray_edges_are_named_as_lists(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
+))
+def test_one_pass_accept_equals_the_walk(n_edges):
+    # np.int64 ends take the edge-by-edge walk; Python int pairs take the one
+    # pass, which calls no as_int
+    n, edges = n_edges
+    edges = [e for e in edges if e[0] != e[1]]
+    walked = graphs._edge_index([tuple(map(np.int64, e)) for e in edges], n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "as_int", None)
+        one_pass = graphs._edge_index(edges, n)
+    assert np.array_equal(one_pass, walked) and one_pass.dtype == walked.dtype
+
+
 def checked_edges(edges, n: int, directed: bool) -> tuple:
     """Oracle: the distinct edges, sorted, checked one at a time; the first fault raises."""
     seen = set()
@@ -388,6 +420,13 @@ def checked_edges(edges, n: int, directed: bool) -> tuple:
                 f"undirected graph needs symmetric edges; missing {sorted(missing)}"
             )
     return tuple(sorted(seen))
+
+
+def array_forms(edges) -> tuple:
+    """Valid edges as an int64 array, an array of integral floats and tuples of np.int64."""
+    ints = np.array([[graphs.as_int(k, "edge end") for k in e] for e in edges], dtype=np.int64)
+    ints = ints.reshape(-1, 2)
+    return ints, ints.astype(float), tuple(map(tuple, ints))
 
 
 END = st.one_of(
@@ -426,6 +465,8 @@ def test_stacked_edge_check_equals_the_per_edge_one(n, edges, directed, mirror, 
         assert got.edges == want and all(type(k) is int for e in got.edges for k in e)
         i, j = got.edge_index
         assert np.array_equal(np.stack((i, j), axis=1) + 1, np.array(want, dtype=np.intp).reshape(-1, 2))
+        for form in array_forms(edges):
+            assert Topology(n, form, directed) == got
 
 
 @given(st.integers(1, 6), st.lists(EDGE, max_size=8))
@@ -445,6 +486,8 @@ def test_undirected_topology_equals_the_per_edge_check(n, pairs):
         got = Topology.undirected(n, pairs)
         assert got == Topology(n, want, directed=False) and got.edges == want
         assert got == Topology(n, [*pairs, *((j, i) for i, j in pairs)], directed=False)
+        for form in array_forms(pairs):
+            assert Topology.undirected(n, form) == got
 
 
 @pytest.mark.parametrize("directed", ["no", 0, 1, None, 1.0, np.int64(1)])
