@@ -247,7 +247,9 @@ def _parse_law(law_doc: dict):
 
 
 def save_scenario(s: Scenario, path, description: str = ""):
-    """Write a scenario as canonical JSON (exact float round trip)."""
+    """Write a scenario as canonical JSON (exact float round trip); a given start raises."""
+    if s.initial_state is not None:
+        raise ConfigurationError("initial state: a scenario file holds the seed, not a given start")
     edges = [[i, j] for i, j in s.topo.edges if s.topo.directed or i < j]
     (t0,), (linear, angular) = s.initial_poses.arrays, s.twists.arrays
     rows = t0[:, :3, :3].tolist(), t0[:, :3, 3].tolist(), linear.tolist(), angular.tolist()

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 W1_RESIDUAL_TOL = 1e-9     # acceptance residual on w^T L
-# largest set of dense matrices analyze may hold at once: an undirected graph
-# of up to 4096 agents that Lanczos does not take, whose eigvalsh grows as
-# n^3, or a root block of up to 3344
+# largest set of dense matrices analyze or closed_form_aligned may hold at
+# once: an undirected graph of up to 4096 agents that Lanczos does not take,
+# whose eigvalsh grows as n^3, a root block of up to 3344, or a flow of 2364
 MAX_DENSE_BYTES = 1 << 28
 # lambda2 by Lanczos (see analyze): used from this many agents, where it
 # was measured to beat eigvalsh, for at most this many steps, taking a Ritz
@@ -53,6 +53,15 @@ LANCZOS_TOL = 1e-8
 class ConfigurationError(ValueError):
     """A refused input: a scenario or summary file, a flag, a law's graph
     condition or a size bound."""
+
+
+def check_dense(nbytes: int, what: str):
+    """Refuse dense matrices of nbytes over MAX_DENSE_BYTES, before any is allocated."""
+    if nbytes > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"{what} would hold {nbytes / 2**20:.4g} MiB of dense matrices, over the "
+            f"{MAX_DENSE_BYTES / 2**20:g} MiB limit"
+        )
 
 
 def as_int(value, name: str) -> int:
@@ -117,6 +126,8 @@ class Topology:
         n = as_int(n, "n")
         if n < 1:
             raise ValueError("need at least one agent")
+        if n > np.iinfo(np.intp).max:   # an agent index must fit an intp
+            raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, got {n}")
         index = _edge_index(edges, n)
         if not directed and not np.array_equal(_sorted_distinct(index[::-1]), index):
             pairs = set(zip(*(index + 1).tolist()))
@@ -354,13 +365,8 @@ def analyze(t: Topology) -> SpectralData:
     # a connected undirected graph is all roots and holds its Laplacian and
     # the copy eigvalsh makes; a digraph its root block, the bordered matrix
     # and the copy solve makes
-    nbytes = 8 * (3 if t.directed else 2) * len(roots) ** 2
-    if nbytes > MAX_DENSE_BYTES:
-        raise ConfigurationError(
-            f"graph: the spectral analysis of {len(roots)} root agents would hold "
-            f"{nbytes / 2**20:.4g} MiB of dense matrices, over the "
-            f"{MAX_DENSE_BYTES / 2**20:g} MiB limit"
-        )
+    check_dense(8 * (3 if t.directed else 2) * len(roots) ** 2,
+                f"graph: the spectral analysis of {len(roots)} root agents")
     if not t.directed:
         lam2 = float(np.linalg.eigvalsh(build_laplacian(t))[1]) if t.n >= 2 else None
         return SpectralData(w1=np.full(t.n, 1.0 / t.n), lambda2=lam2)

@@ -11,7 +11,7 @@ Alongside the trace, a run computes an oracle report from the initial data
 alone: the consensus weights, the predicted consensus state and transform
 bias, and (for the finite-time law) the Lyapunov-based settling bound.
 All of this reads a scenario's read-only arrays: the stacks its agents are
-stored as, and ``_p0`` (the seeded estimator draw, made only if used).
+stored as, and ``_p0`` (the start given, or else the seeded draw, made if used).
 
 Both laws are evaluated by one stacked kernel in aligned coordinates. The
 neighbor term T_ij P_j - P_i equals T_i^-1 (S_j - S_i) with S_i = T_i P_i;
@@ -75,6 +75,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -95,6 +96,7 @@ from .graphs import (
     analyze,
     as_int,
     build_laplacian,
+    check_dense,
     has_spanning_tree,
     is_connected_undirected,
 )
@@ -125,9 +127,6 @@ MAX_MAGNITUDE = 1e100
 # keeps doubling until the flow is wrong outright (at t = 2^58 a directed
 # 4-ring's entries were off by 1e6)
 MAX_FLOW_SQUARINGS = 26
-
-# estimator start: the seeded draw (None) or an (n, 4, 4) stack
-InitialState = np.ndarray | None
 
 
 # Trace.blocks(): a slice of samples, their estimates, validity mask and errors
@@ -168,7 +167,8 @@ class Scenario:
     """Everything needed to reproduce one run. Its agents, given as Pose and
     Twist objects, are stored as read-only stacks that ``dataclasses.replace``
     hands on; reading ``initial_poses`` or ``twists`` builds and validates one
-    object per item read."""
+    object per item read. ``initial_state``, an (n, 4, 4) stack of finite matrices
+    with bottom rows (0, 0, 0, 1), replaces the seeded draw; it is checked once, here."""
 
     topo: Topology
     initial_poses: Sequence
@@ -179,6 +179,7 @@ class Scenario:
     seed: int
     stride: int = 10
     reconstruction: ReconstructionMode = ReconstructionMode.TWO_COLUMN_CROSS
+    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.law, Law):
@@ -195,6 +196,20 @@ class Scenario:
             if len(items) != self.topo.n:
                 raise ValueError(f"{name}: need {self.topo.n} agents, got {len(items)}")
             object.__setattr__(self, name, items)
+        if self.initial_state is not None:
+            p0 = _freeze(self.initial_state)
+            if p0.shape != (self.topo.n, 4, 4):
+                raise ValueError(f"initial state has shape {p0.shape}, expected {(self.topo.n, 4, 4)}")
+            finite = np.isfinite(p0).all(axis=(1, 2))
+            bad = ~(finite & (p0[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1))
+            if bad.any():
+                k = bad.argmax()
+                what = f"has bottom row {p0[k, 3].tolist()}" if finite[k] else "is not finite"
+                raise ValueError(
+                    f"initial state: the matrix of agent {k + 1} {what}; "
+                    "need finite entries and a bottom row of (0, 0, 0, 1)"
+                )
+            object.__setattr__(self, "initial_state", p0)
         object.__setattr__(self, "reconstruction", ReconstructionMode(self.reconstruction))
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -216,10 +231,11 @@ class Scenario:
 
     @functools.cached_property
     def _p0(self) -> np.ndarray:
-        """The seeded (n, 4, 4) estimator draw, read-only; drawn only when read."""
-        p0 = init_aux_stack(self.topo.n, self.seed)
-        p0.setflags(write=False)
-        return p0
+        """The (n, 4, 4) estimator start, read-only: ``initial_state``, or else
+        the seeded draw, drawn only when read."""
+        if self.initial_state is not None:
+            return self.initial_state
+        return _freeze(init_aux_stack(self.topo.n, self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,31 +374,6 @@ def error_metrics(truth, estimates, valid, r_c, links) -> tuple:
     )
 
 
-def _initial_stacks(s: Scenario, initial_state: InitialState = None) -> tuple:
-    """(t0, p0): the scenario's poses, and initial_state or else its seeded draw.
-
-    A given state must be an (n, 4, 4) stack of finite matrices whose bottom
-    rows are exactly (0, 0, 0, 1) (-0.0 compares equal); the kernel never
-    reads the bottom rows, so a wrong one would pass through a whole run.
-    """
-    (t0,) = s.initial_poses.arrays
-    if initial_state is None:
-        return t0, s._p0
-    p0 = np.asarray(initial_state, dtype=np.float64)
-    if p0.shape != t0.shape:
-        raise ValueError(f"initial state has shape {p0.shape}, expected {t0.shape}")
-    finite = np.isfinite(p0).all(axis=(1, 2))
-    bad = np.flatnonzero(~(finite & (p0[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1)))
-    if len(bad):
-        k = bad[0]
-        what = f"has bottom row {p0[k, 3].tolist()}" if finite[k] else "is not finite"
-        raise ValueError(
-            f"initial state: the matrix of agent {k + 1} {what}; "
-            "need finite entries and a bottom row of (0, 0, 0, 1)"
-        )
-    return t0, p0
-
-
 def _check_preconditions(s: Scenario):
     if isinstance(s.law, Asymptotic):
         if not has_spanning_tree(s.topo):
@@ -393,8 +384,8 @@ def _check_preconditions(s: Scenario):
         raise ConfigurationError("finite-time law requires a connected undirected interaction graph")
 
 
-def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleReport:
-    """Predictions from the initial data: weights, consensus state, bias, bounds.
+def oracle_report(s: Scenario) -> OracleReport:
+    """Predictions from the poses and start ``_p0``: weights, consensus state, bias, bounds.
 
     A start past MAX_MAGNITUDE raises ConfigurationError naming the agent,
     the quantity and the limit. Under the finite-time law, an unsettled
@@ -405,7 +396,7 @@ def oracle_report(s: Scenario, initial_state: InitialState = None) -> OracleRepo
     _check_preconditions(s)
     spectral = analyze(s.topo)
     w1 = spectral.w1
-    t0, p0 = _initial_stacks(s, initial_state)
+    (t0,), p0 = s.initial_poses.arrays, s._p0
     with np.errstate(over="ignore", invalid="ignore"):   # a value that overflows fails below
         aligned0 = t0 @ p0
         p, v, w = (np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2]) for x in (t0[:, :3, 3], *s.twists.arrays))
@@ -545,14 +536,12 @@ def _count(k: int) -> str:
     return f"{k}" if k < 10**16 else f"{k:.3g}"
 
 
-def run(s: Scenario, initial_state: InitialState = None) -> tuple:
+def run(s: Scenario) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
     A trace samples every ``stride``-th step and ends at the last multiple
     of ``stride`` at or before ``t_end``; the steps after it would not be
-    recorded, so they are not integrated. ``initial_state``, an (n, 4, 4)
-    stack of finite matrices with bottom rows (0, 0, 0, 1), replaces the
-    seeded estimator initialization (a harness knob; the laws stay local).
+    recorded, so they are not integrated. The estimators start from ``_p0``.
     """
     n = s.topo.n
     k_samples = s.n_steps // s.stride + 1
@@ -576,15 +565,14 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
             f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
             "use a larger dt or a smaller t_end"
         )
-    report = oracle_report(s, initial_state)
-    t0, p_stack = _initial_stacks(s, initial_state)
+    report = oracle_report(s)
     # the truth exponentials over a half and a full step, as one (2, n) pair; the
     # bias in oracle_report is the only validated object a run builds
     half = s.dt / 2.0
     e_half, e_full = exp_twists(*s.twists.arrays, np.array([half, s.dt]).reshape(2, 1, 1))
     truths, rhs = _make_rhs(s)
     tops = tuple(slot[:, :4, :] for slot in truths)   # the truth T of each slot
-    tops[0][...] = t0
+    tops[0][...] = s.initial_poses.arrays[0]
 
     truth = np.zeros((k_samples, n, 4, 4))
     aux = np.zeros((k_samples, n, 4, 4))
@@ -604,9 +592,9 @@ def run(s: Scenario, initial_state: InitialState = None) -> tuple:
     dt, sixth, stride = s.dt, s.dt / 6.0, s.stride
     add, multiply, matmul = np.add, np.multiply, np.matmul
     # the stages and the update work in place, with the operations of
-    # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order; p_stack is
-    # a copy, so neither the scenario's draw nor a caller's state is written
-    p_stack = p_stack.copy()
+    # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order, on a copy
+    # of the scenario's read-only start
+    p_stack = s._p0.copy()
     stage, total, k1, k2, k3, k4 = np.empty((6, n, 4, 4))
     # the truth now, at the half step and at the full step: slots that rotate,
     # the full step's becoming the next step's now
@@ -671,7 +659,7 @@ def _consensus_flow(lap: np.ndarray, t: float) -> np.ndarray:
     return flow
 
 
-def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = None) -> np.ndarray:
+def closed_form_aligned(s: Scenario, t: float) -> np.ndarray:
     """Exact (n, 4, 4) aligned states at time t for the asymptotic law.
 
     The aligned states obey the constant-coefficient linear consensus flow
@@ -682,13 +670,15 @@ def closed_form_aligned(s: Scenario, t: float, initial_state: InitialState = Non
     t / 2^s <= 1 / c, then s squarings, where c = max(1, largest degree). t
     must be finite and at least 0, and c t at most 2^MAX_FLOW_SQUARINGS,
     where the squarings' rounding reaches 2^-27; any other t raises
-    ValueError.
+    ValueError, and so does a flow over MAX_DENSE_BYTES (``check_dense``).
     """
     if not isinstance(s.law, Asymptotic):
         raise ValueError("closed form applies to the asymptotic law only")
-    t0, p0 = _initial_stacks(s, initial_state)
+    # the flow's peak: six n x n matrices, L, M, the series term and total,
+    # and a product and its scaled copy (or a squaring's flow and its square)
+    check_dense(48 * s.topo.n**2, f"the closed-form flow over {s.topo.n} agents")
     flow = _consensus_flow(build_laplacian(s.topo), t)
-    return np.einsum("ij,jab->iab", flow, t0 @ p0)
+    return np.einsum("ij,jab->iab", flow, s.initial_poses.arrays[0] @ s._p0)
 
 
 def lyapunov_chain_check(trace: Trace, lambda2: float, alpha: float) -> LyapunovCheck:
@@ -701,10 +691,10 @@ def lyapunov_chain_check(trace: Trace, lambda2: float, alpha: float) -> Lyapunov
     """
     if not isinstance(trace.scenario.law, FiniteTime):
         raise ValueError("chain check applies to finite-time traces only")
-    if not 0.0 < lambda2 < math.inf:
-        raise ValueError(f"lambda2 must be finite and positive, got {lambda2}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not (isinstance(lambda2, numbers.Real) and 0.0 < lambda2 < math.inf):
+        raise ValueError(f"lambda2 must be finite and positive, got {lambda2!r}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     v = trace.lyapunov
     if len(v) < 3:
         raise ValueError("need at least three samples for central differences")

@@ -54,6 +54,7 @@ def scenarios_equal(a, b) -> bool:
         a.law == b.law
         and (a.dt, a.t_end, a.seed, a.stride, a.reconstruction)
         == (b.dt, b.t_end, b.seed, b.stride, b.reconstruction)
+        and np.array_equal(a._p0, b._p0)
     )
 
 
@@ -132,6 +133,21 @@ def test_round_trip_exact(tmp_path):
         path = tmp_path / "s.json"
         save_scenario(s, path)
         assert scenarios_equal(load_scenario(path), s)
+
+
+def test_save_refuses_a_scenario_with_a_given_start(tmp_path):
+    # a file holds the seed, so it would reproduce the seeded draw's run;
+    # even the seeded draw itself, given as the start, is refused
+    s = demo_scenario()
+    path = tmp_path / "s.json"
+    message = "^initial state: a scenario file holds the seed, not a given start$"
+    for start in (s._p0, 2.0 * s._p0 - np.diag([0.0, 0.0, 0.0, 1.0])):
+        given = dataclasses.replace(s, initial_state=start)
+        with pytest.raises(ConfigurationError, match=message):
+            save_scenario(given, path)
+        assert not path.exists()
+    save_scenario(dataclasses.replace(given, initial_state=None), path)
+    assert scenarios_equal(load_scenario(path), s)
 
 
 def test_zero_dt_rejected(tmp_path):
@@ -659,6 +675,15 @@ def test_directed_error_line_is_exact(tmp_path, capsys, directed):
     code, err = run_edited_demo(tmp_path, capsys, lambda d: d["graph"].update(directed=directed))
     assert code == 1
     assert err == [f"error: graph: directed must be true or false, got {directed!r}"]
+
+
+def test_an_n_past_the_intp_range_is_one_error_line(tmp_path, capsys):
+    # it used to print numpy's "Python int too large to convert to C long"
+    code, err = run_edited_demo(tmp_path, capsys, lambda d: d["graph"].update(
+        n=10**20, edges=d["graph"]["edges"] + [[1, 10**19]]
+    ))
+    assert code == 1
+    assert err == [f"error: graph: n must be at most {np.iinfo(np.intp).max}, got {10**20}"]
 
 
 def test_saved_topology_loads_back(tmp_path):

@@ -305,16 +305,16 @@ def test_reconstruct_two_column_survives_bad_third_column():
     assert valid.tolist() == [False]
 
 
-def resting_scenario(topo: Topology, poses) -> Scenario:
-    """Asymptotic-law scenario with the given truth poses and zero twists."""
+def resting_scenario(topo: Topology, poses, state) -> Scenario:
+    """Asymptotic-law scenario with the given truth poses and estimator start, and zero twists."""
     still = (zero_twist(),) * topo.n
-    return Scenario(topo, tuple(poses), still, Asymptotic(), 1e-3, 1e-3, seed=0)
+    return Scenario(topo, tuple(poses), still, Asymptotic(), 1e-3, 1e-3, seed=0, initial_state=state)
 
 
 def test_well_posedness_single_agent():
     # identity truth and estimator: the mix sum_i w1_i R_i Q_i is the identity
     state = np.eye(4)[None]
-    rep = oracle_report(resting_scenario(Topology(1), [identity_pose()]), initial_state=state)
+    rep = oracle_report(resting_scenario(Topology(1), [identity_pose()], state))
     assert abs(np.linalg.det(rep.consensus_state[:3, :3])) == pytest.approx(1.0)
     assert np.allclose(rep.consensus_state[:3, :3], np.eye(3))
     assert np.allclose(rep.transform_bias.matrix, np.eye(4))
@@ -325,8 +325,8 @@ def test_well_posedness_cancellation():
     rng = np.random.default_rng(28)
     q1 = rng.uniform(-1.0, 1.0, (3, 3))
     state = np.stack([aux_matrix(q1), aux_matrix(-q1)])
-    s = resting_scenario(Topology.undirected(2, [(1, 2)]), [identity_pose()] * 2)
-    rep = oracle_report(s, initial_state=state)
+    s = resting_scenario(Topology.undirected(2, [(1, 2)]), [identity_pose()] * 2, state)
+    rep = oracle_report(s)
     assert np.array_equal(rep.w1, [0.5, 0.5])
     assert abs(np.linalg.det(rep.consensus_state[:3, :3])) < 1e-12
     assert rep.transform_bias is None
@@ -337,8 +337,8 @@ def test_well_posedness_random_starts():
     square = Topology.undirected(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     for seed in range(5):
         state = init_aux_stack(4, rng_seed=seed)
-        s = resting_scenario(square, [make_pose(rng) for _ in range(4)])
-        rep = oracle_report(s, initial_state=state)
+        s = resting_scenario(square, [make_pose(rng) for _ in range(4)], state)
+        rep = oracle_report(s)
         assert np.array_equal(rep.w1, np.full(4, 0.25))
         assert rep.transform_bias is not None
 

@@ -340,6 +340,19 @@ def test_topology_validation():
     assert neighbors(t, 4) == ()
 
 
+@pytest.mark.parametrize("n", [2**63, 10**20])
+def test_topology_refuses_an_n_past_the_intp_range(n):
+    # an edge end past the intp range but within n used to pass every check
+    # and end in numpy's "Python int too large to convert to C long"
+    largest = np.iinfo(np.intp).max
+    for edges in ((), [(1, 10**19), (10**19, 1)]):
+        with pytest.raises(ValueError, match=rf"^n must be at most {largest}, got {n}$"):
+            Topology(n, edges)
+    with pytest.raises(ValueError, match=rf"^edge \(1, {10**19}\) outside 1\.\.{largest}$"):
+        Topology(largest, [(1, 10**19)])
+    assert Topology(largest, [(1, largest)]).edges == ((1, largest),)
+
+
 @pytest.mark.parametrize(
     "edges, directed, message",
     [

@@ -159,11 +159,11 @@ def test_bias_of_a_consensus_with_a_tiny_column_is_undefined():
     s = dataclasses.replace(demo_scenario(), t_end=0.1)
     aligned = np.tile(np.eye(4), (s.topo.n, 1, 1))
     aligned[:, :3, :3] = np.diag([1e-11, 1e6, 1e6])
-    state = np.linalg.inv(s.initial_poses.arrays[0]) @ aligned
-    report = oracle_report(s, initial_state=state)
+    s = dataclasses.replace(s, initial_state=np.linalg.inv(s.initial_poses.arrays[0]) @ aligned)
+    report = oracle_report(s)
     assert report.transform_bias is None
     assert report.det_qc == pytest.approx(10.0, rel=1e-9)
-    trace, _ = run(s, initial_state=state)
+    trace, _ = run(s)
     assert np.isnan(trace.orientation_errors).all()
     assert np.isnan(trace.position_errors).all()
 
@@ -403,7 +403,7 @@ def test_run_and_kernel_write_no_input_and_no_earlier_result():
     assert np.array_equal(s._p0, p0)
     state = simulation.init_aux_stack(8, 56)
     kept_state = state.copy()
-    run(s, state)
+    run(dataclasses.replace(s, initial_state=state))
     assert state.tobytes() == kept_state.tobytes()
     # the kernel reuses its edge rows, never a derivative it handed out,
     # and reads its estimator stack and truth slots without writing them
@@ -680,9 +680,9 @@ def test_epsilon_over_every_link_runs_where_the_law_has_nothing_to_do():
     # a start already at consensus: every aligned state equal, V0 = 0
     s = make_scenario(square_demo_topology(), seed=3, law=law, t_end=0.05)
     s = dataclasses.replace(s, initial_poses=(identity_pose(),) * 4)
-    p0 = np.repeat(s._p0[:1], 4, axis=0)
-    assert oracle_report(s, p0).v0 == 0.0
-    run(s, p0)
+    s = dataclasses.replace(s, initial_state=np.repeat(s._p0[:1], 4, axis=0))
+    assert oracle_report(s).v0 == 0.0
+    run(s)
     # epsilon inside some of the demo's links (4.76 to 6.85 apart)
     run(demo_scenario(law=FiniteTime(epsilon=5.0), t_end=0.05))
 
@@ -785,13 +785,83 @@ def test_a_replaced_initial_state_is_never_drawn(monkeypatch):
     monkeypatch.setattr(
         simulation, "init_aux_stack", lambda n, seed: calls.append(seed) or draw(n, seed)
     )
-    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01)
     p0 = draw(2, 10)
-    oracle_report(s, p0)
-    trace, _ = run(s, p0)
-    closed_form_aligned(s, 0.5, p0)
+    s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=9, t_end=0.01)
+    s = dataclasses.replace(s, initial_state=p0)
+    oracle_report(s)
+    trace, _ = run(s)
+    closed_form_aligned(s, 0.5)
+    dataclasses.replace(s, t_end=0.02)
     assert calls == []
     assert np.array_equal(trace.aux[0], p0)
+
+
+def report_fields(report) -> tuple:
+    """An OracleReport as bytes and numbers, for an exact comparison."""
+    bias = report.transform_bias
+    return (
+        report.w1.tobytes(), report.consensus_state.tobytes(),
+        None if bias is None else bias.matrix.tobytes(), report.det_qc, report.lambda2,
+        report.settling_bound, report.settling_bound_optimistic, report.v0,
+    )
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.booleans(), st.none() | st.integers(0, 2**32 - 1), st.floats(0.25, 4.0))
+@example(False, 7, 2.0).via("the asymptotic demo with the top rows of its seeded start doubled")
+def test_a_trace_scenario_is_its_run(finite, start_seed, scale):
+    # a given start used to be a side argument of run, oracle_report and
+    # closed_form_aligned, so a trace's scenario described the seeded run:
+    # in the example the closed form at 0 was off by 1.39 and V0 read 26.65
+    # against the run's 50.46
+    s = demo_scenario(law=FiniteTime() if finite else None, t_end=0.02, stride=5)
+    if start_seed is not None:
+        state = simulation.init_aux_stack(s.topo.n, start_seed)
+        state[:, :3] *= scale
+        s = dataclasses.replace(s, initial_state=state)
+    trace, report = run(s)
+    assert trace.scenario is s
+    again, again_report = run(trace.scenario)
+    for name in ("truth", "aux", "lyapunov"):
+        assert getattr(again, name).tobytes() == getattr(trace, name).tobytes()
+    assert report_fields(oracle_report(trace.scenario)) == report_fields(report)
+    assert report_fields(again_report) == report_fields(report)
+    assert report.v0 == trace.lyapunov[0]
+    if not finite:
+        assert np.array_equal(closed_form_aligned(trace.scenario, 0.0), trace.aligned[0])
+
+
+def test_a_start_is_checked_against_the_graph_it_is_built_with():
+    # a start of the old n does not ride along into a larger graph
+    s = dataclasses.replace(demo_scenario(), initial_state=simulation.init_aux_stack(4, 3))
+    ring = Topology(5, [(k, k % 5 + 1) for k in range(1, 6)])
+    agents = {"initial_poses": s.initial_poses[:1] * 5, "twists": s.twists[:1] * 5}
+    with pytest.raises(ValueError, match=r"^initial state has shape \(4, 4, 4\), expected \(5, 4, 4\)$"):
+        dataclasses.replace(s, topo=ring, **agents)
+    assert dataclasses.replace(s, topo=ring, initial_state=None, **agents)._p0.shape == (5, 4, 4)
+
+
+def test_a_given_start_is_stored_read_only_and_apart_from_the_caller():
+    state = simulation.init_aux_stack(4, 3)
+    s = dataclasses.replace(demo_scenario(), initial_state=state)
+    assert s._p0 is s.initial_state and s.initial_state is not state
+    with pytest.raises(ValueError, match="read-only"):
+        s.initial_state[0, 0, 0] = 1.0
+    state[0, 0, 0] += 1.0
+    assert s.initial_state[0, 0, 0] != state[0, 0, 0]
+
+
+def test_closed_form_refuses_a_flow_past_the_dense_bound(monkeypatch):
+    # a 20000-agent ring used to end in numpy's MemoryError; the bound is
+    # checked before the Laplacian is built
+    s = demo_scenario()
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", 6 * 8 * 4**2)
+    assert closed_form_aligned(s, 0.5).shape == (4, 4, 4)
+    monkeypatch.setattr(graphs, "MAX_DENSE_BYTES", 6 * 8 * 4**2 - 1)
+    monkeypatch.setattr(simulation, "build_laplacian", None)
+    message = r"^the closed-form flow over 4 agents would hold 0\.0007324 MiB of dense matrices, over the"
+    with pytest.raises(ValueError, match=message):
+        closed_form_aligned(s, 0.5)
 
 
 def test_scenario_takes_a_reconstruction_mode_by_value():
@@ -955,12 +1025,13 @@ def test_initial_state_as_objects_or_stack():
     s = make_scenario(Topology(2, ((1, 2), (2, 1))), seed=12, t_end=0.01)
     seeded = dataclasses.replace(s, seed=5)
     stack = stack_of(init_aux(2, 5))
+    given = dataclasses.replace(s, initial_state=stack)
     assert np.array_equal(
-        oracle_report(s, stack).consensus_state, oracle_report(seeded).consensus_state
+        oracle_report(given).consensus_state, oracle_report(seeded).consensus_state
     )
-    assert np.array_equal(closed_form_aligned(s, 0.5, stack), closed_form_aligned(seeded, 0.5))
-    with pytest.raises(ValueError, match="shape"):
-        run(s, stack[:1])
+    assert np.array_equal(closed_form_aligned(given, 0.5), closed_form_aligned(seeded, 0.5))
+    with pytest.raises(ValueError, match=r"^initial state has shape \(1, 4, 4\), expected \(2, 4, 4\)$"):
+        dataclasses.replace(s, initial_state=stack[:1])
 
 
 def test_a_given_initial_state_is_finite_with_bottom_rows_0001():
@@ -976,16 +1047,15 @@ def test_a_given_initial_state_is_finite_with_bottom_rows_0001():
         (nan, "^initial state: the matrix of agent 2 is not finite"),
     )
     for state, message in cases:
-        for call in (run, oracle_report, lambda s, p: closed_form_aligned(s, 0.5, p)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=message) as raised:
-                    call(s, state)
-            assert type(raised.value) is ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message) as raised:
+                dataclasses.replace(s, initial_state=state)
+        assert type(raised.value) is ValueError
     # -0.0 compares equal to 0.0, so bottom rows of (-0, -0, -0, 1) pass
     signed = good.copy()
     signed[:, 3, :3] = -0.0
-    trace, _ = run(s, signed)
+    trace, _ = run(dataclasses.replace(s, initial_state=signed))
     assert trace.aux[0].tobytes() == signed.tobytes()
 
 
@@ -1113,7 +1183,7 @@ def test_consensus_at_start_stays_put():
         AuxMatrix((np.linalg.inv(p.matrix) @ common)[:3, :3], (np.linalg.inv(p.matrix) @ common)[:3, 3])
         for p in s.initial_poses
     )
-    trace, rep = run(s, initial_state=np.stack([a.matrix for a in aux]))
+    trace, rep = run(dataclasses.replace(s, initial_state=np.stack([a.matrix for a in aux])))
     assert rep.v0 < 1e-25
     assert trace.lyapunov.max() < 1e-10
     assert np.nanmax(trace.orientation_errors) < 1e-5
@@ -1141,6 +1211,11 @@ def test_lyapunov_chain_rejects_asymptotic_trace():
         (2.0, 0.0, "alpha"),
         (2.0, 1.0, "alpha"),
         (2.0, np.nan, "alpha"),
+        # not a real number: each used to raise TypeError from the comparison
+        (None, 0.5, "^lambda2 .* got None$"),
+        ("2.0", 0.5, "^lambda2 .* got '2.0'$"),
+        (2.0, None, "^alpha .* got None$"),
+        (2.0, "0.5", "^alpha .* got '0.5'$"),
     ],
 )
 def test_lyapunov_chain_rejects_invalid_constants(lambda2, alpha, match):
@@ -1148,6 +1223,15 @@ def test_lyapunov_chain_rejects_invalid_constants(lambda2, alpha, match):
     trace, _ = run(s)
     with pytest.raises(ValueError, match=match):
         lyapunov_chain_check(trace, lambda2, alpha)
+
+
+def test_lyapunov_chain_refuses_the_lambda2_of_a_lone_agent():
+    # one agent has no spectral gap, and its report says so with None
+    s = make_scenario(Topology.undirected(1, []), seed=12, law=FiniteTime(), dt=1e-2, t_end=0.05)
+    trace, report = run(s)
+    assert report.lambda2 is None
+    with pytest.raises(ValueError, match="^lambda2 must be finite and positive, got None$"):
+        lyapunov_chain_check(trace, report.lambda2, 0.5)
 
 
 def test_lyapunov_chain_passes_on_finite_run():
@@ -1293,13 +1377,14 @@ def test_a_scaled_start_is_refused_or_runs_finite(part, exponent):
     # documents hold only finite numbers, without a numpy warning. A turn of
     # up to MAX_MAGNITUDE per step may also make RK4 diverge; run refuses that
     s = demo_scenario(law=FiniteTime(), t_end=0.01, stride=5)
-    factor, state = 10.0**exponent, None
+    factor = 10.0**exponent
     if part == "translations":
         poses = [Pose(p.rotation, p.translation * factor) for p in s.initial_poses]
         s = dataclasses.replace(s, initial_poses=poses)
     elif part == "initial state":
         state = s._p0.copy()
         state[:, :3] *= factor
+        s = dataclasses.replace(s, initial_state=state)
     else:
         scale = (1.0, factor) if part == "angular velocities" else (factor, 1.0)
         twists = [Twist(*(x * k for x, k in zip(pair, scale))) for pair in zip(*s.twists.arrays)]
@@ -1307,13 +1392,13 @@ def test_a_scaled_start_is_refused_or_runs_finite(part, exponent):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            report = oracle_report(s, state)
+            report = oracle_report(s)
         except ConfigurationError as e:
             assert str(e).startswith(("initial state: agent ", "integration: agent "))
             assert str(e).endswith(("over the limit 1e+100", "over the limit 1e+100; use a smaller dt"))
             return
         try:
-            trace, _ = run(s, state)
+            trace, _ = run(s)
         except ConfigurationError as e:
             assert part == "angular velocities" and "estimator state is not finite" in str(e)
             return
