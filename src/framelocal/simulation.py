@@ -42,17 +42,20 @@ truth products write T into them in place. One product of a slot with the
 estimator stack gives both the aligned rows T P and the generator term
 -hat(twist) P, with the values of the two separate products: the BLAS
 gives each output row the same bits whatever the row count of its stack,
-which a test checks. Each slot's R^T view is taken once. One clipped
-``take`` per stage gathers both ends of every link into a reused buffer,
-and one subtraction of its halves fills the forward rows. The mirror
+which a test checks. Each slot's R^T view is taken once. The edge rows
+are one block, [mirror | forward | lo ends]: one clipped ``take`` per
+stage gathers the hi end of every link into its forward row and the lo
+end below, and one subtraction in place makes the forward rows. The mirror
 negation is skipped where there are no mirror rows (every digraph).
 Products land in reused buffers, and the rotated sums reach the
 derivative by one contiguous add of a whole (n, 4, 4) stack whose bottom
 row is -0.0. Ufunc outputs are passed positionally, and the ufuncs are
 bound locally. The step loop does its RK4 stage and update arithmetic in
-place, writes the four stage derivatives into reused buffers, and records
-each sample by copying the stacks and computing V; a non-finite V stops
-the run. Under the asymptotic law on a digraph a step makes 43 numpy calls
+place in three stacks: k1 is written into the running total, which takes
+2 k2, 2 k3 and k4 as each is made in one reused stack, with the stage
+stack as the 2 k scratch. A sample copies the stacks and computes V in the
+free stage stack, so it allocates no stack; a non-finite V stops the run.
+Under the asymptotic law on a digraph a step makes 43 numpy calls
 and views; an undirected graph adds 4 (the mirror negations) and the
 finite-time law 28 (the weights).
 
@@ -133,6 +136,20 @@ MAX_FLOW_SQUARINGS = 26
 TraceBlock = collections.namedtuple("TraceBlock", "samples estimates valid orient pos")
 
 
+def _exact_repr(cls):
+    """Print cls's repr with every digit and every entry, so eval of it
+    gives back the same bytes, -0.0 included."""
+    plain = cls.__repr__
+
+    def __repr__(self):
+        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            return plain(self)
+
+    cls.__repr__ = __repr__
+    return cls
+
+
+@_exact_repr
 class _Stack(Sequence):
     """Read-only (n, ...) arrays read as n objects, each built by ``item`` when read."""
 
@@ -149,9 +166,7 @@ class _Stack(Sequence):
         return self.item(*(a[rows] for a in self.arrays))
 
     def __repr__(self):
-        # every digit and every entry, so eval of the repr gives the stack back
-        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-            return f"{type(self).__name__}({', '.join(map(repr, self.arrays))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self.arrays))})"
 
 
 class _PoseStack(_Stack):
@@ -162,13 +177,15 @@ class _TwistStack(_Stack):
     kind, item, parts = Twist, Twist, ("linear", "angular")   # (n, 3) each
 
 
+@_exact_repr
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything needed to reproduce one run. Its agents, given as Pose and
     Twist objects, are stored as read-only stacks that ``dataclasses.replace``
     hands on; reading ``initial_poses`` or ``twists`` builds and validates one
     object per item read. ``initial_state``, an (n, 4, 4) stack of finite matrices
-    with bottom rows (0, 0, 0, 1), replaces the seeded draw; it is checked once, here."""
+    with bottom rows (0, 0, 0, 1), replaces the seeded draw; it is checked once, here.
+    The repr prints every digit and entry, so it evaluates back byte for byte."""
 
     topo: Topology
     initial_poses: Sequence
@@ -472,8 +489,8 @@ def _make_rhs(s: Scenario) -> tuple:
     -hat(twist_i) P_i. Each undirected link is computed once and mirrored by
     negation, in rows that keep the sorted-edge summation order (see the
     module docstring). The kernel writes only ``out`` and its own working
-    buffers (the slot product, the link ends, the edge rows and the rotated
-    sums); it reads pp and the slots.
+    buffers (the slot product, one block of edge rows that holds the link
+    ends and the terms, and the rotated sums); it reads pp and the slots.
     """
     n = s.topo.n
     lo, hi = s.topo.edge_index
@@ -484,8 +501,12 @@ def _make_rhs(s: Scenario) -> tuple:
     # rows [mirror terms received at hi..., forward terms received at lo...]:
     # each bin sums its senders below it, then above it, so in sorted-edge order
     bins = (12 * np.concatenate((hi[:m], lo))[:, None] + np.arange(12)).ravel()
-    diff = np.empty((m + f, 12))
-    weights, mirror, forward = diff.ravel(), diff[:m], diff[m:]
+    # one block of edge rows, [mirror | forward | lo ends]: the gather writes
+    # each link's hi end into its forward row and its lo end below, the
+    # subtraction makes the forward rows in place, and the bins read rows[:m + f]
+    rows = np.empty((m + 2 * f, 12))
+    mirror, forward, lo_ends, gathered = rows[:m], rows[m:m + f], rows[m + f:], rows[m:]
+    weights = rows[:m + f].ravel()
     mirrored = forward[:m]   # the forward rows whose links have a mirror row
     truths = np.empty((3, n, 8, 4))
     truths[:, :, 4:, :] = _neg_generators(s)
@@ -496,11 +517,9 @@ def _make_rhs(s: Scenario) -> tuple:
     prod = np.empty((n, 8, 4))
     aligned_rows, generated = prod.reshape(n, 32)[:, :12], prod[:, 4:, :]
     # both ends of every link in one gather; the indices are in range by
-    # construction, and "clip" lets take write into ends directly (under
+    # construction, and "clip" lets take write into the rows directly (under
     # "raise" it buffers the output)
     ends_index = np.concatenate((hi, lo))
-    ends = np.empty((2 * f, 12))
-    at_hi, at_lo = ends[:f], ends[f:]
     gather = aligned_rows.take
     n_bins, acc_shape = 12 * n, (n, 3, 4)
     # R_i^T times the summed terms, written into the top rows of a stack whose
@@ -515,8 +534,8 @@ def _make_rhs(s: Scenario) -> tuple:
 
     def rhs(k, pp, out):
         matmul(slots[k], pp, prod)
-        gather(ends_index, 0, ends, "clip")
-        subtract(at_hi, at_lo, forward)
+        gather(ends_index, 0, gathered, "clip")
+        subtract(forward, lo_ends, forward)
         if finite:
             norms = sqrt(einsum("ej,ej->e", forward, forward))
             # inf ** -alpha is 0: an edge inside the guard radius gets no weight
@@ -547,7 +566,9 @@ def run(s: Scenario) -> tuple:
     k_samples = s.n_steps // s.stride + 1
     n_steps = (k_samples - 1) * s.stride
     # times and V, plus per agent truth, aux and an orientation error, plus
-    # a position error per link: what the Trace stores and derives once read
+    # a position error per link: what the Trace stores and the errors it
+    # derives once read. Not counted: ``Trace.estimates``, 16 floats per agent
+    # and sample, built on first read
     nbytes = 8 * k_samples * (2 + 33 * n + len(s.topo.links))
     if nbytes > MAX_TRACE_BYTES:
         raise ConfigurationError(
@@ -581,7 +602,10 @@ def run(s: Scenario) -> tuple:
     def record(k: int, step: int, tt: np.ndarray, pp: np.ndarray):
         truth[k] = tt
         aux[k] = pp
-        v = 0.5 * float(np.sum((tt @ pp - report.consensus_state) ** 2))
+        # (tt @ pp - S_c) ** 2 in the free stage stack: a square is x * x
+        matmul(tt, pp, stage)
+        subtract(stage, report.consensus_state, stage)
+        v = 0.5 * float(multiply(stage, stage, stage).sum())
         if not math.isfinite(v):
             raise ConfigurationError(
                 f"integration: the estimator state is not finite at step {step} "
@@ -590,12 +614,22 @@ def run(s: Scenario) -> tuple:
         lyap[k] = v
 
     dt, sixth, stride = s.dt, s.dt / 6.0, s.stride
-    add, multiply, matmul = np.add, np.multiply, np.matmul
-    # the stages and the update work in place, with the operations of
-    # p + half * k1 and ((k1 + 2 k2) + 2 k3) + k4 in that order, on a copy
-    # of the scenario's read-only start
+    add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+    # the stages and the update work in place on a copy of the scenario's
+    # read-only start, with the operations of p + half * k1 and
+    # ((k1 + 2 k2) + 2 k3) + k4 in that order: k1 is written into total,
+    # which then takes 2 k2, 2 k3 and k4 as each is made in k, with stage as
+    # the 2 k scratch
     p_stack = s._p0.copy()
-    stage, total, k1, k2, k3, k4 = np.empty((6, n, 4, 4))
+    stage, total, k = np.empty((3, n, 4, 4))
+    # the step loop's working set beside the trace, which a test pins: per
+    # agent 252 floats, the three truth slots (32 each), the slot product
+    # (32), the rotated-sum stack (16), the three RK4 stacks (16 each), the
+    # estimator copy (16), the two step exponentials (16 each) and
+    # bincount's output (12); per edge a row of 12 floats and its 12 bins;
+    # per link gathered a second row, for the lo end, and two gather
+    # indices; and during one call numpy's iterator buffer, np.getbufsize()
+    # floats
     # the truth now, at the half step and at the full step: slots that rotate,
     # the full step's becoming the next step's now
     now, mid, nxt = 0, 1, 2
@@ -606,13 +640,13 @@ def run(s: Scenario) -> tuple:
         for step in range(1, n_steps + 1):
             matmul(tops[now], e_half, tops[mid])
             matmul(tops[now], e_full, tops[nxt])
-            rhs(now, p_stack, k1)
-            rhs(mid, add(p_stack, multiply(half, k1, stage), stage), k2)
-            rhs(mid, add(p_stack, multiply(half, k2, stage), stage), k3)
-            rhs(nxt, add(p_stack, multiply(dt, k3, stage), stage), k4)
-            add(k1, multiply(2.0, k2, total), total)
-            add(total, multiply(2.0, k3, stage), total)
-            add(total, k4, total)
+            rhs(now, p_stack, total)
+            rhs(mid, add(p_stack, multiply(half, total, stage), stage), k)
+            add(total, multiply(2.0, k, stage), total)
+            rhs(mid, add(p_stack, multiply(half, k, stage), stage), k)
+            add(total, multiply(2.0, k, stage), total)
+            rhs(nxt, add(p_stack, multiply(dt, k, stage), stage), k)
+            add(total, k, total)
             add(p_stack, multiply(sixth, total, total), p_stack)
             now, mid, nxt = nxt, now, mid
             if step % stride == 0:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -345,6 +346,41 @@ def test_run_is_the_full_edge_rk4_at_small_n_and_on_the_demos(make):
     assert trace.truth.tobytes() == truth.tobytes()
     assert trace.aux.tobytes() == aux.tobytes()
     assert trace.lyapunov.tobytes() == v.tobytes()
+
+
+def rooted_digraph(n: int, ring: int, seed: int) -> Topology:
+    """Digraph whose one root component is a directed ring of the `ring`
+    highest agents; every other agent hears two seeded agents above it."""
+    rng = np.random.default_rng(seed)
+    first = n - ring + 1
+    edges = [(i, i + 1 if i < n else first) for i in range(first, n + 1)]
+    for i in range(1, first):
+        edges += [(i, int(j)) for j in rng.choice(np.arange(i + 1, n + 1), 2, replace=False)]
+    return Topology(n, tuple(edges), directed=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_scenario(rooted_digraph(1024, 8, seed=61), seed=62, t_end=0.02),
+    lambda: make_scenario(ring_with_chords(512, 768, seed=63), seed=64, law=FiniteTime(), t_end=0.02),
+], ids=["rooted-digraph-1024", "ring-with-chords-512-finite"])
+def test_run_working_set_is_the_trace_plus_the_step_formula(make):
+    # run's peak is the trace plus the step loop's working set, as the
+    # comment in run counts it. It was 0.72 MiB more on the digraph, with
+    # six RK4 stacks, a separate link-end buffer and V's temporaries
+    s = make()
+    s._p0, s.topo.links   # the scenario's own start and links, built once
+    tracemalloc.start()
+    try:
+        trace, _ = run(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    e = s.topo.edge_index.shape[1]
+    f = e if s.topo.directed else e // 2   # the links gathered
+    stored = trace.truth.nbytes + trace.aux.nbytes + trace.lyapunov.nbytes
+    words = 252 * s.topo.n + 24 * e + 14 * f + np.getbufsize()   # 8 bytes each
+    predicted = stored + 8 * words
+    assert abs(peak - predicted) <= 0.05 * predicted, (peak / 2**20, predicted / 2**20)
 
 
 @st.composite
@@ -992,6 +1028,19 @@ def test_stack_repr_evaluates_to_the_same_bytes(n):
     for stack in (simulation._PoseStack(poses), s.twists):
         again = eval(repr(stack), {"array": np.array, type(stack).__name__: type(stack)})
         assert [a.tobytes() for a in again.arrays] == [a.tobytes() for a in stack.arrays]
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_scenario_repr_prints_a_given_initial_state_exactly(n):
+    # a given start printed 8 digits, and from 64 agents an ellipsis
+    p0 = simulation.init_aux_stack(n, 1)
+    p0[0, 0, 0] = -0.0
+    s = make_scenario(Topology(n, [(k, k % n + 1) for k in range(1, n + 1)]), seed=n, t_end=0.01)
+    text = repr(dataclasses.replace(s, initial_state=p0))
+    head = "initial_state="
+    assert text.count(head) == 1 and text.endswith(")")
+    again = eval(text[text.index(head) + len(head):-1], {"array": np.array})
+    assert again.tobytes() == p0.tobytes()
 
 
 @pytest.mark.parametrize("field", ["initial_poses", "twists"])
