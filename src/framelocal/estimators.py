@@ -36,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from .graphs import as_float
 from .se3 import AuxMatrix, gram_schmidt, homogeneous
 
 INIT_DET_FLOOR = 1e-6      # redraw threshold on |det Q_i(0)|
@@ -64,6 +65,8 @@ class FiniteTime:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.epsilon < math.inf:

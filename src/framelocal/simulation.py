@@ -62,10 +62,11 @@ finite-time law 28 (the weights).
 All else a trace reports is derived when read, in one walk over blocks of
 at most BLOCK_MATRICES agent matrices (``Trace.blocks``, the one place a
 trace is reconstructed), each value equal to its sample's alone bit for
-bit. A run whose trace would exceed MAX_TRACE_BYTES, or whose step work
-steps x (n + E + 150) would exceed MAX_STEP_WORK, is rejected before
-anything is allocated; the steps are those up to the last sample, the last
-multiple of the stride.
+bit. What a run stores and does is predicted from the scenario alone, by
+``footprint``: a run whose trace would exceed MAX_TRACE_BYTES, whose step
+work would exceed MAX_STEP_WORK, or whose peak, the trace plus the step
+loop's working set, would exceed MAX_RUN_BYTES is refused before the oracle
+report and before anything is allocated.
 
 The module needs only numpy, the closed-form oracle included. Its flow
 expm(-L t) is a stochastic matrix, and ``closed_form_aligned`` computes it by
@@ -97,6 +98,7 @@ from .graphs import (
     ConfigurationError,
     Topology,
     analyze,
+    as_float,
     as_int,
     build_laplacian,
     check_dense,
@@ -109,12 +111,15 @@ WELL_POSED_DET = 1e-9      # |det Q_c| above this, with independent columns => b
 SETTLED_V = 1e-10          # a sample counts as settled when V drops below this
 LYAP_FLOOR = 1e-12         # samples with V below this are excluded from the chain check
 BLOCK_MATRICES = 128       # agent matrices per batched pass over a trace (errors, state.csv)
-MAX_TRACE_BYTES = 1 << 30  # largest trace a run may allocate
-# largest step work a run may start. On an idle 2-core Xeon a step cost
-# about 0.28 us per unit of n + E with a per-step overhead of about 150
-# units, so this is at most about 47 minutes. The kernel's step costs less
-# than that calibration, so the bound errs on the safe side
+MAX_TRACE_BYTES = 1 << 30  # largest footprint trace_bytes a run may allocate
+# largest footprint step_work a run may start. On an idle 2-core Xeon a
+# step cost about 0.28 us per unit, so this is at most about 47 minutes.
+# The kernel's step costs less than that calibration, so the bound errs on
+# the safe side
 MAX_STEP_WORK = 1e10
+# largest peak, footprint trace_bytes + loop_bytes, a run may reach: twice
+# MAX_TRACE_BYTES, so the largest trace admitted still fits beside a 1 GiB loop
+MAX_RUN_BYTES = 1 << 31
 # largest magnitude M of a start: per agent, ||p(0)|| + ||v|| t_end (which
 # bounds ||p(t)||), each entry of S(0) = T P(0) (S(t) keeps their range under
 # both laws) and a step's angle ||w|| dt. A run forms sums of products of at
@@ -134,6 +139,8 @@ MAX_FLOW_SQUARINGS = 26
 
 # Trace.blocks(): a slice of samples, their estimates, validity mask and errors
 TraceBlock = collections.namedtuple("TraceBlock", "samples estimates valid orient pos")
+# footprint(s): what a run of s records, integrates and holds, from s alone
+Footprint = collections.namedtuple("Footprint", "samples steps trace_bytes step_work loop_bytes")
 
 
 def _exact_repr(cls):
@@ -199,6 +206,8 @@ class Scenario:
     initial_state: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.topo, Topology):
+            raise ValueError(f"topo: expected a Topology, got {type(self.topo).__name__}")
         if not isinstance(self.law, Law):
             raise ValueError(f"law: expected Asymptotic or FiniteTime, got {type(self.law).__name__}")
         for name, stack in (("initial_poses", _PoseStack), ("twists", _TwistStack)):
@@ -228,6 +237,8 @@ class Scenario:
                 )
             object.__setattr__(self, "initial_state", p0)
         object.__setattr__(self, "reconstruction", ReconstructionMode(self.reconstruction))
+        for name in ("dt", "t_end"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
@@ -555,36 +566,82 @@ def _count(k: int) -> str:
     return f"{k}" if k < 10**16 else f"{k:.3g}"
 
 
+def footprint(s: Scenario) -> Footprint:
+    """What a run of s records, integrates and holds, from the scenario alone.
+
+    The one home of a run's size: ``run`` takes its bounds, its trace and
+    its loop from it. With n agents, E edges and f links gathered (every
+    edge of a digraph, one of each pair of an undirected graph):
+
+    - ``samples``: every ``stride``-th step from step 0 to ``t_end``;
+    - ``steps``: those up to the last sample, the last multiple of the
+      stride; the steps after it would not be recorded, so they are not
+      integrated;
+    - ``trace_bytes``: times and V, plus per agent truth, aux and an
+      orientation error, plus a position error per link: what the Trace
+      stores and the errors it derives once read (MAX_TRACE_BYTES). Not
+      counted: ``Trace.estimates``, 16 floats per agent and sample, built on
+      first read;
+    - ``step_work``: per RK4 step, a unit of work per agent and per edge,
+      plus a per-call overhead of 150 units that dominates at small n
+      (MAX_STEP_WORK);
+    - ``loop_bytes``: the step loop's working set beside the trace, which a
+      test pins. Per agent 252 floats: the three truth slots (32 each), the
+      slot product (32), the rotated-sum stack (16), the three RK4 stacks (16
+      each), the estimator copy (16), the two step exponentials (16 each) and
+      bincount's output (12). Per edge a row of 12 floats and its 12 bins;
+      per link gathered a second row, for the lo end, and two gather
+      indices; and during one call numpy's iterator buffer, np.getbufsize()
+      floats. Not counted: ``oracle_report``'s set-up, freed before the
+      trace is allocated.
+
+    A run's peak, ``trace_bytes + loop_bytes``, is bounded by MAX_RUN_BYTES.
+    """
+    n, e = s.topo.n, s.topo.edge_index.shape[1]
+    f = e if s.topo.directed else e // 2
+    samples = s.n_steps // s.stride + 1
+    steps = (samples - 1) * s.stride
+    return Footprint(
+        samples=samples,
+        steps=steps,
+        trace_bytes=8 * samples * (2 + 33 * n + len(s.topo.links)),
+        step_work=steps * (n + e + 150),
+        loop_bytes=8 * (252 * n + 24 * e + 14 * f + np.getbufsize()),
+    )
+
+
 def run(s: Scenario) -> tuple:
     """Integrate truth and estimators together; return (Trace, OracleReport).
 
-    A trace samples every ``stride``-th step and ends at the last multiple
-    of ``stride`` at or before ``t_end``; the steps after it would not be
-    recorded, so they are not integrated. The estimators start from ``_p0``.
+    The estimators start from ``_p0``. The samples, the steps and the
+    sizes are ``footprint(s)``'s: a trace over MAX_TRACE_BYTES, step work
+    over MAX_STEP_WORK or a peak over MAX_RUN_BYTES raises
+    ConfigurationError before ``oracle_report`` runs and before anything is
+    allocated.
     """
-    n = s.topo.n
-    k_samples = s.n_steps // s.stride + 1
-    n_steps = (k_samples - 1) * s.stride
-    # times and V, plus per agent truth, aux and an orientation error, plus
-    # a position error per link: what the Trace stores and the errors it
-    # derives once read. Not counted: ``Trace.estimates``, 16 floats per agent
-    # and sample, built on first read
-    nbytes = 8 * k_samples * (2 + 33 * n + len(s.topo.links))
-    if nbytes > MAX_TRACE_BYTES:
+    n, n_edges = s.topo.n, s.topo.edge_index.shape[1]
+    size = footprint(s)
+    if size.trace_bytes > MAX_TRACE_BYTES:
         raise ConfigurationError(
-            f"integration: the trace of {_count(k_samples)} samples would take "
-            f"{nbytes / 2**30:.3g} GiB, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
+            f"integration: the trace of {_count(size.samples)} samples would take "
+            f"{size.trace_bytes / 2**30:.3g} GiB, over the {MAX_TRACE_BYTES / 2**30:g} GiB limit; "
             "use a larger stride"
         )
-    # per RK4 step: work per agent and per edge, plus a per-call overhead
-    # that dominates at small n
-    n_edges = s.topo.edge_index.shape[1]
-    work = n_steps * (n + n_edges + 150)
-    if work > MAX_STEP_WORK:
+    if size.step_work > MAX_STEP_WORK:
         raise ConfigurationError(
-            f"integration: {_count(n_steps)} steps over {n} agents and {n_edges} edges "
-            f"predict {work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} limit; "
-            "use a larger dt or a smaller t_end"
+            f"integration: {_count(size.steps)} steps over {n} agents and {n_edges} edges "
+            f"predict {size.step_work:.3g} units of step work, over the {MAX_STEP_WORK:.3g} "
+            "limit; use a larger dt or a smaller t_end"
+        )
+    # the trace is at most MAX_TRACE_BYTES, half this limit, so a peak past
+    # it is mostly the step loop
+    peak = size.trace_bytes + size.loop_bytes
+    if peak > MAX_RUN_BYTES:
+        raise ConfigurationError(
+            f"integration: the run would peak at {peak / 2**30:.3g} GiB, "
+            f"{size.loop_bytes / 2**30:.3g} GiB of it the step loop over {n} agents and "
+            f"{n_edges} edges, over the {MAX_RUN_BYTES / 2**30:g} GiB limit; "
+            "use fewer agents or edges"
         )
     report = oracle_report(s)
     # the truth exponentials over a half and a full step, as one (2, n) pair; the
@@ -595,9 +652,9 @@ def run(s: Scenario) -> tuple:
     tops = tuple(slot[:, :4, :] for slot in truths)   # the truth T of each slot
     tops[0][...] = s.initial_poses.arrays[0]
 
-    truth = np.zeros((k_samples, n, 4, 4))
-    aux = np.zeros((k_samples, n, 4, 4))
-    lyap = np.zeros(k_samples)
+    truth = np.zeros((size.samples, n, 4, 4))
+    aux = np.zeros((size.samples, n, 4, 4))
+    lyap = np.zeros(size.samples)
 
     def record(k: int, step: int, tt: np.ndarray, pp: np.ndarray):
         truth[k] = tt
@@ -622,14 +679,6 @@ def run(s: Scenario) -> tuple:
     # the 2 k scratch
     p_stack = s._p0.copy()
     stage, total, k = np.empty((3, n, 4, 4))
-    # the step loop's working set beside the trace, which a test pins: per
-    # agent 252 floats, the three truth slots (32 each), the slot product
-    # (32), the rotated-sum stack (16), the three RK4 stacks (16 each), the
-    # estimator copy (16), the two step exponentials (16 each) and
-    # bincount's output (12); per edge a row of 12 floats and its 12 bins;
-    # per link gathered a second row, for the lo end, and two gather
-    # indices; and during one call numpy's iterator buffer, np.getbufsize()
-    # floats
     # the truth now, at the half step and at the full step: slots that rotate,
     # the full step's becoming the next step's now
     now, mid, nxt = 0, 1, 2
@@ -637,7 +686,7 @@ def run(s: Scenario) -> tuple:
     # numpy overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, 0, tops[now], p_stack)
-        for step in range(1, n_steps + 1):
+        for step in range(1, size.steps + 1):
             matmul(tops[now], e_half, tops[mid])
             matmul(tops[now], e_full, tops[nxt])
             rhs(now, p_stack, total)

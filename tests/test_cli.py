@@ -1064,6 +1064,27 @@ def test_step_work_rejected_before_integration(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_bytes_rejected_before_the_oracle(tmp_path, capsys, monkeypatch):
+    # a peak, trace plus step loop, over the limit is one error line, before
+    # the oracle report and before the output directory is made
+    def no_oracle(_s):
+        raise AssertionError("oracle report started")
+
+    monkeypatch.setattr(simulation, "MAX_RUN_BYTES", 1 << 16)
+    monkeypatch.setattr(simulation, "oracle_report", no_oracle)
+    capsys.readouterr()
+    code = main([
+        "run", "--config", str(bundled_scenario_path("demo_asymptotic")),
+        "--t-end", "0.001", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and err == [
+        "error: integration: the run would peak at 7.07e-05 GiB, 6.97e-05 GiB of it the step loop "
+        "over 4 agents and 4 edges, over the 6.10352e-05 GiB limit; use fewer agents or edges"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -37,7 +37,7 @@ from framelocal import (
 from framelocal import cli, graphs, simulation
 from framelocal.estimators import Asymptotic, FiniteTime, ReconstructionMode
 from framelocal.scenarios import demo_scenario, seeded_rotations
-from framelocal.simulation import Scenario, _make_rhs, _neg_generators
+from framelocal.simulation import Scenario, _make_rhs, _neg_generators, footprint
 from conftest import (
     compose,
     counting_reconstruct,
@@ -364,8 +364,8 @@ def rooted_digraph(n: int, ring: int, seed: int) -> Topology:
     lambda: make_scenario(ring_with_chords(512, 768, seed=63), seed=64, law=FiniteTime(), t_end=0.02),
 ], ids=["rooted-digraph-1024", "ring-with-chords-512-finite"])
 def test_run_working_set_is_the_trace_plus_the_step_formula(make):
-    # run's peak is the trace plus the step loop's working set, as the
-    # comment in run counts it. It was 0.72 MiB more on the digraph, with
+    # run's peak is the trace plus the step loop's working set, as
+    # footprint counts it. It was 0.72 MiB more on the digraph, with
     # six RK4 stacks, a separate link-end buffer and V's temporaries
     s = make()
     s._p0, s.topo.links   # the scenario's own start and links, built once
@@ -375,11 +375,8 @@ def test_run_working_set_is_the_trace_plus_the_step_formula(make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    e = s.topo.edge_index.shape[1]
-    f = e if s.topo.directed else e // 2   # the links gathered
     stored = trace.truth.nbytes + trace.aux.nbytes + trace.lyapunov.nbytes
-    words = 252 * s.topo.n + 24 * e + 14 * f + np.getbufsize()   # 8 bytes each
-    predicted = stored + 8 * words
+    predicted = stored + footprint(s).loop_bytes
     assert abs(peak - predicted) <= 0.05 * predicted, (peak / 2**20, predicted / 2**20)
 
 
@@ -660,6 +657,34 @@ def test_scenario_integral_float_runs_as_int(field):
     assert np.array_equal(a.times, b.times) and np.array_equal(a.aux, b.aux)
 
 
+@pytest.mark.parametrize("field, changes, refused", [
+    ("topo", lambda: {"topo": None}, True),
+    ("dt", lambda: {"dt": "0.001"}, True),
+    ("dt", lambda: {"dt": None}, True),
+    ("alpha", lambda: {"law": FiniteTime(alpha="0.5")}, True),
+    ("dt", lambda: {"dt": True}, True),
+    ("epsilon", lambda: {"law": FiniteTime(epsilon=True)}, True),
+    ("dt", lambda: {"dt": np.float32(1e-3)}, False),
+    ("t_end", lambda: {"t_end": np.float32(1.0)}, False),
+    ("alpha", lambda: {"law": FiniteTime(alpha=np.float32(0.5))}, False),
+], ids=["topo-none", "dt-string", "dt-none", "alpha-string", "dt-bool", "epsilon-bool",
+        "dt-float32", "t_end-float32", "alpha-float32"])
+def test_scenario_checks_field_types_and_stores_real_numbers_as_floats(tmp_path, field, changes, refused):
+    # a wrong type used to end in AttributeError or TypeError, a bool passed
+    # as a number, and a numpy float was stored as it came, so the file
+    # save_scenario wrote was refused by load_scenario or not written at all
+    s = demo_scenario(law=FiniteTime())
+    if refused:
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            dataclasses.replace(s, **changes())
+        return
+    s = dataclasses.replace(s, **changes())
+    assert {type(x) for x in (s.dt, s.t_end, s.law.alpha, s.law.epsilon)} == {float}
+    cli.save_scenario(s, tmp_path / "s.json")
+    back = cli.load_scenario(tmp_path / "s.json")
+    assert (back.dt, back.t_end, back.law) == (s.dt, s.t_end, s.law)
+
+
 def test_trace_bound_checked_before_allocation(monkeypatch):
     # 1e10 samples of 4 agents would need about 10 TB; the run is refused
     # before the oracle report and before any trace array
@@ -696,6 +721,22 @@ def test_step_work_bound_checked_before_integration(monkeypatch):
     run(s)
     monkeypatch.setattr(simulation, "MAX_STEP_WORK", 30 * (4 + 8 + 150) - 1)
     with pytest.raises(ConfigurationError, match="integration: 30 steps "):
+        run(s)
+
+
+def test_run_bytes_bound_checked_before_the_oracle(monkeypatch):
+    # the peak is the trace plus the step loop, checked inclusively, and
+    # refused before the oracle report
+    s = make_scenario(square_demo_topology(), seed=6, dt=1e-2, t_end=0.3, stride=2)
+    size = footprint(s)
+    monkeypatch.setattr(simulation, "MAX_RUN_BYTES", size.trace_bytes + size.loop_bytes)
+    run(s)
+    monkeypatch.setattr(simulation, "MAX_RUN_BYTES", size.trace_bytes + size.loop_bytes - 1)
+    monkeypatch.setattr(simulation, "oracle_report", None)
+    with pytest.raises(ConfigurationError, match=(
+        r"^integration: the run would peak at .* GiB of it the step loop over 4 agents "
+        r"and 8 edges, over the .* GiB limit; use fewer agents or edges$"
+    )):
         run(s)
 
 
